@@ -15,6 +15,9 @@ All output is deterministic JSON on stdout (sorted keys); `--table` on
 census and verify renders a plain-text table instead.  Object documents
 are read with `--input PATH` where PATH may be `-` for stdin.  Exit code
 0 on success, 1 on a reported domain error, 2 on usage errors.
+
+Each handler imports the modules its verb runs, so a process loads only
+those; a usage error loads nothing beyond ``errors``.
 """
 
 from __future__ import annotations
@@ -24,55 +27,13 @@ import json
 import sys
 
 from . import __version__
-from .catalog import (
-    SECTOR_ALL,
-    SECTOR_MAXIMAL,
-    census,
-    character_variety_dimension,
-    dimension_consistency,
-    group_dim,
-    half_dimension,
-    parameterization,
-    resolve_extra_factor_reading,
-)
-from .curve import Curve
-from .deformation import (
-    DIRECTION_TO_INFINITY,
-    DIRECTION_TO_ZERO,
-    NDescriptor,
-    WeightAssignment,
-    graded_limit,
-    limit_destabilized_branch,
-    search_admissible_weights,
-)
 from .errors import HiggsAtlasError, ParseError, PreconditionError, UnsupportedGroupError
-from .f2cohomology import (
-    F2Class,
-    minimal_realizing_n,
-    sw_surjectivity_witnesses,
-    total_sw_of_sum,
-)
-from .higgsmodel import (
-    GroupTag,
-    PrymW0,
-    SplitW0,
-    TrivialW0,
-    build_degree_zero_chain,
-    build_exotic_so,
-    build_extension_deformed_so35,
-    build_hitchin_sl,
-    build_hitchin_so,
-    build_hitchin_so_nn,
-    build_hitchin_sp,
-    build_maximal_so23,
-    build_maximal_so2n,
-    build_so12,
-    build_twisted_fuchsian_sp,
-    bundle_from_dict,
-    bundle_to_dict,
-)
-from .stability import check_polystability, milnor_wood_bound
-from .verification import all_check_names, run_checks
+
+# The choices of --sector (catalog.SECTOR_*) and --direction
+# (deformation.DIRECTION_*), spelled out so that building the parser
+# imports neither module.  The first entry is the default.
+SECTOR_CHOICES = ("all", "maximal")
+DIRECTION_CHOICES = ("to-zero", "to-infinity")
 
 
 def _emit(data: dict) -> None:
@@ -87,7 +48,9 @@ def _read_document(path: str) -> dict:
         raise ParseError(f"input is not valid JSON: {exc}") from exc
 
 
-def _parse_classes(genus: int, text: str) -> list[F2Class]:
+def _parse_classes(genus: int, text: str) -> list:
+    from .f2cohomology import F2Class
+
     out = []
     for chunk in text.split(","):
         chunk = chunk.strip()
@@ -112,6 +75,9 @@ def _parse_ints(text: str) -> tuple[int, ...]:
 
 
 def _parse_w0(genus: int, text: str):
+    from .f2cohomology import F2Class
+    from .higgsmodel import PrymW0, SplitW0, TrivialW0
+
     parts = text.split(":")
     if parts[0] == "split":
         if len(parts) != 2:
@@ -127,6 +93,23 @@ def _parse_w0(genus: int, text: str):
 
 
 def _cmd_build(args) -> dict:
+    from .curve import Curve
+    from .higgsmodel import (
+        GroupTag,
+        build_degree_zero_chain,
+        build_exotic_so,
+        build_extension_deformed_so35,
+        build_hitchin_sl,
+        build_hitchin_so,
+        build_hitchin_so_nn,
+        build_hitchin_sp,
+        build_maximal_so23,
+        build_maximal_so2n,
+        build_so12,
+        build_twisted_fuchsian_sp,
+        bundle_to_dict,
+    )
+
     group = GroupTag.parse(args.group)
     curve = Curve(args.genus)
     q_on = _parse_ints(args.q_on) if args.q_on else ()
@@ -200,6 +183,9 @@ def _cmd_build(args) -> dict:
 
 
 def _cmd_stability(args) -> dict:
+    from .higgsmodel import bundle_from_dict
+    from .stability import check_polystability, milnor_wood_bound
+
     h = bundle_from_dict(_read_document(args.input))
     verdict = check_polystability(
         h, assume_summand_generated=args.assume_summand_generated
@@ -214,6 +200,15 @@ def _cmd_stability(args) -> dict:
 
 
 def _cmd_limit(args) -> dict:
+    from .deformation import (
+        NDescriptor,
+        WeightAssignment,
+        graded_limit,
+        limit_destabilized_branch,
+        search_admissible_weights,
+    )
+    from .higgsmodel import bundle_from_dict, bundle_to_dict
+
     h = bundle_from_dict(_read_document(args.input))
     if args.search is not None:
         results = search_admissible_weights(
@@ -236,6 +231,8 @@ def _cmd_limit(args) -> dict:
 
 
 def _cmd_sw(args) -> dict:
+    from .f2cohomology import minimal_realizing_n, sw_surjectivity_witnesses, total_sw_of_sum
+
     if args.surjectivity:
         report = sw_surjectivity_witnesses(args.genus, args.n)
         return {
@@ -284,12 +281,18 @@ def _census_table(doc: dict) -> str:
 
 
 def _cmd_census(args) -> dict:
+    from .catalog import census
+    from .higgsmodel import GroupTag
+
     group = GroupTag.parse(args.group)
     c = census(group, args.genus, args.sector)
     return c.to_dict()
 
 
 def _cmd_param(args) -> dict:
+    from .catalog import half_dimension, parameterization, resolve_extra_factor_reading
+    from .higgsmodel import GroupTag
+
     group = GroupTag.parse(args.group)
     p = parameterization(group, args.d, args.genus)
     n = 1 if group.family == "so" else group.params[0]
@@ -304,6 +307,14 @@ def _cmd_param(args) -> dict:
 
 
 def _cmd_dim(args) -> dict:
+    from .catalog import (
+        character_variety_dimension,
+        dimension_consistency,
+        group_dim,
+        half_dimension,
+    )
+    from .higgsmodel import GroupTag
+
     group = GroupTag.parse(args.group)
     out = {
         "group": str(group),
@@ -327,6 +338,8 @@ def _verify_table(results) -> str:
 
 
 def _cmd_verify(args):
+    from .verification import run_checks
+
     names = args.only.split(",") if args.only else None
     results = run_checks(names)
     doc = {
@@ -376,8 +389,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scale", type=int, default=1)
     p.add_argument(
         "--direction",
-        choices=[DIRECTION_TO_ZERO, DIRECTION_TO_INFINITY],
-        default=DIRECTION_TO_ZERO,
+        choices=DIRECTION_CHOICES,
+        default=DIRECTION_CHOICES[0],
     )
     p.add_argument("--with-stability", action="store_true")
     p.add_argument("--search", type=int, default=None, metavar="BOUND")
@@ -394,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("census", help="component catalog")
     add_group_genus(p)
-    p.add_argument("--sector", choices=[SECTOR_ALL, SECTOR_MAXIMAL], default=SECTOR_ALL)
+    p.add_argument("--sector", choices=SECTOR_CHOICES, default=SECTOR_CHOICES[0])
     p.add_argument("--table", action="store_true")
     p.set_defaults(fn=_cmd_census)
 
@@ -406,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dim", help="dimension bookkeeping")
     add_group_genus(p)
     p.add_argument("--consistency", action="store_true")
-    p.add_argument("--sector", choices=[SECTOR_ALL, SECTOR_MAXIMAL], default=SECTOR_ALL)
+    p.add_argument("--sector", choices=SECTOR_CHOICES, default=SECTOR_CHOICES[0])
     p.set_defaults(fn=_cmd_dim)
 
     p = sub.add_parser("verify", help="run internal consistency checks")
@@ -424,6 +437,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.verb == "verify":
             if args.list:
+                from .verification import all_check_names
+
                 _emit({"checks": all_check_names()})
                 return 0
             doc, results = _cmd_verify(args)

@@ -18,7 +18,6 @@ split locus when the deformed object fails to be stable.
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import dataclass, replace
 
 from .curve import Curve
@@ -44,7 +43,7 @@ from .higgsmodel import (
     unit_section,
 )
 from .linebundle import K_power, trivial, variable
-from .stability import DEFAULT_BUDGET, StabilityVerdict, check_polystability
+from .stability import StabilityVerdict, check_polystability, subset_budget
 
 DIRECTION_TO_ZERO = "to-zero"
 DIRECTION_TO_INFINITY = "to-infinity"
@@ -292,12 +291,7 @@ def limit_destabilized_branch(
 
 # -- weight search -------------------------------------------------------------
 
-def _budget() -> int:
-    raw = os.environ.get("HIGGS_ATLAS_BUDGET", "")
-    try:
-        return int(raw) if raw else DEFAULT_BUDGET
-    except ValueError:
-        return DEFAULT_BUDGET
+_SEARCH_SUMMAND_CAP = 10
 
 
 def search_admissible_weights(
@@ -312,14 +306,20 @@ def search_admissible_weights(
     if bound < 0 or bound > 6:
         raise BoundError("the search bound must lie in [0, 6]")
     n = len(h.summands)
-    if n > 10:
-        raise BudgetError(f"weight search over {n} summands is not supported")
+    if n > _SEARCH_SUMMAND_CAP:
+        raise BudgetError(
+            f"weight search over {n} summands is not supported",
+            n=n,
+            cap=_SEARCH_SUMMAND_CAP,
+        )
     free = [i for i, j in enumerate(h.sigma) if i < j]
     count = (2 * bound + 1) ** len(free)
-    if count > _budget():
+    budget = subset_budget()
+    if count > budget:
         raise BudgetError(
-            f"weight search of size {count} exceeds the budget {_budget()}",
+            f"weight search of size {count} exceeds the budget {budget}",
             size=count,
+            budget=budget,
         )
     found: dict[str, tuple[WeightAssignment, LimitResult]] = {}
     for combo in itertools.product(range(-bound, bound + 1), repeat=len(free)):

@@ -98,10 +98,6 @@ class GroupTag:
             raise ParseError(f"bad group tag {text!r}") from exc
 
 
-def group_tag(text: str) -> GroupTag:
-    return GroupTag.parse(text)
-
-
 @dataclass(frozen=True)
 class SectionSymbol:
     """A section known only by name and vanishing behaviour."""
@@ -127,10 +123,6 @@ def unit_section() -> SectionSymbol:
 
 def named_section(name: str, vanishing: str = VANISH_GENERIC) -> SectionSymbol:
     return SectionSymbol(name, KIND_NAMED, vanishing)
-
-
-def zero_section() -> SectionSymbol:
-    return SectionSymbol("0", KIND_ZERO, VANISH_ZERO)
 
 
 @dataclass(frozen=True)
@@ -191,12 +183,6 @@ class GradedHiggsBundle:
 
     def degrees(self) -> tuple[int, ...]:
         return tuple(self.degree_of(i) for i in range(len(self.summands)))
-
-    def entry(self, target: int, source: int) -> SectionSymbol | None:
-        for e in self.higgs:
-            if e.target == target and e.source == source:
-                return e.symbol
-        return None
 
     def ambient(self, target: int, source: int) -> LineBundleExpr | None:
         """Hom(L_source, L_target (x) K); None when a block is involved."""
@@ -350,29 +336,6 @@ def _check_group_shape(h: GradedHiggsBundle) -> None:
             raise ModelInvariantError(f"rank mismatch for {h.group}")
         if sum(v) + sum(w) != 0:
             raise ModelInvariantError("total degree must vanish")
-
-
-# -- parameters record -------------------------------------------------------
-
-@dataclass(frozen=True)
-class HiggsParameters:
-    """Bag of discrete build data, as collected by the command line."""
-
-    genus: int
-    family: str
-    group: GroupTag | None = None
-    d: int | None = None
-    q_on: tuple[int, ...] = ()
-    spin_name: str = "s"
-    mu: bool = True
-    nu: bool = False
-    q2: bool = True
-    beta0: bool = True
-    w0: object | None = None
-    torsions: tuple[F2Class, ...] = ()
-
-    def curve(self) -> Curve:
-        return Curve(self.genus)
 
 
 # -- W0 descriptors for the rank-2 orthogonal story --------------------------
@@ -1189,7 +1152,12 @@ def _permutation_orbit(h: GradedHiggsBundle):
         for k in range(2, len(grp) + 1):
             total *= k
     if total > _PERM_CAP:
-        raise BudgetError("too many identical summands to canonicalize")
+        raise BudgetError(
+            "too many identical summands to canonicalize: "
+            f"{total} orderings exceed the cap {_PERM_CAP}",
+            size=total,
+            cap=_PERM_CAP,
+        )
     for combo in itertools.product(*(itertools.permutations(g) for g in groups)):
         order: list[int] = []
         for grp in combo:
@@ -1343,16 +1311,13 @@ def arrow_pattern(h: GradedHiggsBundle) -> tuple[tuple[int, int, str], ...]:
 __all__ = [
     "SCHEMA",
     "GroupTag",
-    "group_tag",
     "SectionSymbol",
     "unit_section",
     "named_section",
-    "zero_section",
     "Summand",
     "HiggsEntry",
     "DolbeaultTerm",
     "GradedHiggsBundle",
-    "HiggsParameters",
     "SplitW0",
     "PrymW0",
     "TrivialW0",

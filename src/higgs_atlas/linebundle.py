@@ -218,10 +218,6 @@ class DegreeContext:
         return expr.resolved_degree(self.curve.genus, self.declared_map)
 
 
-def degree(ctx: DegreeContext, expr: LineBundleExpr) -> int:
-    return ctx.degree(expr)
-
-
 # -- parsing ---------------------------------------------------------------
 
 _FACTOR_RE = re.compile(
@@ -275,7 +271,6 @@ def parse_expr(text: str, kinds: Mapping[str, str] | None = None) -> LineBundleE
 __all__ = [
     "LineBundleExpr",
     "DegreeContext",
-    "degree",
     "trivial",
     "K_power",
     "variable",

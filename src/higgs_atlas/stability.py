@@ -19,7 +19,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from .errors import BudgetError, UnrecognizedShapeError, UnsupportedGroupError
+from .errors import BudgetError, ParseError, UnrecognizedShapeError, UnsupportedGroupError
 from .higgsmodel import GradedHiggsBundle, GroupTag, gauge_orbit_key
 
 STATUS_STABLE = "stable"
@@ -30,11 +30,14 @@ DEFAULT_BUDGET = 2 ** 24
 
 
 def subset_budget() -> int:
+    """The work budget from HIGGS_ATLAS_BUDGET; unset or empty means
+    DEFAULT_BUDGET, anything but a positive integer is rejected."""
     raw = os.environ.get("HIGGS_ATLAS_BUDGET", "")
-    try:
-        return int(raw) if raw else DEFAULT_BUDGET
-    except ValueError:
+    if not raw:
         return DEFAULT_BUDGET
+    if not (raw.isascii() and raw.isdigit()) or int(raw) == 0:
+        raise ParseError(f"HIGGS_ATLAS_BUDGET must be a positive integer, not {raw!r}")
+    return int(raw)
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,10 @@ codes."""
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -214,3 +218,122 @@ def test_malformed_input_is_a_parse_error(tmp_path, capsys):
     code, doc = run_json(capsys, "stability", "--input", str(bad))
     assert code == 1
     assert doc["code"] == "parse"
+
+
+def _object_file(tmp_path, capsys, *build_args):
+    _, doc = run_json(capsys, "build", *build_args)
+    path = tmp_path / "object.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+SO23 = ("--group", "so0:2,3", "--genus", "2", "--d", "1", "--maximal")
+
+
+@pytest.mark.parametrize("value", ["-5", "0", "abc", "2.5", " 8"])
+def test_malformed_budget_is_a_parse_error(value, tmp_path, capsys, monkeypatch):
+    path = _object_file(tmp_path, capsys, *SO23)
+    monkeypatch.setenv("HIGGS_ATLAS_BUDGET", value)
+    for argv in (("stability", "--input", str(path)),
+                 ("limit", "--input", str(path), "--search", "1")):
+        code, res = run_json(capsys, *argv)
+        assert code == 1
+        assert res["status"] == "error"
+        assert res["code"] == "parse"
+        assert "HIGGS_ATLAS_BUDGET" in res["message"]
+        assert repr(value) in res["message"]
+
+
+def test_empty_budget_means_the_default(tmp_path, capsys, monkeypatch):
+    path = _object_file(tmp_path, capsys, *SO23)
+    monkeypatch.setenv("HIGGS_ATLAS_BUDGET", "")
+    code, res = run_json(capsys, "stability", "--input", str(path))
+    assert code == 0
+    assert res["status"] == "stable"
+
+
+def test_budget_errors_carry_their_size(tmp_path, capsys, monkeypatch):
+    path = _object_file(tmp_path, capsys, *SO23)
+    monkeypatch.setenv("HIGGS_ATLAS_BUDGET", "8")
+    code, res = run_json(capsys, "stability", "--input", str(path))
+    assert code == 1
+    assert (res["code"], res["n"], res["budget"]) == ("budget", 5, 8)
+    monkeypatch.setenv("HIGGS_ATLAS_BUDGET", "2")
+    code, res = run_json(capsys, "limit", "--input", str(path), "--search", "1")
+    assert code == 1
+    assert (res["code"], res["size"], res["budget"]) == ("budget", 9, 2)
+    monkeypatch.delenv("HIGGS_ATLAS_BUDGET")
+    path = _object_file(tmp_path, capsys, "--group", "sl:11", "--genus", "2")
+    code, res = run_json(capsys, "limit", "--input", str(path), "--search", "1")
+    assert code == 1
+    assert (res["code"], res["n"], res["cap"]) == ("budget", 11, 10)
+
+
+def test_parser_choices_match_the_module_constants():
+    from higgs_atlas import catalog, deformation
+
+    assert cli.SECTOR_CHOICES == (catalog.SECTOR_ALL, catalog.SECTOR_MAXIMAL)
+    assert cli.DIRECTION_CHOICES == (
+        deformation.DIRECTION_TO_ZERO,
+        deformation.DIRECTION_TO_INFINITY,
+    )
+    parser = cli.build_parser()
+    assert parser.parse_args(["limit", "--input", "-"]).direction == deformation.DIRECTION_TO_ZERO
+    for verb in ("census", "dim"):
+        args = parser.parse_args([verb, "--group", "sl:3", "--genus", "2"])
+        assert args.sector == catalog.SECTOR_ALL
+
+
+# Runs one CLI invocation in a fresh interpreter and prints its exit code
+# and the package modules it loaded.
+_PROBE = """
+import contextlib, io, json, sys
+from higgs_atlas import cli
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    try:
+        code = cli.main(sys.argv[1:])
+    except SystemExit as exc:
+        code = exc.code
+loaded = sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("higgs_atlas."))
+print(json.dumps([code, loaded]))
+"""
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+SW_SET = {"errors", "curve", "linebundle", "f2cohomology"}
+BUILD_SET = SW_SET | {"higgsmodel"}
+STABILITY_SET = BUILD_SET | {"stability"}
+ALL_MODULES = {p.stem for p in (SRC / "higgs_atlas").glob("*.py")} - {"__init__"}
+
+
+@pytest.mark.parametrize(
+    "argv, expected_code, expected",
+    [
+        (["sw", "--genus", "2", "--classes", "1000,0100"], 0, SW_SET),
+        (["sw", "--genus", "2", "--minimal-n"], 0, SW_SET),
+        (["build", *SO23], 0, BUILD_SET),
+        (["build", "--group", "so0:2,5", "--genus", "2", "--maximal", "--w0", "trivial"],
+         0, BUILD_SET),
+        (["stability", "--input", "DOC"], 0, STABILITY_SET),
+        (["limit", "--input", "DOC", "--search", "1"], 0, STABILITY_SET | {"deformation"}),
+        (["census", "--group", "sl:3", "--genus", "5"], 0, STABILITY_SET | {"catalog"}),
+        (["param", "--group", "so0:2,3", "--genus", "2", "--d", "4"], 0,
+         STABILITY_SET | {"catalog"}),
+        (["dim", "--group", "so0:2,3", "--genus", "2", "--consistency"], 0,
+         STABILITY_SET | {"catalog"}),
+        (["verify", "--only", "riemann-roch-chi"], 0, ALL_MODULES),
+        (["census", "--group", "sl:3"], 2, {"errors"}),
+    ],
+)
+def test_each_verb_loads_only_its_modules(argv, expected_code, expected, tmp_path, capsys):
+    path = _object_file(tmp_path, capsys, *SO23)
+    argv = [str(path) if a == "DOC" else a for a in argv]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    env.pop("HIGGS_ATLAS_BUDGET", None)
+    proc = subprocess.run(
+        [sys.executable, "-c", _PROBE, *argv],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    code, loaded = json.loads(proc.stdout)
+    assert code == expected_code
+    assert set(loaded) == expected | {"cli"}

@@ -6,6 +6,7 @@ from __future__ import annotations
 import pytest
 
 from higgs_atlas import (
+    BudgetError,
     Curve,
     F2Class,
     GroupTag,
@@ -369,6 +370,13 @@ def test_switch_requires_a_declared_move():
 def test_structural_equality_distinguishes_degrees():
     assert not structurally_equal(build_so12(C2, 1), build_so12(C2, 2))
     assert not structurally_equal(build_so12(C2, 1), build_so12(C3, 1))
+
+
+def test_canonicalization_refusal_carries_orbit_size_and_cap():
+    # Nine trivial summands of W: 9! orderings, above the 8! cap.
+    with pytest.raises(BudgetError) as exc:
+        canonical_key(build_maximal_so2n(C2, 9, TrivialW0()))
+    assert exc.value.payload == {"size": 362880, "cap": 40320}
 
 
 # -- derived objects -----------------------------------------------------------
