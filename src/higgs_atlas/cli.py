@@ -41,7 +41,14 @@ def _emit(data: dict) -> None:
 
 
 def _read_document(path: str) -> dict:
-    text = sys.stdin.read() if path == "-" else open(path, "r", encoding="utf-8").read()
+    try:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read input {path!r}: {exc}") from exc
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:

@@ -8,6 +8,8 @@ b_(i+1) coefficient.  The cup product pairs a_i with b_i:
     cup(x, y) = sum_i x[2i] y[2i+1] + x[2i+1] y[2i]   (mod 2)
 
 which is alternating (cup(x, x) = 0) and nondegenerate.  H^2 is F_2.
+On integer encodings (bit i holds coords[i]) it is the parity of the even
+bits of (x & (y >> 1)) ^ ((x >> 1) & y).
 
 For a direct sum of 2-torsion line bundles the total Stiefel-Whitney
 class expands to
@@ -17,7 +19,6 @@ class expands to
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -96,14 +97,20 @@ def _check_same_genus(a: F2Class, b: F2Class):
         )
 
 
+def _even_bits(genus: int) -> int:
+    """Mask of the a-coordinates (bits 0, 2, ..., 2g - 2) of an integer encoding."""
+    return ((1 << (2 * genus)) - 1) // 3
+
+
+def _cup_int(x: int, y: int, even: int) -> int:
+    """Cup product of two integer encodings; ``even`` is ``_even_bits(genus)``."""
+    return (((x & (y >> 1)) ^ ((x >> 1) & y)) & even).bit_count() & 1
+
+
 def cup(a: F2Class, b: F2Class) -> int:
     """Cup product H^1 x H^1 -> H^2 = F_2 in the symplectic basis."""
     _check_same_genus(a, b)
-    total = 0
-    for i in range(a.genus):
-        total += a.coords[2 * i] * b.coords[2 * i + 1]
-        total += a.coords[2 * i + 1] * b.coords[2 * i]
-    return total % 2
+    return _cup_int(a.to_int(), b.to_int(), _even_bits(a.genus))
 
 
 @dataclass(frozen=True)
@@ -127,13 +134,15 @@ def total_sw_of_sum(classes: Sequence[F2Class], genus: int | None = None) -> SWP
         if genus is None:
             raise DimensionMismatchError("empty sum needs an explicit genus")
         return SWPair(F2Class.zero(genus), 0)
-    sw1 = classes[0]
-    for c in classes[1:]:
-        sw1 = sw1 + c
-    sw2 = 0
-    for x, y in itertools.combinations(classes, 2):
-        sw2 ^= cup(x, y)
-    return SWPair(sw1, sw2)
+    first = classes[0]
+    even = _even_bits(first.genus)
+    s1 = s2 = 0
+    for c in classes:
+        _check_same_genus(first, c)
+        x = c.to_int()
+        s2 ^= _cup_int(s1, x, even)
+        s1 ^= x
+    return SWPair(F2Class.from_int(first.genus, s1), s2)
 
 
 @dataclass(frozen=True)
@@ -160,54 +169,97 @@ class SurjectivityReport:
         return dict(self.witnesses)
 
 
-def sw_surjectivity_witnesses(genus: int, n: int) -> SurjectivityReport:
-    """Exhaustively search (F_2^(2g))^n for witnesses of every SW value.
-
-    Only brute-force scale is supported: genus 2 or 3.  n = 1 is allowed
-    but the resulting map cannot be complete (sw_2 of a single summand is
-    always 0); the report flags this through ``missing``.
-    """
+def _check_search_genus(genus: int) -> None:
     if genus not in (2, 3):
         raise DimensionMismatchError("exhaustive search supported for genus 2 and 3 only")
+
+
+def _keys(genus: int) -> list[tuple[int, int]]:
+    return [(value, sw2) for value in range(1 << (2 * genus)) for sw2 in (0, 1)]
+
+
+def _reach_sets(genus: int, n: int) -> list[set[tuple[int, int]]]:
+    """reach[m]: the integer (sw_1, sw_2) of every m-term sum, m = 0..n.
+    Once a set holds every value, so do all later ones."""
+    even = _even_bits(genus)
+    size = 1 << (2 * genus)
+    reach = [{(0, 0)}]
+    for _ in range(n):
+        last = reach[-1]
+        if len(last) < 2 * size:
+            last = {(s1 ^ c, s2 ^ _cup_int(s1, c, even)) for s1, s2 in last for c in range(size)}
+        reach.append(last)
+    return reach
+
+
+def _smallest_witness(
+    target: tuple[int, int], reach: list[set[tuple[int, int]]], genus: int
+) -> list[int]:
+    """The lexicographically smallest len(reach) - 1 classes whose sum has
+    the integer data ``target``, which must lie in reach[-1]."""
+    even = _even_bits(genus)
+    t1, t2 = target
+    out = []
+    for left in range(len(reach) - 1, 0, -1):
+        for c in range(1 << (2 * genus)):
+            rest = (t1 ^ c, t2 ^ _cup_int(c, t1, even))
+            if rest in reach[left - 1]:
+                break
+        out.append(c)
+        t1, t2 = rest
+    return out
+
+
+def sw_surjectivity_witnesses(genus: int, n: int) -> SurjectivityReport:
+    """Witnesses of every SW value reachable by a sum of n classes.
+
+    The values reachable by m classes form the sets reach[0] = {(0, 0)},
+    reach[m + 1] = {(s1 + c, s2 + cup(s1, c))} over all 2^(2g) classes c,
+    so the cost grows with n rather than as (2^(2g))^n.  Each witness is
+    built greedily, which gives the lexicographically smallest tuple: with
+    k classes left to choose and target (t1, t2), take the smallest class c
+    whose remainder (t1 + c, t2 + cup(c, t1)) lies in reach[k - 1].
+
+    Only genus 2 or 3 is supported.  n = 1 is allowed but the resulting
+    map cannot be complete (sw_2 of a single summand is always 0); the
+    report flags this through ``missing``.
+    """
+    _check_search_genus(genus)
     if n < 1:
         raise ValueError("need at least one summand")
-    size = 1 << (2 * genus)
-    found: dict[tuple[int, int], tuple[F2Class, ...]] = {}
-    for combo in itertools.product(range(size), repeat=n):
-        classes = tuple(F2Class.from_int(genus, v) for v in combo)
-        pair = total_sw_of_sum(classes)
-        key = (pair.sw1.to_int(), pair.sw2)
-        if key not in found:
-            found[key] = classes
-            if len(found) == 2 * size:
-                break
+    reach = _reach_sets(genus, n)
+    classes = all_classes(genus)
     witnesses = []
     missing = []
-    for value in range(size):
-        for sw2 in (0, 1):
-            pair = SWPair(F2Class.from_int(genus, value), sw2)
-            key = (value, sw2)
-            if key in found:
-                witnesses.append((pair, found[key]))
-            else:
-                missing.append(pair)
+    for value, sw2 in _keys(genus):
+        pair = SWPair(classes[value], sw2)
+        if (value, sw2) in reach[n]:
+            witness = _smallest_witness((value, sw2), reach, genus)
+            witnesses.append((pair, tuple(classes[c] for c in witness)))
+        else:
+            missing.append(pair)
     return SurjectivityReport(genus, n, tuple(witnesses), tuple(missing))
 
 
 def minimal_realizing_n(genus: int, n_max: int = 3) -> dict[SWPair, int | None]:
-    """Smallest number of summands realizing each (sw_1, sw_2), up to n_max."""
-    out: dict[SWPair, int | None] = {}
-    remaining = None
-    for n in range(1, n_max + 1):
-        report = sw_surjectivity_witnesses(genus, n)
-        for pair, _ in report.witnesses:
-            if pair not in out:
-                out[pair] = n
-        remaining = report.missing
-    for pair in remaining or ():
-        if pair not in out:
-            out[pair] = None
-    return out
+    """Smallest number of summands realizing each (sw_1, sw_2), up to n_max.
+
+    Pairs come in order of that number, then of (sw_1 encoding, sw_2);
+    pairs that no sum of at most n_max classes reaches follow with None.
+    An n_max below 1 gives an empty table.
+    """
+    if n_max < 1:
+        return {}
+    _check_search_genus(genus)
+    reach = _reach_sets(genus, n_max)
+    first: dict[tuple[int, int], int | None] = {}
+    for m in range(1, n_max + 1):
+        for key in sorted(reach[m]):
+            first.setdefault(key, m)
+    for key in _keys(genus):
+        first.setdefault(key, None)
+    classes = all_classes(genus)
+    return {SWPair(classes[value], sw2): m for (value, sw2), m in first.items()}
 
 
 # -- double covers and Prym data -------------------------------------------

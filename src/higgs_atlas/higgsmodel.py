@@ -1241,12 +1241,24 @@ def bundle_to_dict(h: GradedHiggsBundle) -> dict:
     return out
 
 
+def _json_int(value, what: str, n: int | None = None) -> int:
+    """A JSON integer, taken as is (a float, string or boolean is refused);
+    with ``n`` given, an index in 0..n-1."""
+    if type(value) is not int:
+        raise ParseError(f"{what} must be an integer, got {value!r}")
+    if n is not None and not 0 <= value < n:
+        raise ParseError(f"{what} {value} is outside 0..{n - 1}")
+    return value
+
+
 def bundle_from_dict(data: Mapping) -> GradedHiggsBundle:
+    if not isinstance(data, Mapping):
+        raise ParseError(f"an object document must be a JSON object, got {type(data).__name__}")
     try:
         if data.get("schema", SCHEMA) != SCHEMA:
             raise ParseError(f"unknown schema {data.get('schema')!r}")
         group = GroupTag.parse(data["group"])
-        curve = Curve(int(data["genus"]))
+        curve = Curve(_json_int(data["genus"], "genus"))
         symbols = data.get("symbols", {})
         kinds = {name: info.get("kind", KIND_VARIABLE) for name, info in symbols.items()}
         declared = {
@@ -1268,17 +1280,21 @@ def bundle_from_dict(data: Mapping) -> GradedHiggsBundle:
                 Summand(row["side"], parse_expr(row["bundle"], kinds),
                         int(row.get("rank", 1)), sw)
             )
+        n = len(summands)
         entries = []
         for row in data.get("higgs", []):
             name, vanishing = row["name"], row["vanishing"]
             sym = unit_section() if name == "1" else SectionSymbol(name, KIND_NAMED, vanishing)
-            entries.append((int(row["to"]), int(row["from"]), sym))
-        dol = [(int(r["to"]), int(r["from"]), r["name"]) for r in data.get("dolbeault", [])]
+            entries.append((_json_int(row["to"], "higgs entry index", n),
+                            _json_int(row["from"], "higgs entry index", n), sym))
+        dol = [(_json_int(r["to"], "extension term index", n),
+                _json_int(r["from"], "extension term index", n), r["name"])
+               for r in data.get("dolbeault", [])]
         return make_bundle(
             group,
             curve,
             summands,
-            [int(i) for i in data["pairing"]],
+            [_json_int(i, "pairing index", n) for i in data["pairing"]],
             data.get("form", FORM_ORTHOGONAL),
             entries,
             dolbeault=dol,
@@ -1286,7 +1302,7 @@ def bundle_from_dict(data: Mapping) -> GradedHiggsBundle:
             torsion_classes=tclasses,
             meta=data.get("meta", {}),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed bundle document: {exc}") from exc
 
 

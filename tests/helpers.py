@@ -4,7 +4,9 @@ Everything here recomputes answers from first principles with code paths
 that share nothing with the package internals, so agreement is evidence
 rather than tautology.  The stability oracle enumerates raw index subsets
 with itertools and uses the complement formulation of splitting; the
-characteristic-class oracle folds a truncated product pair by pair.
+characteristic-class oracle folds a truncated product pair by pair, and
+the Stiefel-Whitney search oracle scans every tuple of classes with the
+coordinate formula for the cup product.
 """
 
 from __future__ import annotations
@@ -19,6 +21,8 @@ from higgs_atlas import (
     GradedHiggsBundle,
     PrymW0,
     SplitW0,
+    SurjectivityReport,
+    SWPair,
     TrivialW0,
     build_exotic_so,
     build_fuchsian,
@@ -96,6 +100,58 @@ def sw_fold_explicit(classes: Sequence[F2Class]) -> tuple[F2Class, int]:
         for k in range(j):
             s2 ^= cup(classes[k], classes[j])
     return s1, s2
+
+
+def cup_coords(a: F2Class, b: F2Class) -> int:
+    """Cup product by the coordinate formula sum_i a[2i] b[2i+1] + a[2i+1] b[2i]."""
+    total = 0
+    for i in range(a.genus):
+        total += a.coords[2 * i] * b.coords[2 * i + 1]
+        total += a.coords[2 * i + 1] * b.coords[2 * i]
+    return total % 2
+
+
+def brute_force_sw_witnesses(genus: int, n: int) -> SurjectivityReport:
+    """Scan (F_2^(2g))^n in product order, so the first tuple found with
+    each (sw_1, sw_2) is its lexicographically smallest witness."""
+    size = 1 << (2 * genus)
+    found: dict[tuple[int, int], tuple[F2Class, ...]] = {}
+    for combo in itertools.product(range(size), repeat=n):
+        classes = tuple(F2Class.from_int(genus, v) for v in combo)
+        sw1 = 0
+        for v in combo:
+            sw1 ^= v
+        sw2 = sum(cup_coords(x, y) for x, y in itertools.combinations(classes, 2)) % 2
+        if (sw1, sw2) not in found:
+            found[(sw1, sw2)] = classes
+            if len(found) == 2 * size:
+                break
+    witnesses = []
+    missing = []
+    for value in range(size):
+        for sw2 in (0, 1):
+            pair = SWPair(F2Class.from_int(genus, value), sw2)
+            if (value, sw2) in found:
+                witnesses.append((pair, found[(value, sw2)]))
+            else:
+                missing.append(pair)
+    return SurjectivityReport(genus, n, tuple(witnesses), tuple(missing))
+
+
+def brute_force_minimal_n(genus: int, n_max: int) -> dict[SWPair, int | None]:
+    """Smallest n reaching each pair, one brute-force scan per n."""
+    out: dict[SWPair, int | None] = {}
+    remaining = None
+    for n in range(1, n_max + 1):
+        report = brute_force_sw_witnesses(genus, n)
+        for pair, _ in report.witnesses:
+            if pair not in out:
+                out[pair] = n
+        remaining = report.missing
+    for pair in remaining or ():
+        if pair not in out:
+            out[pair] = None
+    return out
 
 
 def builder_corpus(seed: int, count: int) -> list[GradedHiggsBundle]:

@@ -3,15 +3,18 @@ codes."""
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
 from higgs_atlas import bundle_from_dict, check_polystability, cli
+from helpers import brute_force_minimal_n, brute_force_sw_witnesses
 
 
 def run(capsys, *argv):
@@ -36,10 +39,10 @@ def test_build_emits_a_loadable_document(capsys):
 
 
 def test_build_output_is_byte_deterministic(capsys):
-    _, first = run(capsys, "build", "--group", "sp:6", "--genus", "2",
-                   "--classes", "1000,0110")
-    _, second = run(capsys, "build", "--group", "sp:6", "--genus", "2",
-                    "--classes", "1000,0110")
+    argv = ("build", "--group", "sp:6", "--genus", "2", "--classes", "1000,0110,0001")
+    code_first, first = run(capsys, *argv)
+    code_second, second = run(capsys, *argv)
+    assert code_first == code_second == 0
     assert first == second
 
 
@@ -120,6 +123,27 @@ def test_sw_surjectivity_and_minimal_table(capsys):
     assert code == 0
     assert doc["minimal"]["sw1=0000,sw2=1"] == 3
     assert doc["minimal"]["sw1=0001,sw2=1"] == 2
+
+
+def _surjectivity_document(report):
+    return {
+        "genus": report.genus,
+        "n": report.n,
+        "complete": report.complete,
+        "witnesses": {pair.label(): [c.bits() for c in classes]
+                      for pair, classes in report.witnesses},
+        "missing": [pair.label() for pair in report.missing],
+    }
+
+
+def test_sw_documents_match_the_brute_force(capsys):
+    code, doc = run_json(capsys, "sw", "--genus", "3", "--surjectivity", "--n", "3")
+    assert code == 0
+    assert doc == _surjectivity_document(brute_force_sw_witnesses(3, 3))
+    code, doc = run_json(capsys, "sw", "--genus", "3", "--minimal-n", "--n", "3")
+    assert code == 0
+    minimal = {pair.label(): n for pair, n in brute_force_minimal_n(3, 3).items()}
+    assert doc == {"genus": 3, "n_max": 3, "minimal": minimal}
 
 
 def test_census_verb(capsys):
@@ -218,6 +242,32 @@ def test_malformed_input_is_a_parse_error(tmp_path, capsys):
     code, doc = run_json(capsys, "stability", "--input", str(bad))
     assert code == 1
     assert doc["code"] == "parse"
+
+
+def test_unreadable_input_is_a_parse_error(tmp_path, capsys):
+    for path in (tmp_path / "missing.json", tmp_path):
+        code, doc = run_json(capsys, "stability", "--input", str(path))
+        assert code == 1
+        assert doc["code"] == "parse"
+        assert str(path) in doc["message"]
+
+
+def test_input_that_is_not_a_json_object_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text("[1,2]")
+    code, doc = run_json(capsys, "stability", "--input", str(path))
+    assert code == 1
+    assert doc["code"] == "parse"
+
+
+def test_input_file_is_closed(tmp_path, capsys):
+    path = _object_file(tmp_path, capsys, *SO23)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        code, _ = run(capsys, "stability", "--input", str(path))
+        gc.collect()
+    assert code == 0
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 def _object_file(tmp_path, capsys, *build_args):

@@ -26,7 +26,13 @@ from higgs_atlas import (
     trivial,
     variable,
 )
-from helpers import sw_fold, sw_fold_explicit
+from helpers import (
+    brute_force_minimal_n,
+    brute_force_sw_witnesses,
+    cup_coords,
+    sw_fold,
+    sw_fold_explicit,
+)
 
 A1 = F2Class.basis_a(2, 0)
 B1 = F2Class.basis_b(2, 0)
@@ -75,6 +81,11 @@ def test_cup_frozen_example():
 def test_cup_mixed_genus_rejected():
     with pytest.raises(DimensionMismatchError):
         cup(A1, F2Class.zero(3))
+
+
+@given(st.integers(2, 6).flatmap(lambda g: st.tuples(classes(g), classes(g))))
+def test_integer_cup_matches_the_coordinate_formula(pair):
+    assert cup(*pair) == cup_coords(*pair)
 
 
 @given(classes())
@@ -146,8 +157,29 @@ def test_surjectivity_witnesses_reproduce_their_pair():
 def test_surjectivity_genus_guard():
     with pytest.raises(DimensionMismatchError):
         sw_surjectivity_witnesses(4, 2)
+    with pytest.raises(DimensionMismatchError):
+        sw_surjectivity_witnesses(4, 0)
     with pytest.raises(ValueError):
         sw_surjectivity_witnesses(2, 0)
+    with pytest.raises(DimensionMismatchError):
+        minimal_realizing_n(4, 1)
+
+
+@pytest.mark.parametrize("genus", [2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_surjectivity_matches_the_brute_force(genus, n):
+    assert sw_surjectivity_witnesses(genus, n) == brute_force_sw_witnesses(genus, n)
+
+
+@pytest.mark.parametrize("genus", [2, 3])
+@pytest.mark.parametrize("n_max", [-1, 0, 1, 2, 3, 4])
+def test_minimal_table_matches_the_brute_force(genus, n_max):
+    got = minimal_realizing_n(genus, n_max)
+    assert list(got.items()) == list(brute_force_minimal_n(genus, n_max).items())
+
+
+def test_minimal_table_without_summands_is_empty_for_any_genus():
+    assert minimal_realizing_n(7, 0) == {}
 
 
 def test_minimal_realizing_n_table():

@@ -448,6 +448,54 @@ def test_from_dict_rejects_malformed_document():
         bundle_from_dict({"schema": "higgs-atlas/1", "group": "sl:2"})
 
 
+def _mutated(h, edit):
+    doc = bundle_to_dict(h)
+    edit(doc)
+    return doc
+
+
+@pytest.mark.parametrize("edit", [
+    lambda d: d["higgs"][0].update({"from": 99}),
+    lambda d: d["higgs"][0].update({"to": -1}),
+    lambda d: d["higgs"][0].update({"from": 1.0}),
+    lambda d: d["higgs"][0].update({"from": True}),
+    lambda d: d["dolbeault"][0].update({"from": 8}),
+    lambda d: d["pairing"].__setitem__(0, 8),
+    lambda d: d["pairing"].__setitem__(0, "1"),
+])
+def test_from_dict_rejects_indices_outside_the_summands(edit):
+    doc = _mutated(build_extension_deformed_so35(C2, 2), edit)
+    with pytest.raises(ParseError, match="index"):
+        bundle_from_dict(doc)
+
+
+@pytest.mark.parametrize("genus", [2.7, 2.0, True, "2", "two", "", "2g", None])
+def test_from_dict_requires_an_integer_genus(genus):
+    doc = _mutated(build_so12(C2, 0), lambda d: d.update({"genus": genus}))
+    with pytest.raises(ParseError, match="genus"):
+        bundle_from_dict(doc)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda d: d.pop("summands"),
+    lambda d: d.pop("pairing"),
+    lambda d: d.pop("group"),
+    lambda d: d.update({"group": "xx:3"}),
+    lambda d: d.update({"group": "sl:"}),
+    lambda d: d.update({"group": "so0:2"}),
+    lambda d: d.update({"symbols": [1]}),
+    lambda d: d.update({"meta": [1]}),
+])
+def test_from_dict_rejects_missing_keys_and_bad_shapes(edit):
+    with pytest.raises(ParseError):
+        bundle_from_dict(_mutated(build_so12(C2, 0), edit))
+
+
+def test_from_dict_rejects_a_document_that_is_not_an_object():
+    with pytest.raises(ParseError, match="JSON object"):
+        bundle_from_dict([1, 2])
+
+
 def test_degree_multiset_and_arrow_pattern_frozen():
     h = build_so12(C2, 1)
     assert summand_degree_multiset(h) == (("V", 0), ("W", -1), ("W", 1))
