@@ -182,7 +182,8 @@ class GradedHiggsBundle:
         return self.summands[i].bundle.resolved_degree(self.genus, self.declared_map)
 
     def degrees(self) -> tuple[int, ...]:
-        return tuple(self.degree_of(i) for i in range(len(self.summands)))
+        declared = self.declared_map
+        return tuple(s.bundle.resolved_degree(self.genus, declared) for s in self.summands)
 
     def ambient(self, target: int, source: int) -> LineBundleExpr | None:
         """Hom(L_source, L_target (x) K); None when a block is involved."""
@@ -234,7 +235,23 @@ def make_bundle(
 # -- structural validation -------------------------------------------------
 
 def validate(h: GradedHiggsBundle) -> None:
-    """Check the structural invariants; raise ModelInvariantError on failure."""
+    """Check the structural invariants; raise ModelInvariantError on failure.
+
+    In order: sigma is an involution of the summands pairing each line with
+    its dual (blocks are self-paired of degree 0), orthogonal pairings keep
+    sides and symplectic ones exchange them; the group's ranks and
+    determinant conditions hold (every summand degree resolves, V side
+    first, or UnresolvedDegreeError names the missing symbols); each Higgs
+    entry is off the diagonal, has its transpose partner, and fits its
+    ambient Hom(L_s, L_t (x) K): a unit needs it trivial, a nowhere-vanishing
+    section needs degree 0, a generic section needs degree >= 0 unless the
+    ambient is a power of K; each extension term has its transpose partner.
+
+    No ambient is built.  Normal forms are unique, so the non-K parts of
+    L_s^-1 L_t K cancel exactly when those of L_s and L_t are equal, and
+    then the ambient is K^(k_t - k_s + 1); its degree is
+    deg L_t - deg L_s + 2g - 2 from the degrees resolved once.
+    """
     n = len(h.summands)
     if len(h.sigma) != n:
         raise ModelInvariantError("pairing involution has the wrong length")
@@ -262,7 +279,8 @@ def validate(h: GradedHiggsBundle) -> None:
         if h.form == FORM_SYMPLECTIC and i != j and si.side == sj.side:
             raise ModelInvariantError("a symplectic pairing must exchange sides")
 
-    _check_group_shape(h)
+    degrees = _check_group_shape(h)
+    canonical_degree = 2 * h.genus - 2
 
     entry_map = {(e.target, e.source): e.symbol for e in h.higgs}
     for (t, s), sym in entry_map.items():
@@ -273,19 +291,20 @@ def validate(h: GradedHiggsBundle) -> None:
             raise ModelInvariantError(
                 f"entry ({t},{s}) has no matching transpose at ({h.sigma[s]},{h.sigma[t]})"
             )
-        amb = h.ambient(t, s)
-        if amb is None:
+        ss, st = h.summands[s], h.summands[t]
+        if ss.rank != 1 or st.rank != 1:
             continue
-        if sym.kind == KIND_UNIT and not amb.is_trivial():
+        k = _ambient_k_power(ss.bundle, st.bundle)
+        if sym.kind == KIND_UNIT and k != 0:
             raise ModelInvariantError(
-                f"unit entry ({t},{s}) needs a trivial ambient, got {amb.serialize()}"
+                f"unit entry ({t},{s}) needs a trivial ambient, got {h.ambient(t, s).serialize()}"
             )
-        amb_deg = amb.resolved_degree(h.genus, h.declared_map)
+        amb_deg = degrees[t] - degrees[s] + canonical_degree
         if sym.vanishing == VANISH_NOWHERE and amb_deg != 0:
             raise ModelInvariantError(
                 f"nowhere-vanishing entry ({t},{s}) in a bundle of degree {amb_deg}"
             )
-        if sym.vanishing == VANISH_GENERIC and amb_deg < 0 and amb.canonical_power() is None:
+        if sym.vanishing == VANISH_GENERIC and amb_deg < 0 and k is None:
             raise ModelInvariantError(
                 f"entry ({t},{s}) claims a nonzero section of degree {amb_deg} < 0"
             )
@@ -297,12 +316,32 @@ def validate(h: GradedHiggsBundle) -> None:
             )
 
 
-def _check_group_shape(h: GradedHiggsBundle) -> None:
+def _ambient_k_power(source: LineBundleExpr, target: LineBundleExpr) -> int | None:
+    """j when Hom(source, target (x) K) is exactly K^j, else None, read off
+    the two normal forms without building the ambient."""
+    if (
+        source.spins != target.spins
+        or source.torsions != target.torsions
+        or source.variables != target.variables
+        or source.divisors != target.divisors
+    ):
+        return None
+    return target.k_power - source.k_power + 1
+
+
+def _check_group_shape(h: GradedHiggsBundle) -> list[int]:
+    """Check ranks and degrees against the group; return every summand's
+    degree, by summand index, resolving the V side before the W side."""
     fam, params = h.group.family, h.group.params
-    v = [h.degree_of(i) for i in h.side_indices(SIDE_V)]
-    w = [h.degree_of(i) for i in h.side_indices(SIDE_W)]
-    rank_v = sum(h.summands[i].rank for i in h.side_indices(SIDE_V))
-    rank_w = sum(h.summands[i].rank for i in h.side_indices(SIDE_W))
+    v_idx, w_idx = h.side_indices(SIDE_V), h.side_indices(SIDE_W)
+    declared = h.declared_map
+    degrees = [0] * len(h.summands)
+    for i in v_idx + w_idx:
+        degrees[i] = h.summands[i].bundle.resolved_degree(h.genus, declared)
+    v = [degrees[i] for i in v_idx]
+    w = [degrees[i] for i in w_idx]
+    rank_v = sum(h.summands[i].rank for i in v_idx)
+    rank_w = sum(h.summands[i].rank for i in w_idx)
     if fam == "so0":
         p, q = params
         if (rank_v, rank_w) != (p, q):
@@ -336,6 +375,7 @@ def _check_group_shape(h: GradedHiggsBundle) -> None:
             raise ModelInvariantError(f"rank mismatch for {h.group}")
         if sum(v) + sum(w) != 0:
             raise ModelInvariantError("total degree must vanish")
+    return degrees
 
 
 # -- W0 descriptors for the rank-2 orthogonal story --------------------------
@@ -1135,7 +1175,7 @@ def _summand_key(h: GradedHiggsBundle, i: int) -> tuple:
     return (s.side, s.rank, s.bundle.serialize(), sw)
 
 
-_PERM_CAP = 40320  # 8!; identical-summand groups never get close in practice
+_PERM_CAP = 40320  # 8!; exceeded by so0:2,n with trivial W0 once n >= 9 (n trivial W summands)
 
 
 def _permutation_orbit(h: GradedHiggsBundle):
@@ -1219,11 +1259,11 @@ def bundle_to_dict(h: GradedHiggsBundle) -> dict:
         "symbols": _symbol_table(h),
         "meta": {k: v for k, v in h.meta},
     }
-    for i, s in enumerate(h.summands):
+    for s, degree in zip(h.summands, h.degrees()):
         row = {
             "side": s.side,
             "bundle": s.bundle.serialize(),
-            "degree": h.degree_of(i),
+            "degree": degree,
         }
         if s.rank != 1:
             row["rank"] = s.rank
@@ -1262,7 +1302,7 @@ def bundle_from_dict(data: Mapping) -> GradedHiggsBundle:
         symbols = data.get("symbols", {})
         kinds = {name: info.get("kind", KIND_VARIABLE) for name, info in symbols.items()}
         declared = {
-            name: int(info["degree"])
+            name: _json_int(info["degree"], f"degree of symbol {name!r}")
             for name, info in symbols.items()
             if info.get("degree") is not None
         }
@@ -1275,10 +1315,10 @@ def bundle_from_dict(data: Mapping) -> GradedHiggsBundle:
         for row in data["summands"]:
             sw = None
             if "sw1" in row:
-                sw = SWPair(F2Class.from_bits(row["sw1"]), int(row["sw2"]))
+                sw = SWPair(F2Class.from_bits(row["sw1"]), _json_int(row["sw2"], "sw2"))
             summands.append(
                 Summand(row["side"], parse_expr(row["bundle"], kinds),
-                        int(row.get("rank", 1)), sw)
+                        _json_int(row.get("rank", 1), "summand rank"), sw)
             )
         n = len(summands)
         entries = []

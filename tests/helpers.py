@@ -6,25 +6,37 @@ rather than tautology.  The stability oracle enumerates raw index subsets
 with itertools and uses the complement formulation of splitting; the
 characteristic-class oracle folds a truncated product pair by pair, and
 the Stiefel-Whitney search oracle scans every tuple of classes with the
-coordinate formula for the cup product.
+coordinate formula for the cup product.  The validation oracle builds each
+Higgs entry's ambient as a line-bundle expression and reads its degree and
+shape from that expression.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from dataclasses import replace
 from typing import Iterable, Sequence
 
 from higgs_atlas import (
     Curve,
     F2Class,
     GradedHiggsBundle,
+    HiggsEntry,
+    K_power,
+    ModelInvariantError,
     PrymW0,
+    SectionSymbol,
     SplitW0,
+    Summand,
     SurjectivityReport,
     SWPair,
     TrivialW0,
+    append_trivial_w,
+    associated_sl,
+    build_degree_zero_chain,
     build_exotic_so,
+    build_extension_deformed_so35,
     build_fuchsian,
     build_hitchin_sl,
     build_hitchin_so,
@@ -35,6 +47,16 @@ from higgs_atlas import (
     build_so12,
     build_twisted_fuchsian_sp,
     cup,
+    divisor_twist,
+    embed_so23_to_so2n,
+    embed_so23_to_so33,
+    named_section,
+    spin,
+    switched,
+    torsion,
+    trivial,
+    unit_section,
+    variable,
 )
 
 
@@ -206,3 +228,228 @@ def builder_corpus(seed: int, count: int) -> list[GradedHiggsBundle]:
         else:
             out.append(build_fuchsian(c))
     return out
+
+
+# -- validation oracle -------------------------------------------------------
+
+def expression_validate(h: GradedHiggsBundle) -> None:
+    """The structural checks of ``higgsmodel.validate`` in the same order
+    and with the same messages, reading every Higgs entry's ambient from the
+    expression Hom(L_s, L_t (x) K) built with the line-bundle algebra."""
+    n = len(h.summands)
+    if len(h.sigma) != n:
+        raise ModelInvariantError("pairing involution has the wrong length")
+    if sorted(h.sigma) != list(range(n)):
+        raise ModelInvariantError("pairing is not a permutation")
+    if h.form not in ("orthogonal", "symplectic"):
+        raise ModelInvariantError(f"bad pairing form {h.form!r}")
+    for i, j in enumerate(h.sigma):
+        if h.sigma[j] != i:
+            raise ModelInvariantError("pairing is not an involution")
+        si, sj = h.summands[i], h.summands[j]
+        if si.rank > 1:
+            if j != i:
+                raise ModelInvariantError("block summands must be self-paired")
+            if h.degree_of(i) != 0:
+                raise ModelInvariantError("a self-dual block must have degree 0")
+            continue
+        if sj.bundle != si.bundle.dual():
+            raise ModelInvariantError(
+                f"summand {j} is not dual to summand {i}: "
+                f"{sj.bundle.serialize()} vs {si.bundle.dual().serialize()}"
+            )
+        if h.form == "orthogonal" and si.side != sj.side:
+            raise ModelInvariantError("an orthogonal pairing must preserve sides")
+        if h.form == "symplectic" and i != j and si.side == sj.side:
+            raise ModelInvariantError("a symplectic pairing must exchange sides")
+
+    _expression_group_shape(h)
+
+    entry_map = {(e.target, e.source): e.symbol for e in h.higgs}
+    for (t, s), sym in entry_map.items():
+        if t == s:
+            raise ModelInvariantError("diagonal entries are not allowed")
+        mirror = entry_map.get((h.sigma[s], h.sigma[t]))
+        if mirror is None or mirror.name != sym.name or mirror.vanishing != sym.vanishing:
+            raise ModelInvariantError(
+                f"entry ({t},{s}) has no matching transpose at ({h.sigma[s]},{h.sigma[t]})"
+            )
+        source, target = h.summands[s], h.summands[t]
+        if source.rank != 1 or target.rank != 1:
+            continue
+        amb = source.bundle.dual().tensor(target.bundle).tensor(K_power(1))
+        if sym.kind == "unit" and not amb.is_trivial():
+            raise ModelInvariantError(
+                f"unit entry ({t},{s}) needs a trivial ambient, got {amb.serialize()}"
+            )
+        amb_deg = amb.resolved_degree(h.genus, h.declared_map)
+        if sym.vanishing == "nowhere-vanishing" and amb_deg != 0:
+            raise ModelInvariantError(
+                f"nowhere-vanishing entry ({t},{s}) in a bundle of degree {amb_deg}"
+            )
+        if sym.vanishing == "generically-nonzero" and amb_deg < 0 and amb.canonical_power() is None:
+            raise ModelInvariantError(
+                f"entry ({t},{s}) claims a nonzero section of degree {amb_deg} < 0"
+            )
+    dol_set = {(d.target, d.source, d.name) for d in h.dolbeault}
+    for t, s, name in dol_set:
+        if (h.sigma[s], h.sigma[t], name) not in dol_set:
+            raise ModelInvariantError(
+                f"extension term ({t},{s}) has no matching transpose"
+            )
+
+
+def _expression_group_shape(h: GradedHiggsBundle) -> None:
+    fam, params = h.group.family, h.group.params
+    v_idx = [i for i, s in enumerate(h.summands) if s.side == "V"]
+    w_idx = [i for i, s in enumerate(h.summands) if s.side == "W"]
+    v = [h.degree_of(i) for i in v_idx]
+    w = [h.degree_of(i) for i in w_idx]
+    rank_v = sum(h.summands[i].rank for i in v_idx)
+    rank_w = sum(h.summands[i].rank for i in w_idx)
+    if fam in ("so0", "so") and (rank_v, rank_w) != params:
+        raise ModelInvariantError(f"rank mismatch for {h.group}: got ({rank_v},{rank_w})")
+    if fam == "so0":
+        if sum(v) != 0 or sum(w) != 0:
+            raise ModelInvariantError(
+                f"determinant condition fails for {h.group}: degrees {sum(v)},{sum(w)}"
+            )
+        return
+    if fam == "sp":
+        if h.total_rank != params[0] or rank_v != params[0] // 2:
+            raise ModelInvariantError(f"rank mismatch for {h.group}")
+    elif fam in ("sl", "psl", "slc") and h.total_rank != params[0]:
+        raise ModelInvariantError(f"rank mismatch for {h.group}")
+    if sum(v) + sum(w) != 0:
+        raise ModelInvariantError("total degree must vanish")
+    if fam == "sp" and h.form != "symplectic":
+        raise ModelInvariantError("symplectic groups need a symplectic pairing")
+
+
+def outcome(check, h: GradedHiggsBundle) -> tuple[str, str]:
+    """("ok", "") or the exception type name and message ``check`` raised."""
+    try:
+        check(h)
+    except Exception as exc:  # the outcome itself is what gets compared
+        return type(exc).__name__, str(exc)
+    return "ok", ""
+
+
+def every_builder_output(curve: Curve) -> list[GradedHiggsBundle]:
+    """One or more outputs of every builder and derived-object function."""
+    g = curve.genus
+    so23 = [build_maximal_so23(curve, d, q2=q2)
+            for d in (-(4 * g - 4), 0, 3, 4 * g - 4) for q2 in (True, False)]
+    so12 = [build_so12(curve, d) for d in (-(2 * g - 2), 0, 1, 2 * g - 2)]
+    return [
+        *(build_hitchin_sl(curve, n, q_on, spin_name="s" if n % 2 == 0 else None)
+          for n in (2, 3, 4, 5) for q_on in ((), (2,), tuple(range(2, n + 1)))),
+        *(build_hitchin_so(curve, n, q_on)
+          for n in (1, 2, 3) for q_on in ((), tuple(range(2, 2 * n + 1, 2)))),
+        *(build_hitchin_sp(curve, n, q_on)
+          for n in (1, 2, 3) for q_on in ((), tuple(range(2, 2 * n + 1, 2)))),
+        build_fuchsian(curve),
+        build_fuchsian(curve, q2=False),
+        *(build_hitchin_so_nn(curve, n, pfaffian=pf) for n in (2, 3) for pf in (False, True)),
+        *(build_exotic_so(curve, n, d, nu=nu, q_on=(2,))
+          for n in (2, 3) for d in (1, n * (2 * g - 2)) for nu in (False, True)),
+        build_degree_zero_chain(curve, 2),
+        build_degree_zero_chain(curve, 3),
+        *so12,
+        *so23,
+        *(build_maximal_so2n(curve, n, SplitW0(degree=d))
+          for n in (3, 4, 5) for d in (-(4 * g - 4), 1, 4 * g - 4)),
+        *(build_maximal_so2n(curve, n, TrivialW0(), beta0=b) for n in (3, 4, 5) for b in (True, False)),
+        build_maximal_so2n(curve, 3, PrymW0(sw1=F2Class.from_int(g, 1), sw2=1)),
+        build_maximal_so2n(curve, 3, PrymW0(sw1=F2Class.from_int(g, 5), sw2=0), beta0=False),
+        build_twisted_fuchsian_sp(curve, [F2Class.from_int(g, v) for v in (0, 3, 3, 6)]),
+        build_twisted_fuchsian_sp(curve, [F2Class.zero(g)] * 3, q2=False),
+        build_extension_deformed_so35(curve, 1),
+        build_extension_deformed_so35(curve, 3 * (2 * g - 2)),
+        embed_so23_to_so2n(so23[2], 5),
+        embed_so23_to_so33(so23[2]),
+        append_trivial_w(build_hitchin_so(curve, 2, (2,))),
+        associated_sl(so23[2]),
+        associated_sl(build_hitchin_sp(curve, 2, (2, 4))),
+        *(switched(h) for h in so12 + so23),
+    ]
+
+
+_NEW_BUNDLES = (
+    trivial(), K_power(1), K_power(-1), K_power(2), spin("s"), spin("s").dual(),
+    variable("M"), variable("M", -1), variable("M", 2), variable("N"),
+    torsion("I"), torsion("J"), divisor_twist("D"), variable("M").tensor(K_power(1)),
+    spin("s").tensor(torsion("I")),
+)
+
+
+def mutated_copies(h: GradedHiggsBundle, rng: random.Random, count: int) -> list[GradedHiggsBundle]:
+    """Unvalidated copies of ``h``, each with one to two random edits: a
+    flipped entry kind or vanishing, a replaced summand bundle, an added
+    transpose pair, a shifted or dropped declared degree."""
+    edits = (_flip_entry, _replace_bundle, _add_transpose_pair, _shift_declared)
+    out = []
+    for _ in range(count):
+        m = h
+        for _ in range(rng.choice((1, 1, 2))):
+            m = rng.choice(edits)(m, rng)
+        out.append(m)
+    return out
+
+
+def _random_symbol(rng: random.Random, name: str) -> SectionSymbol:
+    roll = rng.randrange(3)
+    if roll == 0:
+        return unit_section()
+    return named_section(name, "generically-nonzero" if roll == 1 else "nowhere-vanishing")
+
+
+def _with_entries(h: GradedHiggsBundle, entries: dict) -> GradedHiggsBundle:
+    higgs = tuple(HiggsEntry(t, s, sym) for (t, s), sym in sorted(entries.items()))
+    return replace(h, higgs=higgs)
+
+
+def _flip_entry(h: GradedHiggsBundle, rng: random.Random) -> GradedHiggsBundle:
+    if not h.higgs:
+        return _add_transpose_pair(h, rng)
+    entries = {(e.target, e.source): e.symbol for e in h.higgs}
+    e = rng.choice(h.higgs)
+    sym = _random_symbol(rng, e.symbol.name if e.symbol.name != "1" else "phi")
+    entries[(e.target, e.source)] = sym
+    if rng.random() < 0.8:
+        entries[(h.sigma[e.source], h.sigma[e.target])] = sym
+    return _with_entries(h, entries)
+
+
+def _replace_bundle(h: GradedHiggsBundle, rng: random.Random) -> GradedHiggsBundle:
+    i = rng.randrange(len(h.summands))
+    bundle = rng.choice(_NEW_BUNDLES)
+    summands = list(h.summands)
+    summands[i] = Summand(summands[i].side, bundle, summands[i].rank, summands[i].sw)
+    j = h.sigma[i]
+    if j != i and rng.random() < 0.7:
+        summands[j] = Summand(summands[j].side, bundle.dual(), summands[j].rank, summands[j].sw)
+    return replace(h, summands=tuple(summands))
+
+
+def _add_transpose_pair(h: GradedHiggsBundle, rng: random.Random) -> GradedHiggsBundle:
+    n = len(h.summands)
+    t, s = rng.randrange(n), rng.randrange(n)
+    sym = _random_symbol(rng, "xi")
+    entries = {(e.target, e.source): e.symbol for e in h.higgs}
+    entries[(t, s)] = sym
+    entries[(h.sigma[s], h.sigma[t])] = sym
+    return _with_entries(h, entries)
+
+
+def _shift_declared(h: GradedHiggsBundle, rng: random.Random) -> GradedHiggsBundle:
+    declared = dict(h.declared)
+    if not declared or rng.random() < 0.2:
+        declared[rng.choice(("M", "N", "D"))] = rng.randint(-4, 4)
+    else:
+        name = rng.choice(sorted(declared))
+        if rng.random() < 0.3:
+            del declared[name]
+        else:
+            declared[name] += rng.choice((-3, -2, -1, 1, 2, 3))
+    return replace(h, declared=tuple(sorted(declared.items())))

@@ -491,6 +491,32 @@ def test_from_dict_rejects_missing_keys_and_bad_shapes(edit):
         bundle_from_dict(_mutated(build_so12(C2, 0), edit))
 
 
+@pytest.mark.parametrize("sw2", [1.9, 1.0, True, "1", None])
+def test_from_dict_requires_an_integer_sw2(sw2):
+    h = build_maximal_so2n(C2, 3, PrymW0(sw1=F2Class.from_bits("1010"), sw2=1))
+    doc = _mutated(h, lambda d: next(r for r in d["summands"] if "sw2" in r).update({"sw2": sw2}))
+    with pytest.raises(ParseError, match="sw2"):
+        bundle_from_dict(doc)
+
+
+@pytest.mark.parametrize("rank", [2.0, 2.5, True, "2", None])
+def test_from_dict_requires_an_integer_rank(rank):
+    h = build_maximal_so2n(C2, 3, PrymW0(sw1=F2Class.from_bits("1010"), sw2=1))
+    doc = _mutated(h, lambda d: next(r for r in d["summands"] if "rank" in r).update({"rank": rank}))
+    with pytest.raises(ParseError, match="rank"):
+        bundle_from_dict(doc)
+    unranked = bundle_to_dict(build_so12(C2, 0))
+    assert all("rank" not in r for r in unranked["summands"])
+    assert [s.rank for s in bundle_from_dict(unranked).summands] == [1, 1, 1]
+
+
+@pytest.mark.parametrize("degree", ["2", 2.0, 2.5, False])
+def test_from_dict_requires_an_integer_symbol_degree(degree):
+    doc = _mutated(build_so12(C2, 2), lambda d: d["symbols"]["M"].update({"degree": degree}))
+    with pytest.raises(ParseError, match="degree of symbol 'M'"):
+        bundle_from_dict(doc)
+
+
 def test_from_dict_rejects_a_document_that_is_not_an_object():
     with pytest.raises(ParseError, match="JSON object"):
         bundle_from_dict([1, 2])
