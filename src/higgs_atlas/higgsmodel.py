@@ -36,6 +36,7 @@ from .errors import (
 )
 from .f2cohomology import F2Class, SWPair
 from .linebundle import (
+    KIND_DIVISOR,
     KIND_SPIN,
     KIND_TORSION,
     KIND_VARIABLE,
@@ -247,10 +248,12 @@ def validate(h: GradedHiggsBundle) -> None:
     section needs degree 0, a generic section needs degree >= 0 unless the
     ambient is a power of K; each extension term has its transpose partner.
 
-    No ambient is built.  Normal forms are unique, so the non-K parts of
-    L_s^-1 L_t K cancel exactly when those of L_s and L_t are equal, and
-    then the ambient is K^(k_t - k_s + 1); its degree is
-    deg L_t - deg L_s + 2g - 2 from the degrees resolved once.
+    No dual and no ambient is built; both checks read normal forms, which
+    are unique.  The pairing check compares L_j with L_i's closed-form dual
+    field by field (``is_dual_of``).  The non-K parts of L_s^-1 L_t K cancel
+    exactly when those of L_s and L_t are equal, and then the ambient is
+    K^(k_t - k_s + 1); its degree is deg L_t - deg L_s + 2g - 2 from the
+    degrees resolved once.
     """
     n = len(h.summands)
     if len(h.sigma) != n:
@@ -269,7 +272,7 @@ def validate(h: GradedHiggsBundle) -> None:
             if h.degree_of(i) != 0:
                 raise ModelInvariantError("a self-dual block must have degree 0")
             continue
-        if sj.bundle != si.bundle.dual():
+        if not sj.bundle.is_dual_of(si.bundle):
             raise ModelInvariantError(
                 f"summand {j} is not dual to summand {i}: "
                 f"{sj.bundle.serialize()} vs {si.bundle.dual().serialize()}"
@@ -1242,7 +1245,7 @@ def _symbol_table(h: GradedHiggsBundle) -> dict[str, dict]:
         for name, _ in e.variables:
             table.setdefault(name, {"kind": KIND_VARIABLE, "degree": declared.get(name)})
         for name, _ in e.divisors:
-            table.setdefault(name, {"kind": "divisor", "degree": declared.get(name)})
+            table.setdefault(name, {"kind": KIND_DIVISOR, "degree": declared.get(name)})
     return table
 
 
@@ -1291,7 +1294,19 @@ def _json_int(value, what: str, n: int | None = None) -> int:
     return value
 
 
+def _refuse_repeats(keys: Iterable[tuple], what: str) -> None:
+    seen = set()
+    for key in keys:
+        if key in seen:
+            raise ParseError(f"{what} {key} is listed twice")
+        seen.add(key)
+
+
 def bundle_from_dict(data: Mapping) -> GradedHiggsBundle:
+    """Load an object document.  Refused with ParseError, besides missing
+    keys and non-integer numbers: an unknown symbol kind, a Higgs entry or
+    an extension term listed twice, and a recorded summand degree that
+    differs from the degree its bundle resolves to."""
     if not isinstance(data, Mapping):
         raise ParseError(f"an object document must be a JSON object, got {type(data).__name__}")
     try:
@@ -1301,6 +1316,9 @@ def bundle_from_dict(data: Mapping) -> GradedHiggsBundle:
         curve = Curve(_json_int(data["genus"], "genus"))
         symbols = data.get("symbols", {})
         kinds = {name: info.get("kind", KIND_VARIABLE) for name, info in symbols.items()}
+        for name, kind in kinds.items():
+            if kind not in (KIND_VARIABLE, KIND_TORSION, KIND_SPIN, KIND_DIVISOR):
+                raise ParseError(f"symbol {name!r} has unknown kind {kind!r}")
         declared = {
             name: _json_int(info["degree"], f"degree of symbol {name!r}")
             for name, info in symbols.items()
@@ -1312,7 +1330,8 @@ def bundle_from_dict(data: Mapping) -> GradedHiggsBundle:
             if "class" in info
         }
         summands = []
-        for row in data["summands"]:
+        recorded = []
+        for i, row in enumerate(data["summands"]):
             sw = None
             if "sw1" in row:
                 sw = SWPair(F2Class.from_bits(row["sw1"]), _json_int(row["sw2"], "sw2"))
@@ -1320,6 +1339,8 @@ def bundle_from_dict(data: Mapping) -> GradedHiggsBundle:
                 Summand(row["side"], parse_expr(row["bundle"], kinds),
                         _json_int(row.get("rank", 1), "summand rank"), sw)
             )
+            if "degree" in row:
+                recorded.append((i, _json_int(row["degree"], f"degree of summand {i}")))
         n = len(summands)
         entries = []
         for row in data.get("higgs", []):
@@ -1327,10 +1348,12 @@ def bundle_from_dict(data: Mapping) -> GradedHiggsBundle:
             sym = unit_section() if name == "1" else SectionSymbol(name, KIND_NAMED, vanishing)
             entries.append((_json_int(row["to"], "higgs entry index", n),
                             _json_int(row["from"], "higgs entry index", n), sym))
+        _refuse_repeats(((t, s) for t, s, _ in entries), "higgs entry")
         dol = [(_json_int(r["to"], "extension term index", n),
                 _json_int(r["from"], "extension term index", n), r["name"])
                for r in data.get("dolbeault", [])]
-        return make_bundle(
+        _refuse_repeats(dol, "extension term")
+        h = make_bundle(
             group,
             curve,
             summands,
@@ -1344,6 +1367,13 @@ def bundle_from_dict(data: Mapping) -> GradedHiggsBundle:
         )
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed bundle document: {exc}") from exc
+    degrees = h.degrees()
+    for i, degree in recorded:
+        if degree != degrees[i]:
+            raise ParseError(
+                f"summand {i} records degree {degree}, but its bundle has degree {degrees[i]}"
+            )
+    return h
 
 
 def canonical_json(h: GradedHiggsBundle) -> str:
@@ -1353,7 +1383,7 @@ def canonical_json(h: GradedHiggsBundle) -> str:
 # -- comparison helpers --------------------------------------------------------
 
 def summand_degree_multiset(h: GradedHiggsBundle) -> tuple[tuple[str, int], ...]:
-    return tuple(sorted((s.side, h.degree_of(i)) for i, s in enumerate(h.summands)))
+    return tuple(sorted((s.side, d) for s, d in zip(h.summands, h.degrees())))
 
 
 def arrow_pattern(h: GradedHiggsBundle) -> tuple[tuple[int, int, str], ...]:

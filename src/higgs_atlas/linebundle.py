@@ -13,6 +13,12 @@ Equality is syntactic on the normal form; no isomorphisms beyond the two
 reduction rules are applied.  The canonical serialization lists the K
 power first, then spin symbols, variables, divisor twists and torsions,
 each group sorted by name, exponent 1 left implicit:  ``K^2*M^-1*I``.
+
+The dual has a closed form on the normal form: s^-1 = K^-1 * s, so the K
+power becomes -k minus the number of spins, the spins and torsions stay,
+and every variable and divisor exponent is negated in the same name order.
+Every constructor here returns a normal form; a ``LineBundleExpr`` built
+field by field must be one too (sorted distinct names, nonzero exponents).
 """
 
 from __future__ import annotations
@@ -52,12 +58,22 @@ class LineBundleExpr:
         )
 
     def dual(self) -> "LineBundleExpr":
-        return _make(
-            -self.k_power,
-            {n: -1 for n in self.spins},
-            {n: -1 for n in self.torsions},
-            {n: -e for n, e in self.variables},
-            {n: -e for n, e in self.divisors},
+        return LineBundleExpr(
+            -self.k_power - len(self.spins),
+            self.spins,
+            self.torsions,
+            tuple((n, -e) for n, e in self.variables),
+            tuple((n, -e) for n, e in self.divisors),
+        )
+
+    def is_dual_of(self, other: "LineBundleExpr") -> bool:
+        """``self == other.dual()``, compared field by field without building it."""
+        return (
+            self.k_power == -other.k_power - len(other.spins)
+            and self.spins == other.spins
+            and self.torsions == other.torsions
+            and _negated(self.variables, other.variables)
+            and _negated(self.divisors, other.divisors)
         )
 
     def power(self, e: int) -> "LineBundleExpr":
@@ -120,6 +136,12 @@ class LineBundleExpr:
 
     def __str__(self) -> str:  # pragma: no cover - convenience
         return self.serialize()
+
+
+def _negated(a: tuple[tuple[str, int], ...], b: tuple[tuple[str, int], ...]) -> bool:
+    if not a:  # the common case, checked without starting a generator
+        return not b
+    return len(a) == len(b) and all(n == m and e == -f for (n, e), (m, f) in zip(a, b))
 
 
 def _merge_unit(a: Iterable[str], b: Iterable[str]) -> dict:

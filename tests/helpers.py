@@ -8,7 +8,8 @@ characteristic-class oracle folds a truncated product pair by pair, and
 the Stiefel-Whitney search oracle scans every tuple of classes with the
 coordinate formula for the cup product.  The validation oracle builds each
 Higgs entry's ambient as a line-bundle expression and reads its degree and
-shape from that expression.
+shape from that expression; its duals are rebuilt by negating every
+exponent and reducing again, not by the closed form.
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ from higgs_atlas import (
     unit_section,
     variable,
 )
+from higgs_atlas.linebundle import LineBundleExpr, _make
 
 
 def _arrows(h: GradedHiggsBundle) -> list[tuple[int, int]]:
@@ -232,6 +234,18 @@ def builder_corpus(seed: int, count: int) -> list[GradedHiggsBundle]:
 
 # -- validation oracle -------------------------------------------------------
 
+def oracle_dual(e: LineBundleExpr) -> LineBundleExpr:
+    """The dual rebuilt through the reduction rules: every exponent negated,
+    then s^-1 reduced to K^-1 * s and I^-1 to I."""
+    return _make(
+        -e.k_power,
+        {n: -1 for n in e.spins},
+        {n: -1 for n in e.torsions},
+        {n: -x for n, x in e.variables},
+        {n: -x for n, x in e.divisors},
+    )
+
+
 def expression_validate(h: GradedHiggsBundle) -> None:
     """The structural checks of ``higgsmodel.validate`` in the same order
     and with the same messages, reading every Higgs entry's ambient from the
@@ -253,10 +267,10 @@ def expression_validate(h: GradedHiggsBundle) -> None:
             if h.degree_of(i) != 0:
                 raise ModelInvariantError("a self-dual block must have degree 0")
             continue
-        if sj.bundle != si.bundle.dual():
+        if sj.bundle != oracle_dual(si.bundle):
             raise ModelInvariantError(
                 f"summand {j} is not dual to summand {i}: "
-                f"{sj.bundle.serialize()} vs {si.bundle.dual().serialize()}"
+                f"{sj.bundle.serialize()} vs {oracle_dual(si.bundle).serialize()}"
             )
         if h.form == "orthogonal" and si.side != sj.side:
             raise ModelInvariantError("an orthogonal pairing must preserve sides")
@@ -277,7 +291,7 @@ def expression_validate(h: GradedHiggsBundle) -> None:
         source, target = h.summands[s], h.summands[t]
         if source.rank != 1 or target.rank != 1:
             continue
-        amb = source.bundle.dual().tensor(target.bundle).tensor(K_power(1))
+        amb = oracle_dual(source.bundle).tensor(target.bundle).tensor(K_power(1))
         if sym.kind == "unit" and not amb.is_trivial():
             raise ModelInvariantError(
                 f"unit entry ({t},{s}) needs a trivial ambient, got {amb.serialize()}"
@@ -376,7 +390,7 @@ def every_builder_output(curve: Curve) -> list[GradedHiggsBundle]:
 
 
 _NEW_BUNDLES = (
-    trivial(), K_power(1), K_power(-1), K_power(2), spin("s"), spin("s").dual(),
+    trivial(), K_power(1), K_power(-1), K_power(2), spin("s"), spin("s", -1),
     variable("M"), variable("M", -1), variable("M", 2), variable("N"),
     torsion("I"), torsion("J"), divisor_twist("D"), variable("M").tensor(K_power(1)),
     spin("s").tensor(torsion("I")),
@@ -428,7 +442,7 @@ def _replace_bundle(h: GradedHiggsBundle, rng: random.Random) -> GradedHiggsBund
     summands[i] = Summand(summands[i].side, bundle, summands[i].rank, summands[i].sw)
     j = h.sigma[i]
     if j != i and rng.random() < 0.7:
-        summands[j] = Summand(summands[j].side, bundle.dual(), summands[j].rank, summands[j].sw)
+        summands[j] = Summand(summands[j].side, oracle_dual(bundle), summands[j].rank, summands[j].sw)
     return replace(h, summands=tuple(summands))
 
 

@@ -3,7 +3,10 @@ codes."""
 
 from __future__ import annotations
 
+import contextlib
+import copy
 import gc
+import io
 import json
 import os
 import subprocess
@@ -12,8 +15,21 @@ import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from higgs_atlas import bundle_from_dict, check_polystability, cli
+from higgs_atlas import (
+    Curve,
+    F2Class,
+    PrymW0,
+    build_extension_deformed_so35,
+    build_maximal_so23,
+    build_maximal_so2n,
+    build_twisted_fuchsian_sp,
+    bundle_from_dict,
+    bundle_to_dict,
+    check_polystability,
+    cli,
+)
 from helpers import brute_force_minimal_n, brute_force_sw_witnesses
 
 
@@ -258,6 +274,137 @@ def test_input_that_is_not_a_json_object_is_a_parse_error(tmp_path, capsys):
     code, doc = run_json(capsys, "stability", "--input", str(path))
     assert code == 1
     assert doc["code"] == "parse"
+
+
+def _bogus_kind(doc):
+    doc["symbols"]["M"]["kind"] = "bogus"
+
+
+def _wrong_recorded_degree(doc):
+    row = next(r for r in doc["summands"] if r["bundle"] == "K")
+    assert row["degree"] == 2
+    row["degree"] = 999
+
+
+def _repeated_higgs_entry(doc):
+    doc["higgs"].append(dict(doc["higgs"][0]))
+
+
+@pytest.mark.parametrize(
+    "defect, message",
+    [
+        (_bogus_kind, "symbol 'M' has unknown kind 'bogus'"),
+        (_wrong_recorded_degree, "summand 0 records degree 999, but its bundle has degree 2"),
+        (_repeated_higgs_entry, "higgs entry (0, 2) is listed twice"),
+    ],
+)
+def test_defective_document_is_a_parse_error(defect, message, monkeypatch, capsys):
+    doc = bundle_to_dict(build_maximal_so23(Curve(2), 2))
+    defect(doc)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+    code, res = run_json(capsys, "stability", "--input", "-")
+    assert code == 1
+    assert (res["status"], res["code"], res["message"]) == ("error", "parse", message)
+
+
+FUZZ_BASES = [
+    bundle_to_dict(h) for h in (
+        build_maximal_so23(Curve(2), 2),
+        build_maximal_so2n(Curve(2), 3, PrymW0(sw1=F2Class.from_bits("1010"), sw2=1)),
+        build_extension_deformed_so35(Curve(2), 1),
+        build_twisted_fuchsian_sp(Curve(2), [F2Class.from_bits("0110"), F2Class.zero(2)]),
+    )
+]
+JUNK = st.one_of(
+    st.none(), st.booleans(), st.floats(), st.text(max_size=4),
+    st.lists(st.integers(-2, 2), max_size=2), st.sampled_from([-1, 99, 10**6, -(10**9)]),
+)
+
+
+def _paths(value, path=()):
+    """The path of every container and leaf below ``value``."""
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, child in items:
+        yield path + (key,)
+        yield from _paths(child, path + (key,))
+
+
+def _parent(doc, path):
+    for key in path[:-1]:
+        doc = doc[key]
+    return doc
+
+
+@st.composite
+def fuzzed_documents(draw):
+    """A builder document with up to three edits: a deleted key or item, a
+    value replaced by junk, an unknown symbol kind, a shifted recorded
+    degree, a repeated Higgs entry or extension term."""
+    doc = copy.deepcopy(draw(st.sampled_from(FUZZ_BASES)))
+    for _ in range(draw(st.integers(0, 3))):
+        edit = draw(st.sampled_from(("delete", "replace", "kind", "degree", "repeat")))
+        paths = list(_paths(doc))
+        if edit in ("delete", "replace") and paths:
+            path = draw(st.sampled_from(paths))
+            if edit == "delete":
+                del _parent(doc, path)[path[-1]]
+            else:
+                _parent(doc, path)[path[-1]] = draw(JUNK)
+        elif edit == "kind" and isinstance(doc.get("symbols"), dict) and doc["symbols"]:
+            info = doc["symbols"][draw(st.sampled_from(sorted(doc["symbols"])))]
+            if isinstance(info, dict):
+                info["kind"] = draw(st.sampled_from(("bogus", "divisor", "spin", "torsion", "")))
+        elif edit == "degree" and isinstance(doc.get("summands"), list) and doc["summands"]:
+            row = draw(st.sampled_from(doc["summands"]))
+            if isinstance(row, dict) and type(row.get("degree")) is int:
+                row["degree"] += draw(st.sampled_from((-1, 1, 997)))
+        elif edit == "repeat":
+            lists = [doc.get(key) for key in ("higgs", "dolbeault")]
+            lists = [rows for rows in lists if isinstance(rows, list) and rows]
+            if lists:
+                rows = draw(st.sampled_from(lists))
+                rows.append(copy.deepcopy(draw(st.sampled_from(rows))))
+    return doc
+
+
+def _verb_arguments():
+    weights = st.lists(st.integers(-3, 3), min_size=2, max_size=9).map(
+        lambda ws: ",".join(map(str, ws)))
+    return st.one_of(
+        st.just(["stability"]),
+        st.just(["stability", "--assume-summand-generated"]),
+        st.sampled_from(["-1", "0", "1", "x"]).map(lambda bound: ["limit", "--search", bound]),
+        st.tuples(
+            st.one_of(weights, st.sampled_from(["", "1,x", "0.5,1"])),
+            st.sampled_from(["-1", "0", "1", "2", "z"]),
+            st.sampled_from(["to-zero", "to-infinity", "sideways"]),
+            st.booleans(),
+        ).map(lambda a: ["limit", "--weights", a[0], "--scale", a[1], "--direction", a[2]]
+              + (["--with-stability"] if a[3] else [])),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(fuzzed_documents(), _verb_arguments())
+def test_cli_answers_every_mutated_document_with_json_or_an_exit_code(doc, argv):
+    stdin, stdout = io.StringIO(json.dumps(doc)), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+        saved, sys.stdin = sys.stdin, stdin
+        try:
+            code = cli.main([argv[0], "--input", "-", *argv[1:]])
+        except SystemExit as exc:
+            code = exc.code
+            assert code == 2
+        finally:
+            sys.stdin = saved
+    if code == 2:
+        return
+    out = json.loads(stdout.getvalue())
+    assert isinstance(out, dict)
+    if code == 1:
+        assert out["status"] == "error" and isinstance(out["code"], str), out
+    else:
+        assert code == 0 and out.get("status") != "error", (code, out)
 
 
 def test_input_file_is_closed(tmp_path, capsys):

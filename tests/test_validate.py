@@ -1,6 +1,6 @@
 """Structural validation: agreement with the expression-building oracle,
 the normal-form identities it rests on, and a guard that keeps ambient
-expressions out of the success path."""
+expressions and duals out of the success path."""
 
 from __future__ import annotations
 
@@ -8,23 +8,27 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from higgs_atlas import (
     Curve,
     GradedHiggsBundle,
     GroupTag,
     K_power,
+    LineBundleExpr,
     Summand,
     UnresolvedDegreeError,
     bundle_from_dict,
+    bundle_to_dict,
     permute_summands,
+    switchable,
+    switched,
     validate,
     variable,
 )
 from higgs_atlas.higgsmodel import _ambient_k_power
 from higgs_atlas.linebundle import _make
-from helpers import every_builder_output, expression_validate, mutated_copies, outcome
+from helpers import every_builder_output, expression_validate, mutated_copies, oracle_dual, outcome
 
 
 @pytest.mark.parametrize("genus", [2, 3])
@@ -116,15 +120,64 @@ def test_ambient_identities_hold_on_normal_forms(pair, genus, declared):
     assert _ambient_k_power(source, target) == amb.canonical_power()
 
 
+@st.composite
+def dual_candidates(draw):
+    """(a, b): a normal form and, for b, its dual or a near miss of it (K
+    power off by one, one exponent negated, one spin, torsion, variable or
+    divisor added or dropped), or an unrelated normal form."""
+    a = _make(draw(st.integers(-4, 4)), *draw(twists()))
+    edit = draw(st.sampled_from(
+        ("dual", "k+1", "k-1", "negate", "spin", "torsion", "variable", "divisor", "other")))
+    if edit == "other":
+        return a, _make(draw(st.integers(-4, 4)), *draw(twists()))
+    d = oracle_dual(a)
+    k = d.k_power + {"k+1": 1, "k-1": -1}.get(edit, 0)
+    spins, torsions = dict.fromkeys(d.spins, 1), dict.fromkeys(d.torsions, 1)
+    variables, divisors = dict(d.variables), dict(d.divisors)
+    exps = [(table, name) for table in (variables, divisors) for name in table]
+    if edit == "negate" and exps:
+        table, name = draw(st.sampled_from(exps))
+        table[name] = -table[name]
+    elif edit in ("spin", "torsion", "variable", "divisor"):
+        table, names, added = {
+            "spin": (spins, "st", (1,)), "torsion": (torsions, "IJ", (1,)),
+            "variable": (variables, "MN", (-2, 1)), "divisor": (divisors, "DE", (-1, 2)),
+        }[edit]
+        name = draw(st.sampled_from(names))
+        if name in table:
+            del table[name]
+        else:
+            table[name] = draw(st.sampled_from(added))
+    return a, _make(k, spins, torsions, variables, divisors)
+
+
+@settings(max_examples=200)
+@given(dual_candidates())
+def test_closed_form_dual_equals_the_reduction_oracle(pair):
+    a, b = pair
+    assert a.dual() == oracle_dual(a)
+    assert a.dual().dual() == a
+    assert a.tensor(a.dual()).is_trivial()
+    assert b.is_dual_of(a) == (b == oracle_dual(a))
+    assert a.is_dual_of(b) == b.is_dual_of(a)
+
+
 def test_success_path_builds_no_ambient(monkeypatch):
     def refuse(self, target, source):
         raise AssertionError(f"ambient({target},{source}) built on the success path")
 
+    def refuse_dual(self):
+        raise AssertionError(f"dual of {self.serialize()} built on the success path")
+
     monkeypatch.setattr(GradedHiggsBundle, "ambient", refuse)
+    outputs = [h for genus in (2, 3) for h in every_builder_output(Curve(genus))]
+    monkeypatch.setattr(LineBundleExpr, "dual", refuse_dual)
     rng = random.Random(4100)
-    for genus in (2, 3):
-        for h in every_builder_output(Curve(genus)):
-            validate(h)
-            n = len(h.summands)
-            permute_summands(h, list(reversed(range(n))))
-            permute_summands(h, rng.sample(range(n), n))
+    for h in outputs:
+        validate(h)
+        n = len(h.summands)
+        permute_summands(h, list(reversed(range(n))))
+        permute_summands(h, rng.sample(range(n), n))
+        bundle_from_dict(bundle_to_dict(h))
+        if switchable(h):
+            switched(h)
