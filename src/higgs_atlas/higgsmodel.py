@@ -242,11 +242,12 @@ def validate(h: GradedHiggsBundle) -> None:
     its dual (blocks are self-paired of degree 0), orthogonal pairings keep
     sides and symplectic ones exchange them; the group's ranks and
     determinant conditions hold (every summand degree resolves, V side
-    first, or UnresolvedDegreeError names the missing symbols); each Higgs
-    entry is off the diagonal, has its transpose partner, and fits its
-    ambient Hom(L_s, L_t (x) K): a unit needs it trivial, a nowhere-vanishing
-    section needs degree 0, a generic section needs degree >= 0 unless the
-    ambient is a power of K; each extension term has its transpose partner.
+    first, or UnresolvedDegreeError names the missing symbols); no two Higgs
+    entries share a (target, source); each entry is off the diagonal, has
+    its transpose partner, and fits its ambient Hom(L_s, L_t (x) K): a unit
+    needs it trivial, a nowhere-vanishing section needs degree 0, a generic
+    section needs degree >= 0 unless the ambient is a power of K; each
+    extension term has its transpose partner.
 
     No dual and no ambient is built; both checks read normal forms, which
     are unique.  The pairing check compares L_j with L_i's closed-form dual
@@ -286,6 +287,8 @@ def validate(h: GradedHiggsBundle) -> None:
     canonical_degree = 2 * h.genus - 2
 
     entry_map = {(e.target, e.source): e.symbol for e in h.higgs}
+    if len(entry_map) != len(h.higgs):
+        _refuse_repeats(((e.target, e.source) for e in h.higgs), "higgs entry", ModelInvariantError)
     for (t, s), sym in entry_map.items():
         if t == s:
             raise ModelInvariantError("diagonal entries are not allowed")
@@ -416,36 +419,52 @@ class TrivialW0:
 
 # -- chain helpers -----------------------------------------------------------
 
-def _chain_entries(length: int, q_on: Iterable[int]) -> list[tuple[int, int, SectionSymbol]]:
-    """Entries of the principal chain on `length` summands, in chain indices.
-
-    Subdiagonal units plus, for each enabled j, the j-th diagonal of shared
-    named sections q_j (an exact copy on every admissible row).
-    """
-    entries = [(p + 1, p, unit_section()) for p in range(length - 1)]
-    for j in sorted(set(q_on)):
-        if j < 2 or j > length:
-            raise BoundError(f"differential q{j} does not fit a chain of length {length}")
+def _split_chain(
+    chain: Sequence[Summand], q_on: Iterable[int]
+) -> tuple[list[Summand], list[int], list[tuple[int, int, SectionSymbol]]]:
+    """The principal chain on `chain` (highest K power first): units down
+    the chain, each q_j in q_on (checked by the caller) on the (j-1)-th
+    diagonal above it, sigma reversing it.  Returned V side first, then W
+    side, each in chain order."""
+    length = len(chain)
+    order = [p for p in range(length) if chain[p].side == SIDE_V]
+    order += [p for p in range(length) if chain[p].side == SIDE_W]
+    slot = {p: k for k, p in enumerate(order)}
+    sigma = [slot[length - 1 - p] for p in order]
+    unit = unit_section()
+    entries = [(slot[p + 1], slot[p], unit) for p in range(length - 1)]
+    for j in q_on:
         sym = named_section(f"q{j}")
-        for p in range(length - (j - 1)):
-            entries.append((p, p + j - 1, sym))
-    return entries
+        entries += [(slot[p], slot[p + j - 1], sym) for p in range(length - (j - 1))]
+    return [chain[p] for p in order], sigma, entries
 
 
-def _reorder(
+_M, _M_INVERSE = variable("M"), variable("M", -1)
+
+
+def _add_m_pair(
     summands: list[Summand],
     sigma: list[int],
     entries: list[tuple[int, int, SectionSymbol]],
-    order: list[int],
-    dolbeault: list[tuple[int, int, str]] | None = None,
-):
-    """Apply a new summand ordering; `order[k]` is the old index at slot k."""
-    inv = {old: new for new, old in enumerate(order)}
-    new_summands = [summands[old] for old in order]
-    new_sigma = [inv[sigma[order[k]]] for k in range(len(order))]
-    new_entries = [(inv[t], inv[s], sym) for t, s, sym in entries]
-    new_dol = [(inv[t], inv[s], n) for t, s, n in (dolbeault or [])]
-    return new_summands, new_sigma, new_entries, new_dol
+    d: int,
+    top: int,
+    top_v: int,
+    low_v: int,
+    mu: bool,
+    nu: bool,
+) -> None:
+    """Append W = M + M^-1 (deg M = d): mu from `low_v` to M^-1 and from M to
+    `top_v`, nu the other way round.  Their ambients have degree top - d and
+    top + d; a section in a degree-0 ambient trivializes it."""
+    m = len(summands)
+    summands += [Summand(SIDE_W, _M), Summand(SIDE_W, _M_INVERSE)]
+    sigma += [m + 1, m]
+    if mu:
+        sym = named_section("mu", VANISH_NOWHERE if d == top else VANISH_GENERIC)
+        entries += [(m + 1, low_v, sym), (top_v, m, sym)]
+    if nu:
+        sym = named_section("nu", VANISH_NOWHERE if -d == top else VANISH_GENERIC)
+        entries += [(m, low_v, sym), (top_v, m + 1, sym)]
 
 
 # -- builders ----------------------------------------------------------------
@@ -466,15 +485,14 @@ def build_hitchin_sl(
         raise BoundError(f"differentials must lie in [2, {n}]")
     if n % 2 == 0 and not spin_name:
         raise MissingSpinError("even rank needs an explicit spin symbol")
-    summands = []
+    chain = []
     for i in range(1, n + 1):
         if n % 2:
             expr = K_power((n + 1 - 2 * i) // 2)
         else:
             expr = spin(spin_name).tensor(K_power((n - 2 * i) // 2))
-        summands.append(Summand(SIDE_V, expr))
-    sigma = [n - 1 - i for i in range(n)]
-    entries = _chain_entries(n, q_on)
+        chain.append(Summand(SIDE_V, expr))
+    summands, sigma, entries = _split_chain(chain, q_on)
     return make_bundle(
         GroupTag("sl", (n,)),
         curve,
@@ -497,16 +515,11 @@ def build_hitchin_so(curve: Curve, n: int, q_on: Iterable[int] = ()) -> GradedHi
     q_on = tuple(sorted(set(q_on)))
     if any(j % 2 or j < 2 or j > 2 * n for j in q_on):
         raise BoundError(f"differentials must be even and lie in [2, {2 * n}]")
-    length = 2 * n + 1
     chain = [
         Summand(SIDE_V if p % 2 == 1 else SIDE_W, K_power(n - p))
-        for p in range(length)
+        for p in range(2 * n + 1)
     ]
-    sigma = [length - 1 - p for p in range(length)]
-    entries = _chain_entries(length, q_on)
-    order = [p for p in range(length) if chain[p].side == SIDE_V]
-    order += [p for p in range(length) if chain[p].side == SIDE_W]
-    summands, sigma, entries, _ = _reorder(chain, sigma, entries, order)
+    summands, sigma, entries = _split_chain(chain, q_on)
     return make_bundle(
         GroupTag("so0", (n, n + 1)),
         curve,
@@ -529,16 +542,11 @@ def build_hitchin_sp(
     q_on = tuple(sorted(set(q_on)))
     if any(j % 2 or j < 2 or j > 2 * n for j in q_on):
         raise BoundError(f"differentials must be even and lie in [2, {2 * n}]")
-    length = 2 * n
     chain = [
         Summand(SIDE_V if p % 2 == 0 else SIDE_W, spin(spin_name).tensor(K_power(n - 1 - p)))
-        for p in range(length)
+        for p in range(2 * n)
     ]
-    sigma = [length - 1 - p for p in range(length)]
-    entries = _chain_entries(length, q_on)
-    order = [p for p in range(length) if chain[p].side == SIDE_V]
-    order += [p for p in range(length) if chain[p].side == SIDE_W]
-    summands, sigma, entries, _ = _reorder(chain, sigma, entries, order)
+    summands, sigma, entries = _split_chain(chain, q_on)
     return make_bundle(
         GroupTag("sp", (2 * n,)),
         curve,
@@ -566,16 +574,11 @@ def build_hitchin_so_nn(
     q_on = tuple(sorted(set(q_on)))
     if any(j % 2 or j < 2 or j > 2 * n - 2 for j in q_on):
         raise BoundError(f"chain differentials must be even and lie in [2, {2 * n - 2}]")
-    length = 2 * n - 1
     chain = [
         Summand(SIDE_V if p % 2 == 0 else SIDE_W, K_power(n - 1 - p))
-        for p in range(length)
+        for p in range(2 * n - 1)
     ]
-    sigma = [length - 1 - p for p in range(length)]
-    entries = _chain_entries(length, q_on)
-    order = [p for p in range(length) if chain[p].side == SIDE_V]
-    order += [p for p in range(length) if chain[p].side == SIDE_W]
-    summands, sigma, entries, _ = _reorder(chain, sigma, entries, order)
+    summands, sigma, entries = _split_chain(chain, q_on)
     summands.append(Summand(SIDE_W, trivial()))
     sigma.append(len(summands) - 1)
     if pfaffian:
@@ -605,8 +608,9 @@ def _twist_chain(
     q_on: Iterable[int],
     meta: Mapping[str, object],
 ) -> GradedHiggsBundle:
-    """Shared construction: odd orthogonal chain with W0 completed by a
-    degree-d line M and its dual, fed by the lowest chain summand."""
+    """Signature (n, n+1): the (n, n-1) principal chain plus M + M^-1 with
+    deg M = d, fed by its lowest V summand K^(1-n) through mu and nu; shared
+    by ``build_exotic_so`` and ``build_degree_zero_chain``."""
     if n < 2:
         raise BoundError("need n >= 2")
     bound = n * (2 * curve.genus - 2)
@@ -615,31 +619,12 @@ def _twist_chain(
     q_on = tuple(sorted(set(q_on)))
     if any(j % 2 or j < 2 or j > 2 * n - 2 for j in q_on):
         raise BoundError(f"chain differentials must be even and lie in [2, {2 * n - 2}]")
-    length = 2 * n - 1
     chain = [
         Summand(SIDE_V if p % 2 == 0 else SIDE_W, K_power(n - 1 - p))
-        for p in range(length)
+        for p in range(2 * n - 1)
     ]
-    sigma = [length - 1 - p for p in range(length)]
-    entries = _chain_entries(length, q_on)
-    order = [p for p in range(length) if chain[p].side == SIDE_V]
-    order += [p for p in range(length) if chain[p].side == SIDE_W]
-    summands, sigma, entries, _ = _reorder(chain, sigma, entries, order)
-    m_idx = len(summands)
-    summands.append(Summand(SIDE_W, variable("M")))
-    summands.append(Summand(SIDE_W, variable("M", -1)))
-    sigma += [m_idx + 1, m_idx]
-    top_v, low_v = 0, n - 1
-    if mu:
-        # a nonzero section in a degree-0 ambient trivializes it
-        vanish = VANISH_NOWHERE if d == bound else VANISH_GENERIC
-        sym = named_section("mu", vanish)
-        entries.append((m_idx + 1, low_v, sym))
-        entries.append((top_v, m_idx, sym))
-    if nu:
-        sym = named_section("nu")
-        entries.append((m_idx, low_v, sym))
-        entries.append((top_v, m_idx + 1, sym))
+    summands, sigma, entries = _split_chain(chain, q_on)
+    _add_m_pair(summands, sigma, entries, d, bound, top_v=0, low_v=n - 1, mu=mu, nu=nu)
     return make_bundle(
         GroupTag("so0", (n, n + 1)),
         curve,
@@ -694,19 +679,11 @@ def build_so12(curve: Curve, d: int, mu: bool = True, nu: bool = True) -> Graded
     on the W side, sections mu and nu running down and up the chain."""
     if abs(d) > 2 * curve.genus - 2:
         raise BoundError(f"|d| exceeds {2 * curve.genus - 2}")
-    summands = [
-        Summand(SIDE_V, trivial()),
-        Summand(SIDE_W, variable("M")),
-        Summand(SIDE_W, variable("M", -1)),
-    ]
-    sigma = [0, 2, 1]
-    entries = []
-    if mu:
-        sym = named_section("mu", VANISH_NOWHERE if d == 2 * curve.genus - 2 else VANISH_GENERIC)
-        entries += [(0, 1, sym), (2, 0, sym)]
-    if nu:
-        sym = named_section("nu", VANISH_NOWHERE if -d == 2 * curve.genus - 2 else VANISH_GENERIC)
-        entries += [(1, 0, sym), (0, 2, sym)]
+    summands = [Summand(SIDE_V, trivial())]
+    sigma = [0]
+    entries: list[tuple[int, int, SectionSymbol]] = []
+    _add_m_pair(summands, sigma, entries, d, 2 * curve.genus - 2,
+                top_v=0, low_v=0, mu=mu, nu=nu)
     return make_bundle(
         GroupTag("so", (1, 2)),
         curve,
@@ -723,45 +700,18 @@ def build_so12(curve: Curve, d: int, mu: bool = True, nu: bool = True) -> Graded
 def build_maximal_so23(
     curve: Curve, d: int, mu: bool = True, nu: bool = True, q2: bool = True
 ) -> GradedHiggsBundle:
-    """Maximal family in signature (2, 3) with decomposed rank-2 part.
-
-    Hand-written five-summand diagram (independent of the chain machinery,
-    so the generic construction can be cross-checked against it):
-    V = K + K^-1, W = O + M + M^-1, units K -> O -> K^-1, q2 back up,
-    mu, nu connecting the lowest V summand to M^-1, M.
+    """Maximal family in signature (2, 3) with decomposed rank-2 part, under
+    its own label: ``build_maximal_so2n``'s n = 3 case with W0 = M + M^-1,
+    so V = K + K^-1 and W = O + M + M^-1.  The n = 2 twisted chain
+    (``build_exotic_so``) builds the same object from the principal chain.
     """
     top = 4 * curve.genus - 4
     if abs(d) > top:
         raise BoundError(f"|d| exceeds {top}")
-    summands = [
-        Summand(SIDE_V, K_power(1)),
-        Summand(SIDE_V, K_power(-1)),
-        Summand(SIDE_W, trivial()),
-        Summand(SIDE_W, variable("M")),
-        Summand(SIDE_W, variable("M", -1)),
-    ]
-    sigma = [1, 0, 2, 4, 3]
-    entries = [(2, 0, unit_section()), (1, 2, unit_section())]
-    if q2:
-        sym = named_section("q2")
-        entries += [(0, 2, sym), (2, 1, sym)]
-    if mu:
-        sym = named_section("mu", VANISH_NOWHERE if d == top else VANISH_GENERIC)
-        entries += [(4, 1, sym), (0, 3, sym)]
-    if nu:
-        sym = named_section("nu", VANISH_NOWHERE if -d == top else VANISH_GENERIC)
-        entries += [(3, 1, sym), (0, 4, sym)]
-    return make_bundle(
-        GroupTag("so0", (2, 3)),
-        curve,
-        summands,
-        sigma,
-        FORM_ORTHOGONAL,
-        entries,
-        declared={"M": d},
-        meta={"family": "maximal-so23", "d": d,
-              "switch_variable": "M", "switch_sections": "mu,nu"},
-    )
+    h = build_maximal_so2n(curve, 3, SplitW0(d, mu, nu), q2)
+    meta = {"family": "maximal-so23", "d": d,
+            "switch_variable": "M", "switch_sections": "mu,nu"}
+    return replace(h, meta=tuple(sorted(meta.items())))
 
 
 def build_maximal_so2n(
@@ -791,30 +741,17 @@ def build_maximal_so2n(
         i_expr = trivial()
     else:
         raise TypeError(f"unknown W0 descriptor {w0!r}")
-    summands = [
-        Summand(SIDE_V, K_power(1).tensor(i_expr)),
-        Summand(SIDE_V, K_power(-1).tensor(i_expr)),
-        Summand(SIDE_W, i_expr),
-    ]
-    sigma = [1, 0, 2]
-    entries = [(2, 0, unit_section()), (1, 2, unit_section())]
-    if q2:
-        sym = named_section("q2")
-        entries += [(0, 2, sym), (2, 1, sym)]
+    # the signature-(2, 1) principal chain twisted by I
+    chain = [Summand(SIDE_V, i_expr.tensor(K_power(1))), Summand(SIDE_W, i_expr),
+             Summand(SIDE_V, i_expr.tensor(K_power(-1)))]
+    summands, sigma, entries = _split_chain(chain, (2,) if q2 else ())
     meta: dict[str, object] = {"family": "maximal-so2n", "n": n}
     if isinstance(w0, SplitW0):
         if abs(w0.degree) > 4 * g - 4:
             raise BoundError(f"|deg M| exceeds {4 * g - 4}")
         declared["M"] = w0.degree
-        m_idx = len(summands)
-        summands += [Summand(SIDE_W, variable("M")), Summand(SIDE_W, variable("M", -1))]
-        sigma += [m_idx + 1, m_idx]
-        if w0.mu:
-            sym = named_section("mu", VANISH_NOWHERE if w0.degree == 4 * g - 4 else VANISH_GENERIC)
-            entries += [(m_idx + 1, 1, sym), (0, m_idx, sym)]
-        if w0.nu:
-            sym = named_section("nu", VANISH_NOWHERE if -w0.degree == 4 * g - 4 else VANISH_GENERIC)
-            entries += [(m_idx, 1, sym), (0, m_idx + 1, sym)]
+        _add_m_pair(summands, sigma, entries, w0.degree, 4 * g - 4,
+                    top_v=0, low_v=1, mu=w0.mu, nu=w0.nu)
         for _ in range(n - 3):
             summands.append(Summand(SIDE_W, trivial()))
             sigma.append(len(summands) - 1)
@@ -1294,11 +1231,11 @@ def _json_int(value, what: str, n: int | None = None) -> int:
     return value
 
 
-def _refuse_repeats(keys: Iterable[tuple], what: str) -> None:
+def _refuse_repeats(keys: Iterable[tuple], what: str, error: type = ParseError) -> None:
     seen = set()
     for key in keys:
         if key in seen:
-            raise ParseError(f"{what} {key} is listed twice")
+            raise error(f"{what} {key} is listed twice")
         seen.add(key)
 
 

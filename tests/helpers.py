@@ -279,6 +279,10 @@ def expression_validate(h: GradedHiggsBundle) -> None:
 
     _expression_group_shape(h)
 
+    keys = [(e.target, e.source) for e in h.higgs]
+    for k, key in enumerate(keys):
+        if key in keys[:k]:
+            raise ModelInvariantError(f"higgs entry {key} is listed twice")
     entry_map = {(e.target, e.source): e.symbol for e in h.higgs}
     for (t, s), sym in entry_map.items():
         if t == s:
@@ -400,8 +404,8 @@ _NEW_BUNDLES = (
 def mutated_copies(h: GradedHiggsBundle, rng: random.Random, count: int) -> list[GradedHiggsBundle]:
     """Unvalidated copies of ``h``, each with one to two random edits: a
     flipped entry kind or vanishing, a replaced summand bundle, an added
-    transpose pair, a shifted or dropped declared degree."""
-    edits = (_flip_entry, _replace_bundle, _add_transpose_pair, _shift_declared)
+    transpose pair, a shifted or dropped declared degree, a repeated entry."""
+    edits = (_flip_entry, _replace_bundle, _add_transpose_pair, _shift_declared, _repeat_entry)
     out = []
     for _ in range(count):
         m = h
@@ -467,3 +471,15 @@ def _shift_declared(h: GradedHiggsBundle, rng: random.Random) -> GradedHiggsBund
         else:
             declared[name] += rng.choice((-3, -2, -1, 1, 2, 3))
     return replace(h, declared=tuple(sorted(declared.items())))
+
+
+def _repeat_entry(h: GradedHiggsBundle, rng: random.Random) -> GradedHiggsBundle:
+    """A second entry at the (target, source) of an existing one, carrying
+    either the same symbol or a random one."""
+    if not h.higgs:
+        return _add_transpose_pair(h, rng)
+    e = rng.choice(h.higgs)
+    sym = e.symbol if rng.random() < 0.5 else _random_symbol(rng, "xi")
+    higgs = sorted(h.higgs + (HiggsEntry(e.target, e.source, sym),),
+                   key=lambda f: (f.target, f.source))
+    return replace(h, higgs=tuple(higgs))

@@ -3,6 +3,8 @@ JSON round trip."""
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from higgs_atlas import (
@@ -53,7 +55,7 @@ from higgs_atlas import (
     validate,
     variable,
 )
-from helpers import builder_corpus
+from helpers import builder_corpus, every_builder_output
 
 C2 = Curve(2)
 C3 = Curve(3)
@@ -429,6 +431,22 @@ def test_json_round_trip_across_builders():
         assert doc["schema"] == "higgs-atlas/1"
         back = bundle_from_dict(doc)
         assert back == h
+
+
+# sha256 of every_builder_output's canonical JSON, one object per line
+# (90 objects per genus); any change to a builder's output bytes shows here
+BUILDER_DIGESTS = {
+    2: "4d56420829e49bf364dae4740d75dbe2e4c9e6051376b34e84f0f78644368fa2",
+    3: "5236ce1d109efbaa0ae160feb2f3fe197cb52ffb326bf297fa969677570352b2",
+}
+
+
+@pytest.mark.parametrize("genus", sorted(BUILDER_DIGESTS))
+def test_builder_output_bytes_are_frozen(genus):
+    outputs = every_builder_output(Curve(genus))
+    assert len(outputs) == 90
+    text = "\n".join(canonical_json(h) for h in outputs)
+    assert hashlib.sha256(text.encode()).hexdigest() == BUILDER_DIGESTS[genus]
 
 
 def test_canonical_json_is_deterministic():

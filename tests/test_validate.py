@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,10 +17,14 @@ from higgs_atlas import (
     GroupTag,
     K_power,
     LineBundleExpr,
+    ModelInvariantError,
+    ParseError,
     Summand,
     UnresolvedDegreeError,
+    build_maximal_so23,
     bundle_from_dict,
     bundle_to_dict,
+    make_bundle,
     permute_summands,
     switchable,
     switched,
@@ -47,8 +52,27 @@ def test_validate_agrees_with_the_expression_oracle(genus):
     # the success path
     assert set(seen) == {"ok", "ModelInvariantError", "UnresolvedDegreeError"}, seen
     assert min(seen.values()) >= 20, seen
-    for check in ("needs a trivial ambient", "nowhere-vanishing entry", "claims a nonzero section"):
+    for check in ("needs a trivial ambient", "nowhere-vanishing entry", "claims a nonzero section",
+                  "is listed twice"):
         assert sum(check in text for text in messages) >= 5, check
+
+
+def test_a_repeated_higgs_entry_is_refused():
+    h = build_maximal_so23(Curve(2), 2)
+    first = h.higgs[0]
+    entries = [(e.target, e.source, e.symbol) for e in h.higgs]
+    with pytest.raises(ModelInvariantError, match=r"^higgs entry \(0, 2\) is listed twice$"):
+        make_bundle(h.group, Curve(2), h.summands, h.sigma, h.form,
+                    entries + [(first.target, first.source, first.symbol)],
+                    declared=h.declared_map, meta=h.meta_map)
+    repeated = replace(h, higgs=h.higgs + (first,))
+    expected = ("ModelInvariantError", "higgs entry (0, 2) is listed twice")
+    assert outcome(validate, repeated) == outcome(expression_validate, repeated) == expected
+    # the document boundary still answers first, with its parse error
+    doc = bundle_to_dict(h)
+    doc["higgs"].append(dict(doc["higgs"][0]))
+    with pytest.raises(ParseError, match=r"^higgs entry \(0, 2\) is listed twice$"):
+        bundle_from_dict(doc)
 
 
 def test_unresolved_degrees_are_named_v_side_first():
