@@ -431,15 +431,11 @@ def _split_chain(
     order += [p for p in range(length) if chain[p].side == SIDE_W]
     slot = {p: k for k, p in enumerate(order)}
     sigma = [slot[length - 1 - p] for p in order]
-    unit = unit_section()
-    entries = [(slot[p + 1], slot[p], unit) for p in range(length - 1)]
+    entries = [(slot[p + 1], slot[p], unit_section()) for p in range(length - 1)]
     for j in q_on:
         sym = named_section(f"q{j}")
         entries += [(slot[p], slot[p + j - 1], sym) for p in range(length - (j - 1))]
     return [chain[p] for p in order], sigma, entries
-
-
-_M, _M_INVERSE = variable("M"), variable("M", -1)
 
 
 def _add_m_pair(
@@ -448,23 +444,23 @@ def _add_m_pair(
     entries: list[tuple[int, int, SectionSymbol]],
     d: int,
     top: int,
-    top_v: int,
     low_v: int,
     mu: bool,
     nu: bool,
 ) -> None:
-    """Append W = M + M^-1 (deg M = d): mu from `low_v` to M^-1 and from M to
-    `top_v`, nu the other way round.  Their ambients have degree top - d and
-    top + d; a section in a degree-0 ambient trivializes it."""
+    """Append W = M + M^-1 (deg M = d): mu from the V slot `low_v` to M^-1
+    and from M to the top V slot 0, nu the other way round.  Their ambients
+    have degree top - d and top + d; a section in a degree-0 ambient
+    trivializes it."""
     m = len(summands)
-    summands += [Summand(SIDE_W, _M), Summand(SIDE_W, _M_INVERSE)]
+    summands += [Summand(SIDE_W, variable("M")), Summand(SIDE_W, variable("M", -1))]
     sigma += [m + 1, m]
     if mu:
         sym = named_section("mu", VANISH_NOWHERE if d == top else VANISH_GENERIC)
-        entries += [(m + 1, low_v, sym), (top_v, m, sym)]
+        entries += [(m + 1, low_v, sym), (0, m, sym)]
     if nu:
         sym = named_section("nu", VANISH_NOWHERE if -d == top else VANISH_GENERIC)
-        entries += [(m, low_v, sym), (top_v, m + 1, sym)]
+        entries += [(m, low_v, sym), (0, m + 1, sym)]
 
 
 # -- builders ----------------------------------------------------------------
@@ -624,7 +620,7 @@ def _twist_chain(
         for p in range(2 * n - 1)
     ]
     summands, sigma, entries = _split_chain(chain, q_on)
-    _add_m_pair(summands, sigma, entries, d, bound, top_v=0, low_v=n - 1, mu=mu, nu=nu)
+    _add_m_pair(summands, sigma, entries, d, bound, low_v=n - 1, mu=mu, nu=nu)
     return make_bundle(
         GroupTag("so0", (n, n + 1)),
         curve,
@@ -682,8 +678,7 @@ def build_so12(curve: Curve, d: int, mu: bool = True, nu: bool = True) -> Graded
     summands = [Summand(SIDE_V, trivial())]
     sigma = [0]
     entries: list[tuple[int, int, SectionSymbol]] = []
-    _add_m_pair(summands, sigma, entries, d, 2 * curve.genus - 2,
-                top_v=0, low_v=0, mu=mu, nu=nu)
+    _add_m_pair(summands, sigma, entries, d, 2 * curve.genus - 2, low_v=0, mu=mu, nu=nu)
     return make_bundle(
         GroupTag("so", (1, 2)),
         curve,
@@ -751,7 +746,7 @@ def build_maximal_so2n(
             raise BoundError(f"|deg M| exceeds {4 * g - 4}")
         declared["M"] = w0.degree
         _add_m_pair(summands, sigma, entries, w0.degree, 4 * g - 4,
-                    top_v=0, low_v=1, mu=w0.mu, nu=w0.nu)
+                    low_v=1, mu=w0.mu, nu=w0.nu)
         for _ in range(n - 3):
             summands.append(Summand(SIDE_W, trivial()))
             sigma.append(len(summands) - 1)

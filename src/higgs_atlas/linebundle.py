@@ -49,9 +49,6 @@ class LineBundleExpr:
     # -- algebra ---------------------------------------------------------
 
     def tensor(self, other: "LineBundleExpr") -> "LineBundleExpr":
-        if other.canonical_power() is not None:  # K^j only shifts the K power
-            return LineBundleExpr(self.k_power + other.k_power, self.spins, self.torsions,
-                                  self.variables, self.divisors)
         return _make(
             self.k_power + other.k_power,
             _merge_unit(self.spins, other.spins),

@@ -9,7 +9,10 @@ the Stiefel-Whitney search oracle scans every tuple of classes with the
 coordinate formula for the cup product.  The validation oracle builds each
 Higgs entry's ambient as a line-bundle expression and reads its degree and
 shape from that expression; its duals are rebuilt by negating every
-exponent and reducing again, not by the closed form.
+exponent and reducing again, not by the closed form.  The builder oracle
+writes the maximal signature-(2, 3) object out summand by summand, with no
+chain or M-pair helper, so a fault in those helpers cannot show on both
+sides of a comparison.
 """
 
 from __future__ import annotations
@@ -58,6 +61,15 @@ from higgs_atlas import (
     trivial,
     unit_section,
     variable,
+)
+from higgs_atlas.higgsmodel import (
+    FORM_ORTHOGONAL,
+    SIDE_V,
+    SIDE_W,
+    VANISH_GENERIC,
+    VANISH_NOWHERE,
+    GroupTag,
+    make_bundle,
 )
 from higgs_atlas.linebundle import LineBundleExpr, _make
 
@@ -230,6 +242,38 @@ def builder_corpus(seed: int, count: int) -> list[GradedHiggsBundle]:
         else:
             out.append(build_fuchsian(c))
     return out
+
+
+# -- builder oracle ----------------------------------------------------------
+
+def oracle_maximal_so23(
+    curve: Curve, d: int, mu: bool = True, nu: bool = True, q2: bool = True
+) -> GradedHiggsBundle:
+    """The maximal signature-(2, 3) object with decomposed rank-2 part as a
+    hand-written five-summand diagram, with no chain helper: V = K + K^-1,
+    W = O + M + M^-1, units K -> O -> K^-1, q2 back up, mu and nu joining
+    the lowest V summand to M^-1 and M.  Meta is left empty."""
+    top = 4 * curve.genus - 4
+    summands = [
+        Summand(SIDE_V, K_power(1)),
+        Summand(SIDE_V, K_power(-1)),
+        Summand(SIDE_W, trivial()),
+        Summand(SIDE_W, variable("M")),
+        Summand(SIDE_W, variable("M", -1)),
+    ]
+    sigma = [1, 0, 2, 4, 3]
+    entries = [(2, 0, unit_section()), (1, 2, unit_section())]
+    if q2:
+        sym = named_section("q2")
+        entries += [(0, 2, sym), (2, 1, sym)]
+    if mu:
+        sym = named_section("mu", VANISH_NOWHERE if d == top else VANISH_GENERIC)
+        entries += [(4, 1, sym), (0, 3, sym)]
+    if nu:
+        sym = named_section("nu", VANISH_NOWHERE if -d == top else VANISH_GENERIC)
+        entries += [(3, 1, sym), (0, 4, sym)]
+    return make_bundle(GroupTag("so0", (2, 3)), curve, summands, sigma,
+                       FORM_ORTHOGONAL, entries, declared={"M": d})
 
 
 # -- validation oracle -------------------------------------------------------

@@ -4,6 +4,8 @@ JSON round trip."""
 from __future__ import annotations
 
 import hashlib
+import itertools
+from dataclasses import replace
 
 import pytest
 
@@ -55,7 +57,7 @@ from higgs_atlas import (
     validate,
     variable,
 )
-from helpers import builder_corpus, every_builder_output
+from helpers import builder_corpus, every_builder_output, oracle_maximal_so23
 
 C2 = Curve(2)
 C3 = Curve(3)
@@ -439,6 +441,16 @@ BUILDER_DIGESTS = {
     2: "4d56420829e49bf364dae4740d75dbe2e4c9e6051376b34e84f0f78644368fa2",
     3: "5236ce1d109efbaa0ae160feb2f3fe197cb52ffb326bf297fa969677570352b2",
 }
+
+
+@pytest.mark.parametrize("genus", [2, 3])
+def test_maximal_two_three_matches_the_hand_written_diagram(genus):
+    c = Curve(genus)
+    top = 4 * genus - 4
+    for d in range(-top, top + 1):
+        for mu, nu, q2 in itertools.product((True, False), repeat=3):
+            h = build_maximal_so23(c, d, mu, nu, q2)
+            assert replace(h, meta=()) == oracle_maximal_so23(c, d, mu, nu, q2), (d, mu, nu, q2)
 
 
 @pytest.mark.parametrize("genus", sorted(BUILDER_DIGESTS))

@@ -21,7 +21,6 @@ from higgs_atlas import (
     trivial,
     variable,
 )
-from higgs_atlas.linebundle import _make
 
 def atoms():
     return st.one_of(
@@ -127,13 +126,6 @@ def test_tensor_with_dual_cancels(expr):
 @given(expressions(), expressions())
 def test_tensor_commutes(a, b):
     assert a.tensor(b) == b.tensor(a)
-
-
-@given(expressions(), st.integers(-3, 3))
-def test_tensor_by_a_canonical_power_matches_the_reduction(expr, j):
-    reduced = _make(expr.k_power + j, dict.fromkeys(expr.spins, 1),
-                    dict.fromkeys(expr.torsions, 1), dict(expr.variables), dict(expr.divisors))
-    assert expr.tensor(K_power(j)) == reduced
 
 
 @given(expressions(), expressions(), expressions())
