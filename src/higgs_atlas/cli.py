@@ -99,6 +99,26 @@ def _parse_w0(genus: int, text: str):
     raise ParseError(f"unknown rank-2 complement descriptor {text!r}")
 
 
+# Every flag of `build`, as its argparse dest.  Each defaults to None, so a
+# flag the caller gave can be told from one left out: `is not False` reads a
+# switch that is on by default, `is True` one that is off by default.
+_BUILD_FLAGS = (
+    "d", "q_on", "spin_name", "classes", "w0", "mu", "nu", "q2", "pfaffian", "maximal", "deformed",
+)
+
+
+def _refuse_unread(args, group, *read: str) -> None:
+    """Refuse every build flag the caller gave that the chosen builder,
+    which reads the dests ``read``, would ignore."""
+    unread = [
+        f"--{'no-' if value is False else ''}{name.replace('_', '-')}"
+        for name in _BUILD_FLAGS
+        if name not in read and (value := getattr(args, name)) is not None
+    ]
+    if unread:
+        raise PreconditionError(f"the {group} builder does not read {', '.join(unread)}")
+
+
 def _cmd_build(args) -> dict:
     from .curve import Curve
     from .higgsmodel import (
@@ -123,65 +143,71 @@ def _cmd_build(args) -> dict:
     fam, params = group.family, group.params
 
     if fam == "sl":
+        _refuse_unread(args, group, "q_on", "spin_name")
         h = build_hitchin_sl(curve, params[0], q_on, spin_name=args.spin_name)
     elif fam == "sp":
         if args.classes:
+            _refuse_unread(args, group, "classes", "spin_name", "q2")
             classes = _parse_classes(args.genus, args.classes)
             if 2 * len(classes) != params[0]:
                 raise ParseError(
                     f"{len(classes)} classes do not fill rank {params[0]}"
                 )
             h = build_twisted_fuchsian_sp(
-                curve, classes, spin_name=args.spin_name or "s", q2=args.q2
+                curve, classes, spin_name=args.spin_name or "s", q2=args.q2 is not False
             )
         else:
+            _refuse_unread(args, group, "q_on", "spin_name")
             h = build_hitchin_sp(curve, params[0] // 2, q_on, args.spin_name or "s")
     elif fam == "so" and params == (1, 2):
+        _refuse_unread(args, group, "d", "mu", "nu")
         if args.d is None:
             raise PreconditionError("so:1,2 needs an integer label --d")
-        h = build_so12(
-            curve,
-            args.d,
-            mu=args.mu,
-            nu=args.nu if args.nu is not None else True,
-        )
+        h = build_so12(curve, args.d, mu=args.mu is not False, nu=args.nu is not False)
     elif fam == "so0" and len(params) == 2 and params[0] == params[1]:
-        h = build_hitchin_so_nn(curve, params[0], q_on, pfaffian=args.pfaffian)
+        _refuse_unread(args, group, "q_on", "pfaffian")
+        h = build_hitchin_so_nn(curve, params[0], q_on, pfaffian=args.pfaffian is True)
     elif fam == "so0" and params == (3, 5) and args.deformed:
+        _refuse_unread(args, group, "deformed", "d", "mu")
         if args.d is None:
             raise PreconditionError("the deformed family needs --d")
-        h = build_extension_deformed_so35(curve, args.d, mu=args.mu)
+        h = build_extension_deformed_so35(curve, args.d, mu=args.mu is not False)
     elif fam == "so0" and params == (2, 3) and args.maximal:
+        _refuse_unread(args, group, "maximal", "d", "mu", "nu", "q2")
         if args.d is None:
             raise PreconditionError("the maximal signature-(2,3) family needs --d")
         h = build_maximal_so23(
             curve,
             args.d,
-            mu=args.mu,
-            nu=args.nu if args.nu is not None else True,
-            q2=args.q2,
+            mu=args.mu is not False,
+            nu=args.nu is not False,
+            q2=args.q2 is not False,
         )
     elif fam == "so0" and params[0] == 2 and params[1] >= 4 and args.maximal:
+        _refuse_unread(args, group, "maximal", "w0", "q2")
         if not args.w0:
             raise PreconditionError(
                 "the maximal signature-(2,n) family needs --w0 "
                 "(split:<d>, prym:<bits>:<bit>, or trivial)"
             )
         h = build_maximal_so2n(
-            curve, params[1], _parse_w0(args.genus, args.w0), q2=args.q2
+            curve, params[1], _parse_w0(args.genus, args.w0), q2=args.q2 is not False
         )
     elif fam == "so0" and len(params) == 2 and params[1] == params[0] + 1:
         if args.d is None:
+            _refuse_unread(args, group, "q_on")
             h = build_hitchin_so(curve, params[0], q_on)
         elif args.d == 0:
+            _refuse_unread(args, group, "d")
             h = build_degree_zero_chain(curve, params[0])
         else:
+            _refuse_unread(args, group, "d", "mu", "nu", "q_on")
             h = build_exotic_so(
                 curve,
                 params[0],
                 args.d,
-                mu=args.mu,
-                nu=args.nu if args.nu is not None else False,
+                mu=args.mu is not False,
+                nu=args.nu is True,
                 q_on=q_on,
             )
     else:
@@ -373,16 +399,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build", help="construct an object")
     add_group_genus(p)
     p.add_argument("--d", type=int, default=None, help="integer component label")
-    p.add_argument("--q-on", default="", help="comma list of enabled differentials")
+    p.add_argument("--q-on", default=None, help="comma list of enabled differentials")
     p.add_argument("--spin-name", default=None)
-    p.add_argument("--classes", default="", help="comma list of 2g-bit strings")
-    p.add_argument("--w0", default="", help="split:<d> | prym:<bits>:<bit> | trivial")
-    p.add_argument("--mu", action=argparse.BooleanOptionalAction, default=True)
+    p.add_argument("--classes", default=None, help="comma list of 2g-bit strings")
+    p.add_argument("--w0", default=None, help="split:<d> | prym:<bits>:<bit> | trivial")
+    p.add_argument("--mu", action=argparse.BooleanOptionalAction, default=None)
     p.add_argument("--nu", action=argparse.BooleanOptionalAction, default=None)
-    p.add_argument("--q2", action=argparse.BooleanOptionalAction, default=True)
-    p.add_argument("--pfaffian", action="store_true")
-    p.add_argument("--maximal", action="store_true")
-    p.add_argument("--deformed", action="store_true")
+    p.add_argument("--q2", action=argparse.BooleanOptionalAction, default=None)
+    p.add_argument("--pfaffian", action="store_true", default=None)
+    p.add_argument("--maximal", action="store_true", default=None)
+    p.add_argument("--deformed", action="store_true", default=None)
     p.set_defaults(fn=_cmd_build)
 
     p = sub.add_parser("stability", help="polystability verdict for a document")

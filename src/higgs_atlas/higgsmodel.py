@@ -1031,8 +1031,16 @@ def permute_summands(h: GradedHiggsBundle, order: Sequence[int]) -> GradedHiggsB
     """Reindex summands; ``order[k]`` is the old index placed at slot k."""
     if sorted(order) != list(range(len(h.summands))):
         raise ValueError("not a permutation of the summand indices")
+    out = _relabel(h, order)
+    validate(out)
+    return out
+
+
+def _relabel(h: GradedHiggsBundle, order: Sequence[int]) -> GradedHiggsBundle:
+    """``permute_summands`` without its checks: ``order`` must be a
+    permutation, and the result is valid exactly when ``h`` is."""
     inv = {old: new for new, old in enumerate(order)}
-    out = replace(
+    return replace(
         h,
         summands=tuple(h.summands[old] for old in order),
         sigma=tuple(inv[h.sigma[old]] for old in order),
@@ -1049,8 +1057,6 @@ def permute_summands(h: GradedHiggsBundle, order: Sequence[int]) -> GradedHiggsB
             )
         ),
     )
-    validate(out)
-    return out
 
 
 def switchable(h: GradedHiggsBundle) -> bool:
@@ -1114,6 +1120,13 @@ _PERM_CAP = 40320  # 8!; exceeded by so0:2,n with trivial W0 once n >= 9 (n triv
 
 
 def _permutation_orbit(h: GradedHiggsBundle):
+    """Every ordering of ``h`` that permutes only within groups of identical
+    summands.  ``h`` is validated once, after the cap check, and no ordering
+    is re-checked: every check ``validate`` makes depends on the object's
+    structure, not on how its summands are numbered (the pairing, entries
+    and extension terms are renumbered with them), so a relabelling of a
+    valid object is valid, and an invalid ``h`` is refused in its own
+    indices."""
     n = len(h.summands)
     base = sorted(range(n), key=lambda i: _summand_key(h, i))
     groups: list[list[int]] = []
@@ -1133,15 +1146,19 @@ def _permutation_orbit(h: GradedHiggsBundle):
             size=total,
             cap=_PERM_CAP,
         )
+    validate(h)
     for combo in itertools.product(*(itertools.permutations(g) for g in groups)):
         order: list[int] = []
         for grp in combo:
             order.extend(grp)
-        yield permute_summands(h, order)
+        yield _relabel(h, order)
 
 
 def canonical_key(h: GradedHiggsBundle) -> str:
-    """Deterministic serialization invariant under summand reordering."""
+    """Deterministic serialization invariant under summand reordering: the
+    least canonical JSON over the orderings of identical summands.  ``h`` is
+    validated once; the orderings are relabellings, which preserve validity,
+    so none is validated again."""
     return min(canonical_json(p) for p in _permutation_orbit(h))
 
 

@@ -70,6 +70,20 @@ def test_build_rejects_missing_spin_choice(capsys):
     assert doc["code"] == "missing-spin"
 
 
+@pytest.mark.parametrize("flags, unread", [
+    ("--group sl:3 --d 4 --maximal", "--d, --maximal"),
+    ("--group sp:4 --pfaffian", "--pfaffian"),
+    ("--group so0:2,3 --d 2 --maximal --q-on 2", "--q-on"),
+    ("--group so0:3,4 --w0 trivial", "--w0"),
+    ("--group sl:4 --spin-name s --classes 1000", "--classes"),
+])
+def test_build_refuses_flags_its_builder_does_not_read(capsys, flags, unread):
+    code, doc = run_json(capsys, "build", "--genus", "2", *flags.split())
+    assert code == 1
+    assert doc["code"] == "precondition"
+    assert doc["message"].endswith(f"builder does not read {unread}")
+
+
 def test_stability_round_trip(tmp_path, capsys):
     code, doc = run_json(capsys, "build", "--group", "so:1,2", "--genus", "2", "--d", "0",
                          "--mu", "--no-nu")

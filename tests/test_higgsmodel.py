@@ -43,6 +43,7 @@ from higgs_atlas import (
     canonical_key,
     embed_so23_to_so2n,
     embed_so23_to_so33,
+    gauge_equivalent,
     gauge_orbit_key,
     make_bundle,
     named_section,
@@ -57,6 +58,7 @@ from higgs_atlas import (
     validate,
     variable,
 )
+from higgs_atlas import higgsmodel
 from helpers import builder_corpus, every_builder_output, oracle_maximal_so23
 
 C2 = Curve(2)
@@ -376,6 +378,26 @@ def test_structural_equality_distinguishes_degrees():
     assert not structurally_equal(build_so12(C2, 1), build_so12(C3, 1))
 
 
+def test_canonical_key_validates_once(monkeypatch):
+    # Six trivial summands of W: 720 orderings, each a relabelling of an
+    # object validated once.
+    calls = []
+
+    def counting_validate(h):
+        calls.append(h)
+        validate(h)
+
+    h = build_maximal_so2n(C2, 6, TrivialW0())
+    monkeypatch.setattr(higgsmodel, "validate", counting_validate)
+    key = canonical_key(h)
+    assert len(calls) == 1 and calls[0] is h
+    calls.clear()
+    p = permute_summands(h, list(reversed(range(len(h.summands)))))
+    assert gauge_equivalent(h, p)
+    assert len(calls) == 3
+    assert canonical_key(p) == key
+
+
 def test_canonicalization_refusal_carries_orbit_size_and_cap():
     # Nine trivial summands of W: 9! orderings, above the 8! cap.
     with pytest.raises(BudgetError) as exc:
@@ -459,6 +481,20 @@ def test_builder_output_bytes_are_frozen(genus):
     assert len(outputs) == 90
     text = "\n".join(canonical_json(h) for h in outputs)
     assert hashlib.sha256(text.encode()).hexdigest() == BUILDER_DIGESTS[genus]
+
+
+# sha256 of every_builder_output's canonical keys, one object per line;
+# any change to the key bytes (the least JSON over the orderings) shows here
+KEY_DIGESTS = {
+    2: "472193f65b906933cc06673f521b3215f9fca6f093e513fbabeb29fc24cee2a7",
+    3: "31f614e1a3f678389c7a893541508d3f41ceff0871daa39793b847b72167db14",
+}
+
+
+@pytest.mark.parametrize("genus", sorted(KEY_DIGESTS))
+def test_canonical_key_bytes_are_frozen(genus):
+    text = "\n".join(canonical_key(h) for h in every_builder_output(Curve(genus)))
+    assert hashlib.sha256(text.encode()).hexdigest() == KEY_DIGESTS[genus]
 
 
 def test_canonical_json_is_deterministic():

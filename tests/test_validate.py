@@ -22,8 +22,10 @@ from higgs_atlas import (
     Summand,
     UnresolvedDegreeError,
     build_maximal_so23,
+    build_so12,
     bundle_from_dict,
     bundle_to_dict,
+    canonical_key,
     make_bundle,
     permute_summands,
     switchable,
@@ -31,9 +33,16 @@ from higgs_atlas import (
     validate,
     variable,
 )
-from higgs_atlas.higgsmodel import _ambient_k_power
+from higgs_atlas.higgsmodel import _ambient_k_power, _permutation_orbit
 from higgs_atlas.linebundle import _make
-from helpers import every_builder_output, expression_validate, mutated_copies, oracle_dual, outcome
+from helpers import (
+    builder_corpus,
+    every_builder_output,
+    expression_validate,
+    mutated_copies,
+    oracle_dual,
+    outcome,
+)
 
 
 @pytest.mark.parametrize("genus", [2, 3])
@@ -55,6 +64,42 @@ def test_validate_agrees_with_the_expression_oracle(genus):
     for check in ("needs a trivial ambient", "nowhere-vanishing entry", "claims a nonzero section",
                   "is listed twice"):
         assert sum(check in text for text in messages) >= 5, check
+
+
+def test_every_ordering_a_key_reads_passes_the_oracle():
+    # _permutation_orbit validates once and relabels; the oracle re-checks
+    # each relabelling it yields
+    orderings = 0
+    for h in every_builder_output(Curve(2)):
+        for p in _permutation_orbit(h):
+            expression_validate(p)
+            orderings += 1
+    assert orderings == 445, orderings
+
+
+def test_canonical_key_raises_exactly_when_the_oracle_does():
+    rng = random.Random(4200)
+    seen = Counter()
+    for h in builder_corpus(4201, 40):
+        for m in mutated_copies(h, rng, 10):
+            want = outcome(expression_validate, m)
+            got = outcome(canonical_key, m)
+            assert (got[0] == "ok") == (want[0] == "ok"), m
+            if got[0] != "ok":
+                # refused in the caller's summand indices, as validate does
+                assert got == outcome(validate, m), m
+            seen[got[0]] += 1
+    assert set(seen) == {"ok", "ModelInvariantError", "UnresolvedDegreeError"}, seen
+
+
+@pytest.mark.parametrize("sigma, message", [
+    ((1, 0), "pairing involution has the wrong length"),
+    ((0, 2, 5), "pairing is not a permutation"),
+])
+def test_canonical_key_refuses_a_malformed_pairing(sigma, message):
+    h = replace(build_so12(Curve(2), 1), sigma=sigma)
+    with pytest.raises(ModelInvariantError, match=message):
+        canonical_key(h)
 
 
 def test_a_repeated_higgs_entry_is_refused():
