@@ -1121,12 +1121,8 @@ _PERM_CAP = 40320  # 8!; exceeded by so0:2,n with trivial W0 once n >= 9 (n triv
 
 def _permutation_orbit(h: GradedHiggsBundle):
     """Every ordering of ``h`` that permutes only within groups of identical
-    summands.  ``h`` is validated once, after the cap check, and no ordering
-    is re-checked: every check ``validate`` makes depends on the object's
-    structure, not on how its summands are numbered (the pairing, entries
-    and extension terms are renumbered with them), so a relabelling of a
-    valid object is valid, and an invalid ``h`` is refused in its own
-    indices."""
+    summands, as relabellings, which check nothing.  The cap is checked
+    when this is called, before any ordering is made."""
     n = len(h.summands)
     base = sorted(range(n), key=lambda i: _summand_key(h, i))
     groups: list[list[int]] = []
@@ -1146,28 +1142,34 @@ def _permutation_orbit(h: GradedHiggsBundle):
             size=total,
             cap=_PERM_CAP,
         )
-    validate(h)
-    for combo in itertools.product(*(itertools.permutations(g) for g in groups)):
-        order: list[int] = []
-        for grp in combo:
-            order.extend(grp)
-        yield _relabel(h, order)
+    return (
+        _relabel(h, [i for grp in combo for i in grp])
+        for combo in itertools.product(*(itertools.permutations(g) for g in groups))
+    )
 
 
 def canonical_key(h: GradedHiggsBundle) -> str:
     """Deterministic serialization invariant under summand reordering: the
     least canonical JSON over the orderings of identical summands.  ``h`` is
-    validated once; the orderings are relabellings, which preserve validity,
-    so none is validated again."""
-    return min(canonical_json(p) for p in _permutation_orbit(h))
+    validated once, after the cap check, and no ordering is re-checked:
+    every check ``validate`` makes depends on the object's structure, not on
+    how its summands are numbered (the pairing, entries and extension terms
+    are renumbered with them), so a relabelling of a valid object is valid,
+    and an invalid ``h`` is refused in its own indices."""
+    orderings = _permutation_orbit(h)
+    validate(h)
+    return min(canonical_json(p) for p in orderings)
 
 
 def gauge_orbit_key(h: GradedHiggsBundle) -> str:
-    """Canonical key under reordering plus the switching move when present."""
-    keys = [canonical_key(h)]
-    if switchable(h):
-        keys.append(canonical_key(switched(h)))
-    return min(keys)
+    """Canonical key under reordering plus the switching move when present.
+    ``switched`` validates the other presentation, so its orderings are
+    read without a second check; they have the cap ``h`` already passed,
+    since switching renames bundles one to one."""
+    key = canonical_key(h)
+    if not switchable(h):
+        return key
+    return min(key, min(canonical_json(p) for p in _permutation_orbit(switched(h))))
 
 
 def structurally_equal(a: GradedHiggsBundle, b: GradedHiggsBundle) -> bool:

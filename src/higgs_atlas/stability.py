@@ -12,6 +12,14 @@ correspond to the subobjects generated by summands; for the families
 produced by the builders these detect all destabilizing subobjects, which
 is why ``check_polystability`` refuses unrecognized shapes unless the
 caller explicitly asserts that summand-generated subobjects suffice.
+
+No arrow joins two connected components of the summand graph, so the
+closed subsets of an object are the unions of one closed subset per
+component.  ``check_polystability`` therefore scans each component on its
+own, at a cost of the sum of 2^|C| over components C instead of 2^n, and
+puts the verdict back together exactly (see its docstring).
+``enumerate_invariant_subobjects`` lists every closed subset and still
+scans all 2^n masks.
 """
 
 from __future__ import annotations
@@ -19,7 +27,13 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from .errors import BudgetError, ParseError, UnrecognizedShapeError, UnsupportedGroupError
+from .errors import (
+    BudgetError,
+    ModelInvariantError,
+    ParseError,
+    UnrecognizedShapeError,
+    UnsupportedGroupError,
+)
 from .higgsmodel import GradedHiggsBundle, GroupTag, gauge_orbit_key
 
 STATUS_STABLE = "stable"
@@ -92,25 +106,39 @@ def _is_closed(mask: int, arrows: list[tuple[int, int]]) -> bool:
     return True
 
 
-def enumerate_invariant_subobjects(h: GradedHiggsBundle) -> list[InvariantSubobject]:
-    """All arrow-closed index subsets, the empty and full ones included,
-    sorted by size then lexicographically."""
-    n = len(h.summands)
+def _check_budget(n: int, size: int) -> None:
     budget = subset_budget()
-    if 1 << n > budget:
+    if size > budget:
         raise BudgetError(
             f"subset scan over {n} summands exceeds the budget {budget}",
             n=n,
             budget=budget,
+            size=size,
         )
-    arrows = _arrows(h)
-    degrees = h.degrees()
+
+
+def _closed_subsets(
+    members: tuple[int, ...], arrows: list[tuple[int, int]], degrees: tuple[int, ...]
+) -> list[InvariantSubobject]:
+    """Every arrow-closed subset of ``members``, a set of indices that no
+    arrow leaves, in mask order; the masks run over local positions."""
+    local = {g: i for i, g in enumerate(members)}
+    arcs = [(local[src], local[tgt]) for src, tgt in arrows if src in local]
     out = []
-    for mask in range(1 << n):
-        if not _is_closed(mask, arrows):
+    for mask in range(1 << len(members)):
+        if not _is_closed(mask, arcs):
             continue
-        indices = tuple(i for i in range(n) if mask >> i & 1)
+        indices = tuple(g for i, g in enumerate(members) if mask >> i & 1)
         out.append(InvariantSubobject(indices, sum(degrees[i] for i in indices)))
+    return out
+
+
+def enumerate_invariant_subobjects(h: GradedHiggsBundle) -> list[InvariantSubobject]:
+    """All arrow-closed index subsets, the empty and full ones included,
+    sorted by size then lexicographically."""
+    n = len(h.summands)
+    _check_budget(n, 1 << n)
+    out = _closed_subsets(tuple(range(n)), _arrows(h), h.degrees())
     out.sort(key=lambda s: (s.size, s.indices))
     return out
 
@@ -153,6 +181,17 @@ def check_polystability(
                  is then an extension that does not split off its
                  destabilizing subobject, so it is not polystable).
 
+    Each component is scanned on its own; the work is the sum of 2^|C|
+    over components C, and it is what the budget bounds.  The closed
+    subsets of largest degree are closed under union and intersection, so
+    the smallest one is unique: it is the positive-degree witness, the
+    union of each component's smallest closed subset of largest degree.
+    When no closed subset has positive degree, the part of a degree-zero
+    closed subset inside each component is closed of degree zero too (no
+    part is positive and the parts sum to zero), so the least subset that
+    cuts through a component lies inside a single one.  Both arguments
+    need the total degree to vanish, which ``validate`` enforces.
+
     Higher-rank block summands are treated as atomic indices; they enter
     with their recorded degree and are taken internally stable, which is
     part of what the builders guarantee.
@@ -163,31 +202,36 @@ def check_polystability(
             "assume_summand_generated=True to scan summand-generated "
             "subobjects anyway"
         )
-    subs = enumerate_invariant_subobjects(h)
     n = len(h.summands)
-    proper = [s for s in subs if 0 < s.size < n]
-    positive = [s for s in proper if s.degree > 0]
-    if positive:
+    comps = components(h)
+    _check_budget(n, sum(1 << len(part) for part in comps))
+    arrows, degrees = _arrows(h), h.degrees()
+    if sum(degrees) != 0:
+        raise ModelInvariantError("total degree must vanish")
+    tops: list[InvariantSubobject] = []
+    zero: list[InvariantSubobject] = []
+    for part in comps:
+        subs = _closed_subsets(part, arrows, degrees)
+        tops.append(_best_witness(subs))
+        zero.extend(s for s in subs if s.degree == 0 and 0 < s.size < len(part))
+    if any(top.degree > 0 for top in tops):
         return StabilityVerdict(
             STATUS_UNSTABLE,
-            witness=_best_witness(positive),
+            witness=InvariantSubobject(
+                tuple(sorted(i for top in tops for i in top.indices)),
+                sum(top.degree for top in tops),
+            ),
             note="destabilizing subobject of positive degree",
         )
-    zero = [s for s in proper if s.degree == 0]
-    if not zero:
-        return StabilityVerdict(STATUS_STABLE, decomposition=(tuple(range(n)),))
-    comps = components(h)
-    cutting = [
-        s for s in zero
-        if any(set(s.indices) & set(part) and not set(part) <= set(s.indices) for part in comps)
-    ]
-    if cutting:
+    if zero:
         return StabilityVerdict(
             STATUS_UNSTABLE,
-            witness=_best_witness(cutting),
+            witness=_best_witness(zero),
             note="degree-zero subobject that does not split off; "
             "semistable but not polystable",
         )
+    if len(comps) <= 1:
+        return StabilityVerdict(STATUS_STABLE, decomposition=(tuple(range(n)),))
     return StabilityVerdict(
         STATUS_POLYSTABLE,
         decomposition=comps,

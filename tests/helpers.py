@@ -4,6 +4,8 @@ Everything here recomputes answers from first principles with code paths
 that share nothing with the package internals, so agreement is evidence
 rather than tautology.  The stability oracle enumerates raw index subsets
 with itertools and uses the complement formulation of splitting; the
+verdict oracle is the single scan over all 2^n masks that the package ran
+before it scanned one connected component at a time; the
 characteristic-class oracle folds a truncated product pair by pair, and
 the Stiefel-Whitney search oracle scans every tuple of classes with the
 coordinate formula for the cup product.  The validation oracle builds each
@@ -70,6 +72,7 @@ from higgs_atlas.higgsmodel import (
     VANISH_NOWHERE,
     GroupTag,
     make_bundle,
+    validate,
 )
 from higgs_atlas.linebundle import LineBundleExpr, _make
 
@@ -112,6 +115,54 @@ def brute_force_polystability(h: GradedHiggsBundle) -> str:
     if not zero_split_all:
         return "unstable"
     return "polystable" if saw_zero else "stable"
+
+
+def subset_scan_verdict(h: GradedHiggsBundle) -> dict:
+    """The verdict document of the single subset scan ``check_polystability``
+    ran before it split objects into components: every one of the 2^n index
+    masks is tested, the closed ones are sorted by size then indices, and
+    the trichotomy is read off that one list.  Witness, decomposition and
+    note are spelled as ``StabilityVerdict.to_dict`` spells them."""
+    n = len(h.summands)
+    arrows = _arrows(h)
+    subs = []
+    for mask in range(1 << n):
+        sub = frozenset(i for i in range(n) if mask >> i & 1)
+        if _is_closed(sub, arrows):
+            subs.append((tuple(sorted(sub)), sum(h.degree_of(i) for i in sub)))
+    subs.sort(key=lambda r: (len(r[0]), r[0]))
+    proper = [r for r in subs if 0 < len(r[0]) < n]
+
+    def best(cands):
+        idx, deg = min(cands, key=lambda r: (-r[1], len(r[0]), r[0]))
+        return {"indices": list(idx), "degree": deg}
+
+    positive = [r for r in proper if r[1] > 0]
+    if positive:
+        return {"status": "unstable", "witness": best(positive),
+                "note": "destabilizing subobject of positive degree"}
+    zero = [r for r in proper if r[1] == 0]
+    if not zero:
+        return {"status": "stable", "decomposition": [list(range(n))]}
+    comps = _undirected_components(n, arrows)
+    cutting = [r for r in zero
+               if any(set(r[0]) & c and not c <= set(r[0]) for c in map(set, comps))]
+    if cutting:
+        return {"status": "unstable", "witness": best(cutting),
+                "note": "degree-zero subobject that does not split off; "
+                        "semistable but not polystable"}
+    return {"status": "polystable", "decomposition": [list(c) for c in comps],
+            "note": f"direct sum of {len(comps)} stable factors of degree zero"}
+
+
+def _undirected_components(n: int, arrows: Sequence[tuple[int, int]]) -> list[tuple[int, ...]]:
+    comp = {i: {i} for i in range(n)}
+    for t, s in arrows:
+        if comp[t] is not comp[s]:
+            merged = comp[t] | comp[s]
+            for i in merged:
+                comp[i] = merged
+    return sorted({tuple(sorted(c)) for c in comp.values()})
 
 
 def sw_fold(classes: Iterable[F2Class]) -> tuple[F2Class, int]:
@@ -455,6 +506,21 @@ def mutated_copies(h: GradedHiggsBundle, rng: random.Random, count: int) -> list
         m = h
         for _ in range(rng.choice((1, 1, 2))):
             m = rng.choice(edits)(m, rng)
+        out.append(m)
+    return out
+
+
+def sub_diagrams(h: GradedHiggsBundle, rng: random.Random, count: int) -> list[GradedHiggsBundle]:
+    """Validated copies of ``h``, each with a random transpose-closed set of
+    Higgs entries removed: an entry goes together with its partner."""
+    pairs = sorted({frozenset({(e.target, e.source), (h.sigma[e.source], h.sigma[e.target])})
+                    for e in h.higgs}, key=sorted)
+    out = []
+    for _ in range(count):
+        keep = rng.random()
+        gone = set().union(*(p for p in pairs if rng.random() >= keep))
+        m = replace(h, higgs=tuple(e for e in h.higgs if (e.target, e.source) not in gone))
+        validate(m)
         out.append(m)
     return out
 

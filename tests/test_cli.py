@@ -468,7 +468,7 @@ def test_budget_errors_carry_their_size(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("HIGGS_ATLAS_BUDGET", "8")
     code, res = run_json(capsys, "stability", "--input", str(path))
     assert code == 1
-    assert (res["code"], res["n"], res["budget"]) == ("budget", 5, 8)
+    assert (res["code"], res["n"], res["budget"], res["size"]) == ("budget", 5, 8, 32)
     monkeypatch.setenv("HIGGS_ATLAS_BUDGET", "2")
     code, res = run_json(capsys, "limit", "--input", str(path), "--search", "1")
     assert code == 1

@@ -398,6 +398,20 @@ def test_canonical_key_validates_once(monkeypatch):
     assert canonical_key(p) == key
 
 
+def test_gauge_orbit_key_validates_each_presentation_once(monkeypatch):
+    # h and its switched presentation, for each side of the comparison
+    calls = []
+
+    def counting_validate(h):
+        calls.append(h)
+        validate(h)
+
+    h = build_maximal_so23(C2, 2)
+    monkeypatch.setattr(higgsmodel, "validate", counting_validate)
+    assert gauge_equivalent(h, h)
+    assert len(calls) == 4
+
+
 def test_canonicalization_refusal_carries_orbit_size_and_cap():
     # Nine trivial summands of W: 9! orderings, above the 8! cap.
     with pytest.raises(BudgetError) as exc:

@@ -2,18 +2,25 @@
 
 from __future__ import annotations
 
+import json
+import random
+from dataclasses import replace
+
 import pytest
 
 from higgs_atlas import (
     BudgetError,
     Curve,
     GroupTag,
+    K_power,
+    ModelInvariantError,
     Summand,
     UnrecognizedShapeError,
     UnsupportedGroupError,
     build_hitchin_sl,
     build_hitchin_sp,
     build_maximal_so23,
+    build_maximal_so2n,
     build_so12,
     build_twisted_fuchsian_sp,
     check_polystability,
@@ -22,12 +29,20 @@ from higgs_atlas import (
     gauge_equivalent,
     make_bundle,
     milnor_wood_bound,
+    permute_summands,
     spin,
     switched,
     unit_section,
     F2Class,
+    TrivialW0,
 )
-from helpers import brute_force_polystability, builder_corpus
+from helpers import (
+    brute_force_polystability,
+    builder_corpus,
+    every_builder_output,
+    sub_diagrams,
+    subset_scan_verdict,
+)
 
 C2 = Curve(2)
 C3 = Curve(3)
@@ -111,6 +126,46 @@ def test_oracle_agreement_on_randomized_corpus():
         assert got == want, (str(h.group), dict(h.meta), got, want)
 
 
+def _verdict_bytes(h, **kwargs):
+    return json.dumps(check_polystability(h, **kwargs).to_dict())
+
+
+def test_component_scan_matches_the_subset_scan():
+    rng = random.Random(3117)
+    objects = every_builder_output(C2) + every_builder_output(C3) + builder_corpus(23, 300)
+    statuses = set()
+    for h in objects:
+        order = list(range(len(h.summands)))
+        rng.shuffle(order)
+        for p in (h, permute_summands(h, order)):
+            want = json.dumps(subset_scan_verdict(p))
+            assert _verdict_bytes(p) == want, (str(p.group), dict(p.meta))
+            statuses.add(json.loads(want)["status"])
+    assert statuses == {"stable", "polystable", "unstable"}
+
+
+def test_component_scan_matches_the_subset_scan_on_sub_diagrams():
+    # Dropping entries splits objects into several components, which the
+    # builders' own outputs seldom do.
+    rng = random.Random(3118)
+    seen = set()
+    for h in every_builder_output(C2) + every_builder_output(C3):
+        for m in sub_diagrams(h, rng, 4):
+            want = subset_scan_verdict(m)
+            assert _verdict_bytes(m, assume_summand_generated=True) == json.dumps(want), (
+                str(m.group), dict(m.meta), [(e.target, e.source) for e in m.higgs])
+            seen.add((len(components(m)) > 1, want["status"], want.get("note", "")[:11]))
+    # every verdict and both kinds of witness, on one component and on several
+    assert seen == {
+        (False, "stable", ""),
+        (False, "unstable", "destabilizi"),
+        (False, "unstable", "degree-zero"),
+        (True, "polystable", "direct sum "),
+        (True, "unstable", "destabilizi"),
+        (True, "unstable", "degree-zero"),
+    }, seen
+
+
 def test_unrecognized_shape_guard():
     h = make_bundle(
         GroupTag("sl", (2,)),
@@ -132,6 +187,35 @@ def test_budget_guard(monkeypatch):
         check_polystability(build_maximal_so23(C2, 1))
     monkeypatch.setenv("HIGGS_ATLAS_BUDGET", "64")
     assert check_polystability(build_maximal_so23(C2, 1)).status == "stable"
+
+
+def test_factors_are_scanned_one_at_a_time(monkeypatch):
+    # 32 summands: 2^32 masks at once, 8 + 29 * 2 one component at a time
+    monkeypatch.delenv("HIGGS_ATLAS_BUDGET", raising=False)
+    h = build_maximal_so2n(C2, 30, TrivialW0(), beta0=False)
+    v = check_polystability(h)
+    assert v.status == "polystable"
+    assert v.decomposition == components(h) and len(v.decomposition) == 30
+    with pytest.raises(BudgetError) as exc:
+        enumerate_invariant_subobjects(h)
+    assert exc.value.payload == {"n": 32, "budget": 2 ** 24, "size": 2 ** 32}
+
+
+def test_connected_object_keeps_the_full_scan_budget(monkeypatch):
+    monkeypatch.delenv("HIGGS_ATLAS_BUDGET", raising=False)
+    with pytest.raises(BudgetError) as exc:
+        check_polystability(build_hitchin_sl(C2, 25, spin_name="s"))
+    assert str(exc.value) == "subset scan over 25 summands exceeds the budget 16777216"
+    assert exc.value.payload == {"n": 25, "budget": 2 ** 24, "size": 2 ** 25}
+
+
+def test_nonzero_total_degree_is_refused():
+    # the per-component verdict rests on a total degree of zero, which
+    # validate guarantees; an object built around validate is refused
+    h = build_hitchin_sl(C2, 3)
+    h = replace(h, summands=(replace(h.summands[0], bundle=K_power(3)),) + h.summands[1:])
+    with pytest.raises(ModelInvariantError, match="total degree must vanish"):
+        check_polystability(h)
 
 
 def test_milnor_wood_bounds_frozen():

@@ -67,7 +67,7 @@ def test_validate_agrees_with_the_expression_oracle(genus):
 
 
 def test_every_ordering_a_key_reads_passes_the_oracle():
-    # _permutation_orbit validates once and relabels; the oracle re-checks
+    # _permutation_orbit relabels without a check; the oracle re-checks
     # each relabelling it yields
     orderings = 0
     for h in every_builder_output(Curve(2)):
