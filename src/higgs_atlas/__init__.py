@@ -7,163 +7,41 @@ verdicts, graded limits, component censuses, dimension counts) is integer
 or symbolic, with assumptions surfaced in the result types rather than
 buried in defaults.
 
-Importing the package loads none of its modules.  A name exported here is
-imported from its module on first access (PEP 562), so a command-line
-process pays only for the modules its verb uses.
+Every name in a library module's ``__all__`` is importable from here.
+Importing the package loads none of its modules: the first access to a
+name (PEP 562) imports them in dependency order until one lists it, so a
+command-line process pays only for the modules its verb uses.
 """
 
 import importlib
 
 __version__ = "0.1.0"
 
-# Exported names, by the module that defines them.
-_EXPORTS = {
-    "curve": ("EXACT", "GENERIC", "Curve", "SectionCount", "h0", "riemann_roch_chi"),
-    "errors": (
-        "BoundError",
-        "BudgetError",
-        "ContradictionError",
-        "DimensionMismatchError",
-        "HiggsAtlasError",
-        "MissingSpinError",
-        "ModelInvariantError",
-        "ParityViolationError",
-        "ParseError",
-        "PreconditionError",
-        "UnrecognizedShapeError",
-        "UnresolvedActionError",
-        "UnresolvedDegreeError",
-        "UnsupportedGroupError",
-        "WrongGroupError",
-    ),
-    "f2cohomology": (
-        "DoubleCover",
-        "F2Class",
-        "InvolutionAction",
-        "PrymDescriptor",
-        "SurjectivityReport",
-        "SWPair",
-        "all_classes",
-        "cup",
-        "minimal_realizing_n",
-        "prym_membership",
-        "sw_surjectivity_witnesses",
-        "total_sw_of_sum",
-    ),
-    "linebundle": (
-        "KIND_DIVISOR",
-        "KIND_SPIN",
-        "KIND_TORSION",
-        "KIND_VARIABLE",
-        "DegreeContext",
-        "LineBundleExpr",
-        "K_power",
-        "divisor_twist",
-        "parse_expr",
-        "spin",
-        "tensor_all",
-        "torsion",
-        "trivial",
-        "variable",
-    ),
-    "higgsmodel": (
-        "DolbeaultTerm",
-        "GradedHiggsBundle",
-        "GroupTag",
-        "HiggsEntry",
-        "PrymW0",
-        "SectionSymbol",
-        "SplitW0",
-        "Summand",
-        "TrivialW0",
-        "make_bundle",
-        "named_section",
-        "unit_section",
-        "validate",
-        "append_trivial_w",
-        "arrow_pattern",
-        "associated_sl",
-        "build_degree_zero_chain",
-        "build_exotic_so",
-        "build_extension_deformed_so35",
-        "build_fuchsian",
-        "build_hitchin_sl",
-        "build_hitchin_so",
-        "build_hitchin_so_nn",
-        "build_hitchin_sp",
-        "build_maximal_so23",
-        "build_maximal_so2n",
-        "build_so12",
-        "build_twisted_fuchsian_sp",
-        "bundle_from_dict",
-        "bundle_to_dict",
-        "canonical_json",
-        "canonical_key",
-        "embed_so23_to_so2n",
-        "embed_so23_to_so33",
-        "gauge_orbit_key",
-        "permute_summands",
-        "so2n_sw_label",
-        "structurally_equal",
-        "summand_degree_multiset",
-        "switchable",
-        "switched",
-    ),
-    "stability": (
-        "InvariantSubobject",
-        "StabilityVerdict",
-        "check_polystability",
-        "components",
-        "enumerate_invariant_subobjects",
-        "gauge_equivalent",
-        "milnor_wood_bound",
-    ),
-    "deformation": (
-        "DEFORMED_SO35_RETRACTION",
-        "DEFORMED_SO35_STABLE_BRANCH",
-        "DIRECTION_TO_INFINITY",
-        "DIRECTION_TO_ZERO",
-        "ExponentRow",
-        "ExponentTable",
-        "LimitResult",
-        "NDescriptor",
-        "WeightAssignment",
-        "compose_weights",
-        "exponent_table",
-        "graded_limit",
-        "limit_destabilized_branch",
-        "search_admissible_weights",
-        "zero_weights",
-    ),
-    "catalog": (
-        "Census",
-        "ComponentDescriptor",
-        "Parameterization",
-        "census",
-        "character_variety_dimension",
-        "dimension_consistency",
-        "extra_factor_dimension",
-        "group_dim",
-        "half_dimension",
-        "parameterization",
-        "resolve_extra_factor_reading",
-    ),
-    "verification": ("CheckResult", "all_check_names", "run_checks"),
-}
+# The library modules, each after the modules it imports.
+_MODULES = ("errors", "curve", "linebundle", "f2cohomology", "higgsmodel", "stability",
+            "deformation", "catalog", "verification")
 
-_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = sorted(_MODULE_OF)
+def _modules():
+    for name in _MODULES:
+        yield importlib.import_module(f".{name}", __name__)
 
 
 def __getattr__(name: str):
-    module = _MODULE_OF.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    if name == "__all__":
+        value = sorted(n for module in _modules() for n in module.__all__)
+    else:
+        # A submodule name fails at once, so `from higgs_atlas import cli`
+        # imports that submodule and nothing else.
+        owner = None
+        if not name.startswith("_") and name not in (*_MODULES, "cli"):
+            owner = next((m for m in _modules() if name in m.__all__), None)
+        if owner is None:
+            raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+        value = getattr(owner, name)
     globals()[name] = value
     return value
 
 
 def __dir__() -> list[str]:
-    return sorted(set(globals()) | _MODULE_OF.keys())
+    return sorted(set(globals()) | set(__getattr__("__all__")))

@@ -27,7 +27,13 @@ import json
 import sys
 
 from . import __version__
-from .errors import HiggsAtlasError, ParseError, PreconditionError, UnsupportedGroupError
+from .errors import (
+    HiggsAtlasError,
+    ParseError,
+    PreconditionError,
+    UnsupportedGroupError,
+    _read_int,
+)
 
 # The choices of --sector (catalog.SECTOR_*) and --direction
 # (deformation.DIRECTION_*), spelled out so that building the parser
@@ -74,11 +80,26 @@ def _parse_classes(genus: int, text: str) -> list:
     return out
 
 
-def _parse_ints(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(p) for p in text.split(",") if p.strip())
-    except ValueError as exc:
-        raise ParseError(f"bad integer list {text!r}") from exc
+def _int_flag(signed: bool):
+    """An argparse type for the package's integer rule (``errors._read_int``)."""
+
+    def parse(text: str) -> int:
+        if (value := _read_int(text, signed)) is None:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        return value
+
+    return parse
+
+
+_INT, _COUNT = _int_flag(signed=True), _int_flag(signed=False)
+
+
+def _parse_ints(text: str, signed: bool) -> tuple[int, ...]:
+    """A comma list of integers; spaces around the commas are allowed."""
+    values = tuple(_read_int(p.strip(), signed) for p in text.split(",") if p.strip())
+    if None in values:
+        raise ParseError(f"bad integer list {text!r}")
+    return values
 
 
 def _parse_w0(genus: int, text: str):
@@ -87,13 +108,13 @@ def _parse_w0(genus: int, text: str):
 
     parts = text.split(":")
     if parts[0] == "split":
-        if len(parts) != 2:
+        if len(parts) != 2 or (degree := _read_int(parts[1], signed=True)) is None:
             raise ParseError("expected split:<degree>")
-        return SplitW0(int(parts[1]))
+        return SplitW0(degree)
     if parts[0] == "prym":
-        if len(parts) != 3:
+        if len(parts) != 3 or (sw2 := _read_int(parts[2])) is None:
             raise ParseError("expected prym:<sw1 bits>:<sw2 bit>")
-        return PrymW0(F2Class.from_bits(parts[1]), int(parts[2]))
+        return PrymW0(F2Class.from_bits(parts[1]), sw2)
     if parts[0] == "trivial" and len(parts) == 1:
         return TrivialW0()
     raise ParseError(f"unknown rank-2 complement descriptor {text!r}")
@@ -139,7 +160,7 @@ def _cmd_build(args) -> dict:
 
     group = GroupTag.parse(args.group)
     curve = Curve(args.genus)
-    q_on = _parse_ints(args.q_on) if args.q_on else ()
+    q_on = _parse_ints(args.q_on, signed=False) if args.q_on else ()
     fam, params = group.family, group.params
 
     if fam == "sl":
@@ -259,7 +280,7 @@ def _cmd_limit(args) -> dict:
         return res.to_dict()
     if not args.weights:
         raise PreconditionError("need --weights, --search, or --line-degree")
-    w = WeightAssignment(_parse_ints(args.weights), args.scale)
+    w = WeightAssignment(_parse_ints(args.weights, signed=True), args.scale)
     return graded_limit(h, w, args.direction, with_stability=args.with_stability).to_dict()
 
 
@@ -394,11 +415,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_group_genus(p):
         p.add_argument("--group", required=True, help="family:params, e.g. so0:2,3")
-        p.add_argument("--genus", type=int, required=True)
+        p.add_argument("--genus", type=_COUNT, required=True)
 
     p = sub.add_parser("build", help="construct an object")
     add_group_genus(p)
-    p.add_argument("--d", type=int, default=None, help="integer component label")
+    p.add_argument("--d", type=_INT, default=None, help="integer component label")
     p.add_argument("--q-on", default=None, help="comma list of enabled differentials")
     p.add_argument("--spin-name", default=None)
     p.add_argument("--classes", default=None, help="comma list of 2g-bit strings")
@@ -419,23 +440,23 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("limit", help="graded limits of a document")
     p.add_argument("--input", required=True)
     p.add_argument("--weights", default="", help="comma list, one weight per summand")
-    p.add_argument("--scale", type=int, default=1)
+    p.add_argument("--scale", type=_INT, default=1)
     p.add_argument(
         "--direction",
         choices=DIRECTION_CHOICES,
         default=DIRECTION_CHOICES[0],
     )
     p.add_argument("--with-stability", action="store_true")
-    p.add_argument("--search", type=int, default=None, metavar="BOUND")
-    p.add_argument("--line-degree", type=int, default=None)
+    p.add_argument("--search", type=_COUNT, default=None, metavar="BOUND")
+    p.add_argument("--line-degree", type=_INT, default=None)
     p.set_defaults(fn=_cmd_limit)
 
     p = sub.add_parser("sw", help="Stiefel-Whitney arithmetic")
-    p.add_argument("--genus", type=int, required=True)
+    p.add_argument("--genus", type=_COUNT, required=True)
     p.add_argument("--classes", default="")
     p.add_argument("--surjectivity", action="store_true")
     p.add_argument("--minimal-n", action="store_true")
-    p.add_argument("--n", type=int, default=3)
+    p.add_argument("--n", type=_COUNT, default=3)
     p.set_defaults(fn=_cmd_sw)
 
     p = sub.add_parser("census", help="component catalog")
@@ -446,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("param", help="parameterization of a labelled component")
     add_group_genus(p)
-    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--d", type=_INT, required=True)
     p.set_defaults(fn=_cmd_param)
 
     p = sub.add_parser("dim", help="dimension bookkeeping")

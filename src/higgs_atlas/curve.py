@@ -105,5 +105,4 @@ __all__ = [
     "GENERIC",
     "riemann_roch_chi",
     "h0",
-    "UnresolvedDegreeError",
 ]

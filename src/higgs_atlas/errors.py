@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by every module.
+"""Exception hierarchy shared by every module, and the one integer reader.
 
 Each error carries a short machine-readable ``code`` so the command-line
 layer can report failures as structured JSON without string matching.
@@ -74,3 +74,20 @@ class ModelInvariantError(HiggsAtlasError):
 
 class ParseError(HiggsAtlasError):
     code = "parse"
+
+
+def _read_int(text: str, signed: bool = False) -> int | None:
+    """``text`` as an integer when it is ASCII digits, after one leading
+    ``-`` if ``signed``; otherwise None.  This is the package's one rule for
+    integers written as text: ``int`` would also take spaces, ``+``, ``_``
+    and non-ASCII digits, and none of those is accepted."""
+    digits = text[1:] if signed and text.startswith("-") else text
+    return int(text) if digits.isascii() and digits.isdigit() else None
+
+
+__all__ = [
+    "HiggsAtlasError", "UnresolvedDegreeError", "DimensionMismatchError",
+    "UnresolvedActionError", "MissingSpinError", "BoundError", "PreconditionError",
+    "WrongGroupError", "UnsupportedGroupError", "UnrecognizedShapeError", "BudgetError",
+    "ContradictionError", "ParityViolationError", "ModelInvariantError", "ParseError",
+]

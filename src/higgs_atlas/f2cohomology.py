@@ -178,32 +178,35 @@ def _keys(genus: int) -> list[tuple[int, int]]:
     return [(value, sw2) for value in range(1 << (2 * genus)) for sw2 in (0, 1)]
 
 
-def _reach_sets(genus: int, n: int) -> list[set[tuple[int, int]]]:
-    """reach[m]: the integer (sw_1, sw_2) of every m-term sum, m = 0..n.
-    Once a set holds every value, so do all later ones."""
-    even = _even_bits(genus)
-    size = 1 << (2 * genus)
-    reach = [{(0, 0)}]
-    for _ in range(n):
-        last = reach[-1]
-        if len(last) < 2 * size:
-            last = {(s1 ^ c, s2 ^ _cup_int(s1, c, even)) for s1, s2 in last for c in range(size)}
-        reach.append(last)
-    return reach
+def _fewest_classes(key: tuple[int, int]) -> int:
+    """The fewest classes (at least one) whose sum has the integer
+    (sw_1, sw_2) data ``key``.
+
+    sw_2 = 0 needs one class (v itself).  sw_2 = 1 with v != 0 needs two,
+    a and v + a with cup(a, v) = 1; such an a exists because the cup form
+    is nondegenerate.  (0, 1) needs three, a, b and a + b with
+    cup(a, b) = 1, since two classes summing to 0 are equal and the cup
+    form is alternating.  Any larger number works too (pad with zeros).
+    """
+    value, sw2 = key
+    return 1 if not sw2 else 2 if value else 3
 
 
-def _smallest_witness(
-    target: tuple[int, int], reach: list[set[tuple[int, int]]], genus: int
-) -> list[int]:
-    """The lexicographically smallest len(reach) - 1 classes whose sum has
-    the integer data ``target``, which must lie in reach[-1]."""
+def _reachable(key: tuple[int, int], m: int) -> bool:
+    """Is ``key`` the data of some m-term sum?  Zero classes reach only (0, 0)."""
+    return m >= _fewest_classes(key) or key == (0, 0)
+
+
+def _smallest_witness(target: tuple[int, int], n: int, genus: int) -> list[int]:
+    """The lexicographically smallest n classes whose sum has the integer
+    data ``target``, which must be reachable by n classes."""
     even = _even_bits(genus)
     t1, t2 = target
     out = []
-    for left in range(len(reach) - 1, 0, -1):
+    for left in range(n, 0, -1):
         for c in range(1 << (2 * genus)):
             rest = (t1 ^ c, t2 ^ _cup_int(c, t1, even))
-            if rest in reach[left - 1]:
+            if _reachable(rest, left - 1):
                 break
         out.append(c)
         t1, t2 = rest
@@ -213,12 +216,11 @@ def _smallest_witness(
 def sw_surjectivity_witnesses(genus: int, n: int) -> SurjectivityReport:
     """Witnesses of every SW value reachable by a sum of n classes.
 
-    The values reachable by m classes form the sets reach[0] = {(0, 0)},
-    reach[m + 1] = {(s1 + c, s2 + cup(s1, c))} over all 2^(2g) classes c,
-    so the cost grows with n rather than as (2^(2g))^n.  Each witness is
-    built greedily, which gives the lexicographically smallest tuple: with
-    k classes left to choose and target (t1, t2), take the smallest class c
-    whose remainder (t1 + c, t2 + cup(c, t1)) lies in reach[k - 1].
+    Which values m classes reach has a closed form (``_reachable``), so the
+    cost grows with n rather than as (2^(2g))^n.  Each witness is built
+    greedily, which gives the lexicographically smallest tuple: with k
+    classes left to choose and target (t1, t2), take the smallest class c
+    whose remainder (t1 + c, t2 + cup(c, t1)) k - 1 classes reach.
 
     Only genus 2 or 3 is supported.  n = 1 is allowed but the resulting
     map cannot be complete (sw_2 of a single summand is always 0); the
@@ -227,14 +229,13 @@ def sw_surjectivity_witnesses(genus: int, n: int) -> SurjectivityReport:
     _check_search_genus(genus)
     if n < 1:
         raise ValueError("need at least one summand")
-    reach = _reach_sets(genus, n)
     classes = all_classes(genus)
     witnesses = []
     missing = []
     for value, sw2 in _keys(genus):
         pair = SWPair(classes[value], sw2)
-        if (value, sw2) in reach[n]:
-            witness = _smallest_witness((value, sw2), reach, genus)
+        if _reachable((value, sw2), n):
+            witness = _smallest_witness((value, sw2), n, genus)
             witnesses.append((pair, tuple(classes[c] for c in witness)))
         else:
             missing.append(pair)
@@ -251,15 +252,12 @@ def minimal_realizing_n(genus: int, n_max: int = 3) -> dict[SWPair, int | None]:
     if n_max < 1:
         return {}
     _check_search_genus(genus)
-    reach = _reach_sets(genus, n_max)
-    first: dict[tuple[int, int], int | None] = {}
-    for m in range(1, n_max + 1):
-        for key in sorted(reach[m]):
-            first.setdefault(key, m)
-    for key in _keys(genus):
-        first.setdefault(key, None)
+    keys = sorted(_keys(genus), key=lambda key: (min(_fewest_classes(key), n_max + 1), key))
     classes = all_classes(genus)
-    return {SWPair(classes[value], sw2): m for (value, sw2), m in first.items()}
+    return {
+        SWPair(classes[value], sw2): m if (m := _fewest_classes((value, sw2))) <= n_max else None
+        for value, sw2 in keys
+    }
 
 
 # -- double covers and Prym data -------------------------------------------

@@ -33,6 +33,7 @@ from .errors import (
     ParseError,
     PreconditionError,
     WrongGroupError,
+    _read_int,
 )
 from .f2cohomology import F2Class, SWPair
 from .linebundle import (
@@ -91,9 +92,11 @@ class GroupTag:
 
     @staticmethod
     def parse(text: str) -> "GroupTag":
+        family, colon, rest = text.partition(":")
+        params = tuple(_read_int(p) for p in rest.split(","))
         try:
-            family, rest = text.split(":", 1)
-            params = tuple(int(p) for p in rest.split(","))
+            if not colon or None in params:
+                raise ValueError("group parameters must be integers")
             return GroupTag(family, params)
         except ValueError as exc:
             raise ParseError(f"bad group tag {text!r}") from exc
@@ -1088,8 +1091,8 @@ def switched(h: GradedHiggsBundle) -> GradedHiggsBundle:
     if var in declared:
         declared[var] = -declared[var]
     new_meta = dict(meta)
-    if "d" in new_meta:
-        new_meta["d"] = -int(str(new_meta["d"])) if str(new_meta["d"]).lstrip("-").isdigit() else new_meta["d"]
+    if "d" in new_meta and (d := _read_int(str(new_meta["d"]), signed=True)) is not None:
+        new_meta["d"] = -d
     out = replace(
         h,
         summands=tuple(

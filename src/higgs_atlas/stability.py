@@ -33,6 +33,7 @@ from .errors import (
     ParseError,
     UnrecognizedShapeError,
     UnsupportedGroupError,
+    _read_int,
 )
 from .higgsmodel import GradedHiggsBundle, GroupTag, gauge_orbit_key
 
@@ -47,11 +48,10 @@ def subset_budget() -> int:
     """The work budget from HIGGS_ATLAS_BUDGET; unset or empty means
     DEFAULT_BUDGET, anything but a positive integer is rejected."""
     raw = os.environ.get("HIGGS_ATLAS_BUDGET", "")
-    if not raw:
-        return DEFAULT_BUDGET
-    if not (raw.isascii() and raw.isdigit()) or int(raw) == 0:
+    budget = _read_int(raw) if raw else DEFAULT_BUDGET
+    if not budget:
         raise ParseError(f"HIGGS_ATLAS_BUDGET must be a positive integer, not {raw!r}")
-    return int(raw)
+    return budget
 
 
 @dataclass(frozen=True)

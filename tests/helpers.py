@@ -8,13 +8,14 @@ verdict oracle is the single scan over all 2^n masks that the package ran
 before it scanned one connected component at a time; the
 characteristic-class oracle folds a truncated product pair by pair, and
 the Stiefel-Whitney search oracle scans every tuple of classes with the
-coordinate formula for the cup product.  The validation oracle builds each
-Higgs entry's ambient as a line-bundle expression and reads its degree and
-shape from that expression; its duals are rebuilt by negating every
-exponent and reducing again, not by the closed form.  The builder oracle
-writes the maximal signature-(2, 3) object out summand by summand, with no
-chain or M-pair helper, so a fault in those helpers cannot show on both
-sides of a comparison.
+coordinate formula for the cup product, and the reachability oracle grows
+the set of values m classes reach one class at a time.  The validation
+oracle builds each Higgs entry's ambient as a line-bundle expression and
+reads its degree and shape from that expression; its duals are rebuilt
+by negating every exponent and reducing again, not by the closed form.
+The builder oracle writes the maximal signature-(2, 3) object out summand
+by summand, with no chain or M-pair helper, so a fault in those helpers
+cannot show on both sides of a comparison.
 """
 
 from __future__ import annotations
@@ -223,6 +224,18 @@ def brute_force_sw_witnesses(genus: int, n: int) -> SurjectivityReport:
             else:
                 missing.append(pair)
     return SurjectivityReport(genus, n, tuple(witnesses), tuple(missing))
+
+
+def reach_sets(genus: int, n: int) -> list[set[tuple[int, int]]]:
+    """reach[m]: the integer (sw_1, sw_2) of every m-term sum, m = 0..n,
+    grown as reach[m + 1] = {(s1 + c, s2 + cup(s1, c))} over every class c."""
+    size = 1 << (2 * genus)
+    classes = [F2Class.from_int(genus, v) for v in range(size)]
+    cup = [[cup_coords(x, y) for y in classes] for x in classes]
+    reach = [{(0, 0)}]
+    for _ in range(n):
+        reach.append({(s1 ^ c, s2 ^ cup[s1][c]) for s1, s2 in reach[-1] for c in range(size)})
+    return reach
 
 
 def brute_force_minimal_n(genus: int, n_max: int) -> dict[SWPair, int | None]:

@@ -439,6 +439,68 @@ def _object_file(tmp_path, capsys, *build_args):
 
 
 SO23 = ("--group", "so0:2,3", "--genus", "2", "--d", "1", "--maximal")
+SO25 = ("--group", "so0:2,5", "--genus", "2", "--maximal")
+
+
+# An integer written as text is ASCII digits, with one leading "-" only where
+# negatives make sense; spaces, "+", "_" and non-ASCII digits are refused.
+# A group tag, integer list or --w0 descriptor is a parse error (exit 1), a
+# flag value a usage error (exit 2).
+@pytest.mark.parametrize("argv, expected_code, error_code", [
+    (["build", "--group", "sl: 3", "--genus", "2"], 1, "parse"),
+    (["build", "--group", "sl:1_0", "--genus", "2"], 1, "parse"),
+    (["build", "--group", "sl:+3", "--genus", "2"], 1, "parse"),
+    (["build", "--group", "sl:٣", "--genus", "2"], 1, "parse"),
+    (["build", "--group", "sl:-3", "--genus", "2"], 1, "parse"),
+    (["census", "--group", "so: 1,2", "--genus", "2"], 1, "parse"),
+    (["build", "--group", "sl:3", "--genus", "2", "--q-on", "2,+3"], 1, "parse"),
+    (["build", "--group", "sl:3", "--genus", "2", "--q-on", "2,3_0"], 1, "parse"),
+    (["build", "--group", "sl:3", "--genus", "2", "--q-on", "-2"], 1, "parse"),
+    (["build", *SO25, "--w0", "split:+1"], 1, "parse"),
+    (["build", *SO25, "--w0", "split: 1"], 1, "parse"),
+    (["build", *SO25, "--w0", "prym:1000:+1"], 1, "parse"),
+    (["limit", "--input", "DOC", "--weights", "0,0,+1,0,0"], 1, "parse"),
+    (["build", *SO23[:4], "--d", "1_0", "--maximal"], 2, None),
+    (["build", *SO23[:4], "--d", "+1", "--maximal"], 2, None),
+    (["build", *SO23[:4], "--d", " 1", "--maximal"], 2, None),
+    (["sw", "--genus", "2", "--minimal-n", "--n", "0_3"], 2, None),
+    (["sw", "--genus", "2", "--minimal-n", "--n", "-1"], 2, None),
+    (["sw", "--genus", "２", "--minimal-n"], 2, None),
+    (["census", "--group", "sl:3", "--genus", "two"], 2, None),
+    (["param", "--group", "so0:2,3", "--genus", "2", "--d", "٣"], 2, None),
+    (["limit", "--input", "DOC", "--search", "-1"], 2, None),
+    (["limit", "--input", "DOC", "--weights", "0,0,0,0,0", "--scale", "+1"], 2, None),
+    (["build", "--group", "sl:3", "--genus", "2", "--q-on", " 2 , 3 "], 0, None),
+    (["build", *SO23[:4], "--d", "-1", "--maximal"], 0, None),
+    (["build", *SO25, "--w0", "split:-1"], 0, None),
+    (["limit", "--input", "DOC", "--weights", " -1 , 1,0,0,0", "--scale=-1"], 0, None),
+    (["limit", "--input", "DOC", "--weights=-1,1,0,0,0"], 0, None),
+])
+def test_one_integer_rule_at_both_boundaries(argv, expected_code, error_code, tmp_path, capsys):
+    path = _object_file(tmp_path, capsys, *SO23)
+    argv = [str(path) if a == "DOC" else a for a in argv]
+    if expected_code == 2:
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "invalid int value" in capsys.readouterr().err
+        return
+    code, doc = run_json(capsys, *argv)
+    assert code == expected_code, doc
+    assert doc.get("code") == error_code, doc
+
+
+def test_a_document_group_tag_follows_the_integer_rule(tmp_path, capsys):
+    _, doc = run_json(capsys, "build", "--group", "so:1,2", "--genus", "2", "--d", "1")
+    doc["group"] = "so: 1,2"
+    path = tmp_path / "object.json"
+    path.write_text(json.dumps(doc))
+    code, res = run_json(capsys, "stability", "--input", str(path))
+    assert code == 1
+    assert res["code"] == "parse"
+    assert "so: 1,2" in res["message"]
+
+
 
 
 @pytest.mark.parametrize("value", ["-5", "0", "abc", "2.5", " 8"])

@@ -6,6 +6,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
+from higgs_atlas import f2cohomology
 from higgs_atlas import (
     Curve,
     DegreeContext,
@@ -30,6 +31,7 @@ from helpers import (
     brute_force_minimal_n,
     brute_force_sw_witnesses,
     cup_coords,
+    reach_sets,
     sw_fold,
     sw_fold_explicit,
 )
@@ -163,6 +165,16 @@ def test_surjectivity_genus_guard():
         sw_surjectivity_witnesses(2, 0)
     with pytest.raises(DimensionMismatchError):
         minimal_realizing_n(4, 1)
+
+
+@pytest.mark.parametrize("genus", [2, 3])
+def test_closed_form_reachability_matches_the_reach_sets(genus):
+    reach = reach_sets(genus, 5)
+    for m, values in enumerate(reach):
+        for value in range(1 << (2 * genus)):
+            for sw2 in (0, 1):
+                key = (value, sw2)
+                assert f2cohomology._reachable(key, m) == (key in values), (key, m)
 
 
 @pytest.mark.parametrize("genus", [2, 3])

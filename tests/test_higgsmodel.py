@@ -368,6 +368,15 @@ def test_switch_is_an_involution():
     validate(s)
 
 
+@pytest.mark.parametrize("label, switched_label", [
+    ("3", -3), ("-3", 3), ("²", "²"), ("--3", "--3"), ("+3", "+3"), ("1_0", "1_0"),
+])
+def test_switch_negates_only_an_integer_label(label, switched_label):
+    doc = bundle_to_dict(build_maximal_so23(C2, 3))
+    doc["meta"]["d"] = label
+    assert dict(switched(bundle_from_dict(doc)).meta)["d"] == switched_label
+
+
 def test_switch_requires_a_declared_move():
     with pytest.raises(WrongGroupError):
         switched(build_hitchin_sl(C2, 3))
