@@ -3,12 +3,16 @@ product parameterizations of the integer-labelled components."""
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import pytest
 
 from higgs_atlas import (
     BoundError,
     Curve,
     GroupTag,
+    HiggsAtlasError,
     UnsupportedGroupError,
     census,
     character_variety_dimension,
@@ -202,3 +206,59 @@ def test_census_component_dimensions_match():
 def test_census_unknown_sector():
     with pytest.raises(UnsupportedGroupError):
         census(tag("sl:3"), 2, "sideways")
+
+
+# -- frozen documents ------------------------------------------------------------
+
+# Every census branch, plus groups with no census or no bound; each is asked
+# for a census and a dimension report at genus 2-4 in both sectors.
+FROZEN_GROUPS = (
+    "sl:2", "sl:3", "sl:4", "psl:2", "psl:3", "sp:2", "sp:4", "sp:6", "sp:8",
+    "so:1,2", "so:2,3", "so0:1,2", "so0:2,3", "so0:2,4", "so0:2,5", "so0:3,3",
+    "so0:3,4", "so0:4,5",
+)
+
+
+def census_documents(text):
+    """One line per (genus, sector, question): the document's canonical
+    JSON, or the refusal's class and code."""
+    lines = []
+    for genus in (2, 3, 4):
+        for sector in ("all", "maximal"):
+            for ask in (lambda: census(tag(text), genus, sector).to_dict(),
+                        lambda: dimension_consistency(tag(text), genus, sector)):
+                try:
+                    lines.append(json.dumps(ask(), sort_keys=True))
+                except HiggsAtlasError as exc:
+                    lines.append(f"{type(exc).__name__}:{exc.code}")
+    return lines
+
+
+# sha256 of census_documents(group), one document per line
+CENSUS_DIGESTS = {
+    "sl:2": "ae40da6a9a88cad94accc515f18fe66c555259ee52b4cdd11f4a2d157be2a9cc",
+    "sl:3": "8fc905dbe649a6aba53e997bc935d3f8cac2def392725ba0b6af90d77b6f530c",
+    "sl:4": "74aa56a40acec1887e0afddc1efa3ddea82a47ccb1f86b7cef776f6cc9c78a8a",
+    "psl:2": "249536b100992c3e3d6aa1f3e74f98e934e3beca6908e738a9f88d8497b6107f",
+    "psl:3": "639cb2f4569c16f5caa056654871cd37745b7b54282dceba71fd8e80e6d6c121",
+    "sp:2": "2b68b153c72a8e8d26d87b49cb2f3a5215a435c3fd25ede1807bc7e79f257863",
+    "sp:4": "639cb2f4569c16f5caa056654871cd37745b7b54282dceba71fd8e80e6d6c121",
+    "sp:6": "ac9337aa1cb7a5a297bdffc8159082eb44047cee95279ece4ee14824e80761de",
+    "sp:8": "0bd61b6e54ea570247541b587242e27150c6ac17d511153af24b3af788f80ea4",
+    "so:1,2": "3785c91a2008070386364c7bd977eae53537bfc003204056b8bb486630ccafa3",
+    "so:2,3": "639cb2f4569c16f5caa056654871cd37745b7b54282dceba71fd8e80e6d6c121",
+    "so0:1,2": "e24302e34b68c4e537b0090110385521427edac6974fb81ce40547c9b30dee70",
+    "so0:2,3": "31a4f2460e87645629184c2f3ab41e995744ec9db22aff3c5a0bb006bc9716a1",
+    "so0:2,4": "ca32152c046e9ae43f0a495d16b4c30460cc58acb54de16c0757c771544ac0e8",
+    "so0:2,5": "08b6c651ffcde0452cca8585131078ad0926ff17d8317ca1c182e142a4e8adab",
+    "so0:3,3": "639cb2f4569c16f5caa056654871cd37745b7b54282dceba71fd8e80e6d6c121",
+    "so0:3,4": "07a0e70d5176912feec5a086740db3de17d6adae3b7a2c96c80f4f568d655266",
+    "so0:4,5": "9fe6fabc52fc3f9479530e5ab95d4d0b06582dfc5560579a5bbc5c0ba67cc8d1",
+}
+
+
+@pytest.mark.parametrize("text", FROZEN_GROUPS)
+def test_census_and_dimension_documents_are_frozen(text):
+    lines = census_documents(text)
+    assert len(lines) == 12
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == CENSUS_DIGESTS[text]

@@ -3,6 +3,9 @@ degenerations of the extension-deformed family."""
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import pytest
 from dataclasses import replace
 
@@ -13,6 +16,7 @@ from higgs_atlas import (
     DEFORMED_SO35_RETRACTION,
     DEFORMED_SO35_STABLE_BRANCH,
     DimensionMismatchError,
+    HiggsAtlasError,
     NDescriptor,
     ParityViolationError,
     PreconditionError,
@@ -201,3 +205,34 @@ def test_limits_of_chain_objects_stay_valid():
     for w, res in search_admissible_weights(h, 2):
         assert res.exists
         validate(res.limit)
+
+
+def branch_documents(genus):
+    """One line per label d = 1..3(2g-2) of the deformed family and line
+    degree 0..3(2g-2)+1: the branch limit's canonical JSON, or the
+    refusal's class and code."""
+    bound = 3 * (2 * genus - 2)
+    lines = []
+    for d in range(1, bound + 1):
+        h = build_extension_deformed_so35(Curve(genus), d)
+        for degree in range(bound + 2):
+            try:
+                doc = limit_destabilized_branch(h, NDescriptor(degree)).to_dict()
+                lines.append(json.dumps(doc, sort_keys=True))
+            except HiggsAtlasError as exc:
+                lines.append(f"{type(exc).__name__}:{exc.code}")
+    return lines
+
+
+# sha256 of branch_documents(genus), one document per line
+BRANCH_DIGESTS = {
+    2: "cd74d19442ef0a51b6c39a53c466a501c0dfd2589ac67ff6da7b5227c466f8a4",
+    3: "313bb6f3a166e4ac3e3ab3601a3ecf464699e6997ddecdc5d8d8d590e3893397",
+}
+
+
+@pytest.mark.parametrize("genus", sorted(BRANCH_DIGESTS))
+def test_destabilized_branch_documents_are_frozen(genus):
+    lines = branch_documents(genus)
+    assert len(lines) == 3 * (2 * genus - 2) * (3 * (2 * genus - 2) + 2)
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == BRANCH_DIGESTS[genus]
