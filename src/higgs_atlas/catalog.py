@@ -24,9 +24,8 @@ from dataclasses import dataclass
 from .curve import Curve, h0
 from .errors import BoundError, UnsupportedGroupError
 from .f2cohomology import SWPair, all_classes
-from .higgsmodel import GroupTag
+from .higgsmodel import GroupTag, milnor_wood_bound
 from .linebundle import K_power, variable
-from .stability import milnor_wood_bound
 
 SECTOR_ALL = "all"
 SECTOR_MAXIMAL = "maximal"
@@ -119,7 +118,7 @@ def parameterization(group: GroupTag, d: int, genus: int) -> Parameterization:
     """
     curve = Curve(genus)
     n = _twist_rank(group)
-    bound = n * (2 * genus - 2)
+    bound = milnor_wood_bound(group, genus)
     if d == 0:
         raise BoundError(
             "the degree-zero slot is a quotient, not a product",
@@ -146,7 +145,7 @@ def resolve_extra_factor_reading(n: int, genus: int) -> dict:
     """
     curve = Curve(genus)
     group = GroupTag("so", (1, 2)) if n == 1 else GroupTag("so0", (n, n + 1))
-    bound = n * (2 * genus - 2)
+    bound = milnor_wood_bound(group, genus)
     d = 1
     fiber = h0(curve, variable("M").tensor(K_power(n)), declared={"M": d}).value
     base = bound - d
@@ -234,9 +233,31 @@ def _sw_labels(genus: int, nonzero_only: bool) -> list[SWPair]:
     return out
 
 
+def _labelled_rows(
+    group: GroupTag, genus: int, dim: int, cover: bool = False, remark_level: bool = False
+) -> list[ComponentDescriptor]:
+    """One row per label d = 0..bound: d = 0 retracts onto Pic^0(X)/Z_2
+    (``remark_level`` marks it), each d > 0 is a Sym^(bound - d)(X)-bundle
+    with its parameterization, and d = bound is the Hitchin component.
+    ``cover`` records the cover multiplicity, 1 at d = 0 and 2 above."""
+    bound = milnor_wood_bound(group, genus)
+    return [
+        ComponentDescriptor(
+            group,
+            f"d={d}",
+            dim,
+            parameterization=parameterization(group, d, genus) if d else None,
+            retraction=f"Sym^{bound - d}(X)-bundle" if d else PIC_ZERO_RETRACTION,
+            cover_multiplicity=(2 if d else 1) if cover else None,
+            hitchin=(d == bound),
+            remark_level=remark_level and not d,
+        )
+        for d in range(bound + 1)
+    ]
+
+
 def census(group: GroupTag, genus: int, sector: str = SECTOR_ALL) -> Census:
-    curve = Curve(genus)
-    g = genus
+    Curve(genus)
     dim = half_dimension(group, genus)
     fam, params = group.family, group.params
 
@@ -294,41 +315,8 @@ def census(group: GroupTag, genus: int, sector: str = SECTOR_ALL) -> Census:
             note="maximal sector only; three components per spin choice",
         )
 
-    if fam == "so" and params == (1, 2) and sector == SECTOR_ALL:
-        bound = milnor_wood_bound(group, genus)
-        comps = []
-        for d in range(0, bound + 1):
-            comps.append(
-                ComponentDescriptor(
-                    group,
-                    f"d={d}",
-                    dim,
-                    parameterization=parameterization(group, d, genus) if d else None,
-                    retraction=PIC_ZERO_RETRACTION if d == 0 else f"Sym^{bound - d}(X)-bundle",
-                    cover_multiplicity=2 if d > 0 else 1,
-                    hitchin=(d == bound),
-                )
-            )
-        for pair in _sw_labels(genus, nonzero_only=True):
-            comps.append(
-                ComponentDescriptor(group, pair.label(), dim, retraction="Prym locus")
-            )
-        return Census(group, genus, sector, tuple(comps), complete=True)
-
-    if fam == "so0" and params == (2, 3) and sector == SECTOR_MAXIMAL:
-        bound = 4 * g - 4
-        comps = []
-        for d in range(0, bound + 1):
-            comps.append(
-                ComponentDescriptor(
-                    group,
-                    f"d={d}",
-                    dim,
-                    parameterization=parameterization(group, d, genus) if d else None,
-                    retraction=PIC_ZERO_RETRACTION if d == 0 else f"Sym^{bound - d}(X)-bundle",
-                    hitchin=(d == bound),
-                )
-            )
+    if (fam, params, sector) in (("so", (1, 2), SECTOR_ALL), ("so0", (2, 3), SECTOR_MAXIMAL)):
+        comps = _labelled_rows(group, genus, dim, cover=fam == "so")
         for pair in _sw_labels(genus, nonzero_only=True):
             comps.append(
                 ComponentDescriptor(group, pair.label(), dim, retraction="Prym locus")
@@ -339,7 +327,7 @@ def census(group: GroupTag, genus: int, sector: str = SECTOR_ALL) -> Census:
             sector,
             tuple(comps),
             complete=True,
-            note="maximal sector only",
+            note="maximal sector only" if sector == SECTOR_MAXIMAL else "",
         )
 
     if fam == "so0" and params[0] == 2 and params[1] >= 4 and sector == SECTOR_MAXIMAL:
@@ -364,35 +352,14 @@ def census(group: GroupTag, genus: int, sector: str = SECTOR_ALL) -> Census:
         and params[0] >= 2
         and sector == SECTOR_ALL
     ):
-        n = params[0]
-        bound = n * (2 * g - 2)
-        comps = [
-            ComponentDescriptor(
-                group,
-                "d=0",
-                dim,
-                retraction=PIC_ZERO_RETRACTION,
-                remark_level=True,
-            )
-        ]
-        for d in range(1, bound + 1):
-            comps.append(
-                ComponentDescriptor(
-                    group,
-                    f"d={d}",
-                    dim,
-                    parameterization=parameterization(group, d, genus),
-                    retraction=f"Sym^{bound - d}(X)-bundle",
-                    hitchin=(d == bound),
-                )
-            )
+        comps = _labelled_rows(group, genus, dim, remark_level=True)
         return Census(
             group,
             genus,
             sector,
             tuple(comps),
             complete=False,
-            note=f"{bound} labelled components plus the degree-zero slot; "
+            note=f"{len(comps) - 1} labelled components plus the degree-zero slot; "
             "the remaining components are not enumerated here",
         )
 

@@ -237,8 +237,8 @@ def _cmd_build(args) -> dict:
 
 
 def _cmd_stability(args) -> dict:
-    from .higgsmodel import bundle_from_dict
-    from .stability import check_polystability, milnor_wood_bound
+    from .higgsmodel import bundle_from_dict, milnor_wood_bound
+    from .stability import check_polystability
 
     h = bundle_from_dict(_read_document(args.input))
     verdict = check_polystability(

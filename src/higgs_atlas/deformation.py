@@ -31,18 +31,14 @@ from .errors import (
     WrongGroupError,
 )
 from .higgsmodel import (
-    FORM_ORTHOGONAL,
-    SIDE_V,
-    SIDE_W,
     GradedHiggsBundle,
     GroupTag,
-    Summand,
+    _integer_label,
+    _so35_frame,
     canonical_json,
-    make_bundle,
+    milnor_wood_bound,
     named_section,
-    unit_section,
 )
-from .linebundle import K_power, trivial, variable
 from .stability import StabilityVerdict, check_polystability, subset_budget
 
 DIRECTION_TO_ZERO = "to-zero"
@@ -220,71 +216,36 @@ def limit_destabilized_branch(
     the extension summand, plus the delta extension term), and takes the
     limit at zero under the fixed pairing-compatible weights.
     """
-    meta = h.meta_map
-    if meta.get("family") != "deformed-exotic-so35":
+    if h.meta_map.get("family") != "deformed-exotic-so35":
         raise WrongGroupError(
             "the destabilized branch is defined for the extension-deformed "
             "signature-(3,5) family only"
         )
-    d = int(str(meta["d"]))
+    d = _integer_label(h)
     if not line.alpha_nonzero:
         raise ContradictionError(
             "a destabilizing line with alpha = 0 would leave the rank-2 part "
             "split, contradicting instability of the deformed object"
         )
-    g = h.genus
     if line.degree <= 0:
         raise BoundError(f"the destabilizing line needs positive degree, got {line.degree}")
-    if line.degree > 3 * (2 * g - 2):
-        raise BoundError(
-            f"alpha lives in a bundle of degree {3 * (2 * g - 2) - line.degree} < 0"
-        )
+    bound = milnor_wood_bound(GroupTag("so0", (3, 4)), h.genus)
+    if line.degree > bound:
+        raise BoundError(f"alpha lives in a bundle of degree {bound - line.degree} < 0")
     if (line.degree - d) % 2:
         raise ParityViolationError(
             f"deg N = {line.degree} must match the parity of d = {d}"
         )
-    curve = Curve(g)
-    summands = [
-        Summand(SIDE_V, K_power(2)),
-        Summand(SIDE_V, trivial()),
-        Summand(SIDE_V, K_power(-2)),
-        Summand(SIDE_W, variable("N")),
-        Summand(SIDE_W, K_power(1)),
-        Summand(SIDE_W, K_power(-1)),
-        Summand(SIDE_W, variable("N", -1)),
-        Summand(SIDE_W, trivial()),
-    ]
-    sigma = [2, 1, 0, 6, 5, 4, 3, 7]
     alpha = named_section("alpha")
     beta = named_section("beta")
     gamma = named_section("gamma")
-    entries = [
-        (4, 0, unit_section()),
-        (5, 1, unit_section()),
-        (1, 4, unit_section()),
-        (2, 5, unit_section()),
-        (3, 2, beta),
-        (0, 6, beta),
-        (6, 2, alpha),
-        (0, 3, alpha),
-        (7, 2, gamma),
-        (0, 7, gamma),
-    ]
-    dol = [(3, 7, "delta"), (7, 6, "delta")]
-    branch = make_bundle(
-        GroupTag("so0", (3, 5)),
-        curve,
-        summands,
-        sigma,
-        FORM_ORTHOGONAL,
-        entries,
-        dolbeault=dol,
-        declared={"N": line.degree},
-        meta={
-            "family": "destabilized-branch-so35",
-            "d": d,
-            "line_degree": line.degree,
-        },
+    branch = _so35_frame(
+        Curve(h.genus),
+        "N",
+        line.degree,
+        [(3, 2, beta), (0, 6, beta), (6, 2, alpha), (0, 3, alpha), (7, 2, gamma), (0, 7, gamma)],
+        [(3, 7, "delta"), (7, 6, "delta")],
+        {"family": "destabilized-branch-so35", "d": d, "line_degree": line.degree},
     )
     return graded_limit(branch, DEFORMED_SO35_RETRACTION, DIRECTION_TO_ZERO)
 

@@ -32,6 +32,7 @@ from .errors import (
     ModelInvariantError,
     ParseError,
     PreconditionError,
+    UnsupportedGroupError,
     WrongGroupError,
     _read_int,
 )
@@ -100,6 +101,24 @@ class GroupTag:
             return GroupTag(family, params)
         except ValueError as exc:
             raise ParseError(f"bad group tag {text!r}") from exc
+
+
+def milnor_wood_bound(group: GroupTag, genus: int) -> int:
+    """Largest allowed value of the integer component label: the one place
+    a family's label range is decided."""
+    g = genus
+    fam, params = group.family, group.params
+    if fam == "sl" and params == (2,):
+        return g - 1
+    if fam == "sp":
+        return (params[0] // 2) * (g - 1)
+    if fam == "so0" and params[1] == params[0] + 1:
+        return params[0] * (2 * g - 2)
+    if (fam, params) in (("psl", (2,)), ("so", (1, 2))):
+        return 2 * g - 2
+    if fam == "so0" and params[0] == 2 and params[1] >= 4:
+        return 2 * g - 2
+    raise UnsupportedGroupError(f"no bound recorded for {group}")
 
 
 @dataclass(frozen=True)
@@ -422,6 +441,27 @@ class TrivialW0:
 
 # -- chain helpers -----------------------------------------------------------
 
+def _differentials(q_on: Iterable[int], top: int, even: bool = True) -> tuple[int, ...]:
+    """The chosen q_j, sorted and deduplicated: each j lies in [2, top], and
+    only even j exist on the orthogonal and symplectic chains."""
+    q_on = tuple(sorted(set(q_on)))
+    if any(j < 2 or j > top or (even and j % 2) for j in q_on):
+        raise BoundError(f"differentials must {'be even and ' if even else ''}lie in [2, {top}]")
+    return q_on
+
+
+def _with_trivial_w(
+    summands: Sequence[Summand], sigma: Sequence[int], count: int
+) -> tuple[tuple[Summand, ...], tuple[int, ...]]:
+    """``summands`` and ``sigma`` followed by ``count`` self-paired trivial
+    W summands."""
+    n = len(summands)
+    return (
+        tuple(summands) + (Summand(SIDE_W, trivial()),) * count,
+        tuple(sigma) + tuple(range(n, n + count)),
+    )
+
+
 def _split_chain(
     chain: Sequence[Summand], q_on: Iterable[int]
 ) -> tuple[list[Summand], list[int], list[tuple[int, int, SectionSymbol]]]:
@@ -439,6 +479,16 @@ def _split_chain(
         sym = named_section(f"q{j}")
         entries += [(slot[p], slot[p + j - 1], sym) for p in range(length - (j - 1))]
     return [chain[p] for p in order], sigma, entries
+
+
+def _odd_chain(
+    m: int, top_side: str, q_on: Iterable[int]
+) -> tuple[list[Summand], list[int], list[tuple[int, int, SectionSymbol]]]:
+    """``_split_chain`` on the odd orthogonal chain K^m, K^(m-1), ..., K^-m,
+    its sides alternating from ``top_side``, with the even q_j in [2, 2m]."""
+    other = SIDE_W if top_side == SIDE_V else SIDE_V
+    chain = [Summand(top_side if p % 2 == 0 else other, K_power(m - p)) for p in range(2 * m + 1)]
+    return _split_chain(chain, _differentials(q_on, 2 * m))
 
 
 def _add_m_pair(
@@ -479,9 +529,7 @@ def build_hitchin_sl(
     """
     if n < 2:
         raise BoundError("need rank at least 2")
-    q_on = tuple(sorted(set(q_on)))
-    if any(j < 2 or j > n for j in q_on):
-        raise BoundError(f"differentials must lie in [2, {n}]")
+    q_on = _differentials(q_on, n, even=False)
     if n % 2 == 0 and not spin_name:
         raise MissingSpinError("even rank needs an explicit spin symbol")
     chain = []
@@ -511,14 +559,7 @@ def build_hitchin_so(curve: Curve, n: int, q_on: Iterable[int] = ()) -> GradedHi
     """
     if n < 1:
         raise BoundError("need n >= 1")
-    q_on = tuple(sorted(set(q_on)))
-    if any(j % 2 or j < 2 or j > 2 * n for j in q_on):
-        raise BoundError(f"differentials must be even and lie in [2, {2 * n}]")
-    chain = [
-        Summand(SIDE_V if p % 2 == 1 else SIDE_W, K_power(n - p))
-        for p in range(2 * n + 1)
-    ]
-    summands, sigma, entries = _split_chain(chain, q_on)
+    summands, sigma, entries = _odd_chain(n, SIDE_W, q_on)
     return make_bundle(
         GroupTag("so0", (n, n + 1)),
         curve,
@@ -538,9 +579,7 @@ def build_hitchin_sp(
         raise BoundError("need n >= 1")
     if not spin_name:
         raise MissingSpinError("the symplectic chain needs a spin symbol")
-    q_on = tuple(sorted(set(q_on)))
-    if any(j % 2 or j < 2 or j > 2 * n for j in q_on):
-        raise BoundError(f"differentials must be even and lie in [2, {2 * n}]")
+    q_on = _differentials(q_on, 2 * n)
     chain = [
         Summand(SIDE_V if p % 2 == 0 else SIDE_W, spin(spin_name).tensor(K_power(n - 1 - p)))
         for p in range(2 * n)
@@ -570,16 +609,8 @@ def build_hitchin_so_nn(
     trivial W summand receiving the Pfaffian differential."""
     if n < 2:
         raise BoundError("need n >= 2")
-    q_on = tuple(sorted(set(q_on)))
-    if any(j % 2 or j < 2 or j > 2 * n - 2 for j in q_on):
-        raise BoundError(f"chain differentials must be even and lie in [2, {2 * n - 2}]")
-    chain = [
-        Summand(SIDE_V if p % 2 == 0 else SIDE_W, K_power(n - 1 - p))
-        for p in range(2 * n - 1)
-    ]
-    summands, sigma, entries = _split_chain(chain, q_on)
-    summands.append(Summand(SIDE_W, trivial()))
-    sigma.append(len(summands) - 1)
+    summands, sigma, entries = _odd_chain(n - 1, SIDE_V, q_on)
+    summands, sigma = _with_trivial_w(summands, sigma, 1)
     if pfaffian:
         pf = named_section("pf")
         last_v = n - 1          # lowest chain position is V-side (even p), slot n-1
@@ -612,20 +643,14 @@ def _twist_chain(
     by ``build_exotic_so`` and ``build_degree_zero_chain``."""
     if n < 2:
         raise BoundError("need n >= 2")
-    bound = n * (2 * curve.genus - 2)
+    group = GroupTag("so0", (n, n + 1))
+    bound = milnor_wood_bound(group, curve.genus)
     if abs(d) > bound:
         raise BoundError(f"|d| = {abs(d)} exceeds the bound {bound}")
-    q_on = tuple(sorted(set(q_on)))
-    if any(j % 2 or j < 2 or j > 2 * n - 2 for j in q_on):
-        raise BoundError(f"chain differentials must be even and lie in [2, {2 * n - 2}]")
-    chain = [
-        Summand(SIDE_V if p % 2 == 0 else SIDE_W, K_power(n - 1 - p))
-        for p in range(2 * n - 1)
-    ]
-    summands, sigma, entries = _split_chain(chain, q_on)
+    summands, sigma, entries = _odd_chain(n - 1, SIDE_V, q_on)
     _add_m_pair(summands, sigma, entries, d, bound, low_v=n - 1, mu=mu, nu=nu)
     return make_bundle(
-        GroupTag("so0", (n, n + 1)),
+        group,
         curve,
         summands,
         sigma,
@@ -650,7 +675,9 @@ def build_exotic_so(
     0 < d <= n(2g-2); the degree-0 shape is available separately through
     ``build_degree_zero_chain``.
     """
-    bound = n * (2 * curve.genus - 2)
+    if n < 1:
+        raise BoundError(f"signature ({n}, {n + 1}) has no label range")
+    bound = milnor_wood_bound(GroupTag("so0", (n, n + 1)), curve.genus)
     if not 0 < d <= bound:
         raise BoundError(f"label must satisfy 0 < d <= {bound}, got {d}")
     if not mu:
@@ -676,14 +703,16 @@ def build_degree_zero_chain(curve: Curve, n: int) -> GradedHiggsBundle:
 def build_so12(curve: Curve, d: int, mu: bool = True, nu: bool = True) -> GradedHiggsBundle:
     """Rank-3 family with decomposed rank-2 part: O on the V side, M + M^-1
     on the W side, sections mu and nu running down and up the chain."""
-    if abs(d) > 2 * curve.genus - 2:
-        raise BoundError(f"|d| exceeds {2 * curve.genus - 2}")
+    group = GroupTag("so", (1, 2))
+    bound = milnor_wood_bound(group, curve.genus)
+    if abs(d) > bound:
+        raise BoundError(f"|d| exceeds {bound}")
     summands = [Summand(SIDE_V, trivial())]
     sigma = [0]
     entries: list[tuple[int, int, SectionSymbol]] = []
-    _add_m_pair(summands, sigma, entries, d, 2 * curve.genus - 2, low_v=0, mu=mu, nu=nu)
+    _add_m_pair(summands, sigma, entries, d, bound, low_v=0, mu=mu, nu=nu)
     return make_bundle(
-        GroupTag("so", (1, 2)),
+        group,
         curve,
         summands,
         sigma,
@@ -703,9 +732,6 @@ def build_maximal_so23(
     so V = K + K^-1 and W = O + M + M^-1.  The n = 2 twisted chain
     (``build_exotic_so``) builds the same object from the principal chain.
     """
-    top = 4 * curve.genus - 4
-    if abs(d) > top:
-        raise BoundError(f"|d| exceeds {top}")
     h = build_maximal_so2n(curve, 3, SplitW0(d, mu, nu), q2)
     meta = {"family": "maximal-so23", "d": d,
             "switch_variable": "M", "switch_sections": "mu,nu"}
@@ -745,39 +771,32 @@ def build_maximal_so2n(
     summands, sigma, entries = _split_chain(chain, (2,) if q2 else ())
     meta: dict[str, object] = {"family": "maximal-so2n", "n": n}
     if isinstance(w0, SplitW0):
-        if abs(w0.degree) > 4 * g - 4:
-            raise BoundError(f"|deg M| exceeds {4 * g - 4}")
+        # M + M^-1 carries the signature-(2,3) label range at every n
+        top = milnor_wood_bound(GroupTag("so0", (2, 3)), g)
+        if abs(w0.degree) > top:
+            raise BoundError(f"|deg M| exceeds {top}")
         declared["M"] = w0.degree
-        _add_m_pair(summands, sigma, entries, w0.degree, 4 * g - 4,
-                    low_v=1, mu=w0.mu, nu=w0.nu)
-        for _ in range(n - 3):
-            summands.append(Summand(SIDE_W, trivial()))
-            sigma.append(len(summands) - 1)
+        _add_m_pair(summands, sigma, entries, w0.degree, top, low_v=1, mu=w0.mu, nu=w0.nu)
+        summands, sigma = _with_trivial_w(summands, sigma, n - 3)
         meta.update({"w0": "split", "d": w0.degree,
                      "sw1": F2Class.zero(g).bits(), "sw2": w0.degree % 2,
                      "switch_variable": "M", "switch_sections": "mu,nu"})
     elif isinstance(w0, TrivialW0):
-        sym = named_section("beta0")
-        for _ in range(n - 1):
-            idx = len(summands)
-            summands.append(Summand(SIDE_W, trivial()))
-            sigma.append(idx)
-            if beta0:
-                entries += [(idx, 1, sym), (0, idx, sym)]
+        summands, sigma = _with_trivial_w(summands, sigma, n - 1)
         meta.update({"w0": "trivial", "sw1": F2Class.zero(g).bits(), "sw2": 0})
     else:
         if n != 3:
             raise BoundError("an indecomposable rank-2 block fills W0 only for n = 3")
-        idx = len(summands)
         summands.append(
             Summand(SIDE_W, variable("W0"), rank=2, sw=SWPair(w0.sw1, w0.sw2))
         )
         declared["W0"] = 0
-        sigma.append(idx)
-        if beta0:
-            sym = named_section("beta0")
-            entries += [(idx, 1, sym), (0, idx, sym)]
+        sigma.append(len(chain))
         meta.update({"w0": "prym", "sw1": w0.sw1.bits(), "sw2": w0.sw2})
+    if beta0 and not isinstance(w0, SplitW0):
+        # beta0 joins each summand of a trivial or flat W0 to the chain
+        sym = named_section("beta0")
+        entries += [e for i in range(len(chain), len(summands)) for e in ((i, 1, sym), (0, i, sym))]
     return make_bundle(
         GroupTag("so0", (2, n)),
         curve,
@@ -841,6 +860,42 @@ def build_twisted_fuchsian_sp(
     )
 
 
+def _so35_frame(
+    curve: Curve,
+    line: str,
+    line_degree: int,
+    entries: Iterable[tuple[int, int, SectionSymbol]],
+    dolbeault: Iterable[tuple[int, int, str]],
+    meta: Mapping[str, object],
+) -> GradedHiggsBundle:
+    """Signature (3,5) on V = K^2 + O + K^-2 and W = L + K + K^-1 + L^-1 + O,
+    deg L = ``line_degree``, with the four units of the (3,4) chain plus
+    ``entries`` and the extension terms ``dolbeault``.  Indices: 0-2 the V
+    side in that order, then 3 L, 4 K, 5 K^-1, 6 L^-1, 7 O."""
+    summands = [
+        Summand(SIDE_V, K_power(2)),
+        Summand(SIDE_V, trivial()),
+        Summand(SIDE_V, K_power(-2)),
+        Summand(SIDE_W, variable(line)),
+        Summand(SIDE_W, K_power(1)),
+        Summand(SIDE_W, K_power(-1)),
+        Summand(SIDE_W, variable(line, -1)),
+        Summand(SIDE_W, trivial()),
+    ]
+    units = [(t, s, unit_section()) for t, s in ((4, 0), (5, 1), (1, 4), (2, 5))]
+    return make_bundle(
+        GroupTag("so0", (3, 5)),
+        curve,
+        summands,
+        [2, 1, 0, 6, 5, 4, 3, 7],
+        FORM_ORTHOGONAL,
+        units + list(entries),
+        dolbeault=dolbeault,
+        declared={line: line_degree},
+        meta=meta,
+    )
+
+
 def build_extension_deformed_so35(curve: Curve, d: int, mu: bool = True) -> GradedHiggsBundle:
     """The (3,4) twisted-chain object sitting inside signature (3,5), with
     the direct-sum holomorphic structure deformed by an extension class.
@@ -849,42 +904,19 @@ def build_extension_deformed_so35(curve: Curve, d: int, mu: bool = True) -> Grad
     two chain units and mu; the extension term eps glues the new trivial
     summand to M and M^-1 (one matched transpose pair).
     """
-    g = curve.genus
     if not mu:
         raise PreconditionError("the deformation needs a nonzero section mu")
-    if not 0 < d <= 3 * (2 * g - 2):
-        raise BoundError(f"label must satisfy 0 < d <= {3 * (2 * g - 2)}, got {d}")
-    summands = [
-        Summand(SIDE_V, K_power(2)),
-        Summand(SIDE_V, trivial()),
-        Summand(SIDE_V, K_power(-2)),
-        Summand(SIDE_W, variable("M")),
-        Summand(SIDE_W, K_power(1)),
-        Summand(SIDE_W, K_power(-1)),
-        Summand(SIDE_W, variable("M", -1)),
-        Summand(SIDE_W, trivial()),
-    ]
-    sigma = [2, 1, 0, 6, 5, 4, 3, 7]
-    m_sym = named_section("mu", VANISH_NOWHERE if d == 3 * (2 * g - 2) else VANISH_GENERIC)
-    entries = [
-        (4, 0, unit_section()),
-        (5, 1, unit_section()),
-        (1, 4, unit_section()),
-        (2, 5, unit_section()),
-        (6, 2, m_sym),
-        (0, 3, m_sym),
-    ]
-    dol = [(6, 7, "eps"), (7, 3, "eps")]
-    return make_bundle(
-        GroupTag("so0", (3, 5)),
+    bound = milnor_wood_bound(GroupTag("so0", (3, 4)), curve.genus)
+    if not 0 < d <= bound:
+        raise BoundError(f"label must satisfy 0 < d <= {bound}, got {d}")
+    m_sym = named_section("mu", VANISH_NOWHERE if d == bound else VANISH_GENERIC)
+    return _so35_frame(
         curve,
-        summands,
-        sigma,
-        FORM_ORTHOGONAL,
-        entries,
-        dolbeault=dol,
-        declared={"M": d},
-        meta={"family": "deformed-exotic-so35", "d": d},
+        "M",
+        d,
+        [(6, 2, m_sym), (0, 3, m_sym)],
+        [(6, 7, "eps"), (7, 3, "eps")],
+        {"family": "deformed-exotic-so35", "d": d},
     )
 
 
@@ -906,6 +938,16 @@ def associated_sl(h: GradedHiggsBundle) -> GradedHiggsBundle:
     return out
 
 
+def _integer_label(h: GradedHiggsBundle) -> int:
+    """The component label ``d`` recorded in the meta, read by the integer
+    rule; anything else is refused."""
+    d = h.meta_map.get("d")
+    label = _read_int(str(d), signed=True)
+    if label is None:
+        raise PreconditionError(f"the component label d = {d!r} is not an integer")
+    return label
+
+
 def embed_so23_to_so2n(h: GradedHiggsBundle, n: int) -> GradedHiggsBundle:
     """Stabilize a maximal (2,3) object to signature (2,n) by appending
     trivial W summands with zero field rows."""
@@ -913,21 +955,16 @@ def embed_so23_to_so2n(h: GradedHiggsBundle, n: int) -> GradedHiggsBundle:
         raise WrongGroupError(f"expected a so0:2,3 object, got {h.group}")
     if n < 4:
         raise BoundError("the target signature needs n >= 4")
-    summands = list(h.summands)
-    sigma = list(h.sigma)
-    for _ in range(n - 3):
-        summands.append(Summand(SIDE_W, trivial()))
-        sigma.append(len(summands) - 1)
+    summands, sigma = _with_trivial_w(h.summands, h.sigma, n - 3)
     meta = {**h.meta_map, "family": "maximal-so2n", "n": n, "w0": "embedded"}
-    d = h.meta_map.get("d")
     if "sw1" not in meta:
         meta["sw1"] = F2Class.zero(h.genus).bits()
-        meta["sw2"] = (int(d) % 2) if d is not None else 0
+        meta["sw2"] = 0 if meta.get("d") is None else _integer_label(h) % 2
     out = replace(
         h,
         group=GroupTag("so0", (2, n)),
-        summands=tuple(summands),
-        sigma=tuple(sigma),
+        summands=summands,
+        sigma=sigma,
         meta=tuple(sorted(meta.items())),
     )
     validate(out)
@@ -962,12 +999,8 @@ def append_trivial_w(h: GradedHiggsBundle) -> GradedHiggsBundle:
     if h.group.family != "so0":
         raise WrongGroupError("only split orthogonal objects can be stabilized")
     p, q = h.group.params
-    out = replace(
-        h,
-        group=GroupTag("so0", (p, q + 1)),
-        summands=h.summands + (Summand(SIDE_W, trivial()),),
-        sigma=h.sigma + (len(h.summands),),
-    )
+    summands, sigma = _with_trivial_w(h.summands, h.sigma, 1)
+    out = replace(h, group=GroupTag("so0", (p, q + 1)), summands=summands, sigma=sigma)
     validate(out)
     return out
 
@@ -1351,6 +1384,7 @@ def arrow_pattern(h: GradedHiggsBundle) -> tuple[tuple[int, int, str], ...]:
 __all__ = [
     "SCHEMA",
     "GroupTag",
+    "milnor_wood_bound",
     "SectionSymbol",
     "unit_section",
     "named_section",

@@ -32,10 +32,9 @@ from .errors import (
     ModelInvariantError,
     ParseError,
     UnrecognizedShapeError,
-    UnsupportedGroupError,
     _read_int,
 )
-from .higgsmodel import GradedHiggsBundle, GroupTag, gauge_orbit_key
+from .higgsmodel import GradedHiggsBundle, gauge_orbit_key
 
 STATUS_STABLE = "stable"
 STATUS_POLYSTABLE = "polystable"
@@ -239,27 +238,6 @@ def check_polystability(
     )
 
 
-def milnor_wood_bound(group: GroupTag, genus: int) -> int:
-    """Largest allowed value of the integer component label."""
-    g = genus
-    fam, params = group.family, group.params
-    if fam in ("sl", "sp") and params == (2,):
-        return g - 1
-    if fam == "psl" and params == (2,):
-        return 2 * g - 2
-    if fam == "sp" and params[0] % 2 == 0:
-        return (params[0] // 2) * (g - 1)
-    if fam == "so" and params == (1, 2):
-        return 2 * g - 2
-    if fam == "so0" and params == (1, 2):
-        return 2 * g - 2
-    if fam == "so0" and len(params) == 2 and params[1] == params[0] + 1:
-        return params[0] * (2 * g - 2)
-    if fam == "so0" and params[0] == 2 and params[1] >= 4:
-        return 2 * g - 2
-    raise UnsupportedGroupError(f"no bound recorded for {group}")
-
-
 def gauge_equivalent(a: GradedHiggsBundle, b: GradedHiggsBundle) -> bool:
     """Equality up to summand reordering and the switching move."""
     if a.group != b.group or a.genus != b.genus:
@@ -278,6 +256,5 @@ __all__ = [
     "enumerate_invariant_subobjects",
     "components",
     "check_polystability",
-    "milnor_wood_bound",
     "gauge_equivalent",
 ]

@@ -33,6 +33,7 @@ from .higgsmodel import (
     build_extension_deformed_so35,
     arrow_pattern,
     canonical_key,
+    milnor_wood_bound,
     permute_summands,
     summand_degree_multiset,
     switchable,
@@ -261,7 +262,9 @@ def _check_mw_reject() -> str:
 @_register("milnor-wood-census-agreement")
 def _check_mw_census() -> str:
     for g in (2, 3):
-        bound = stability.milnor_wood_bound(GroupTag("so", (1, 2)), g)
+        bound = 2 * g - 2
+        if milnor_wood_bound(GroupTag("so", (1, 2)), g) != bound:
+            raise AssertionError(f"the rank-3 bound is not 2g - 2 at genus {g}")
         c = catalog.census(GroupTag("so", (1, 2)), g)
         d_labels = [x for x in c.components if x.label.startswith("d=")]
         if len(d_labels) != bound + 1:

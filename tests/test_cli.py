@@ -137,6 +137,19 @@ def test_limit_destabilized_branch_parity(tmp_path, capsys):
     assert res["code"] == "parity-violation"
 
 
+@pytest.mark.parametrize("label", ["1_0", "1_1", "³"])
+def test_limit_refuses_a_non_integer_label(tmp_path, capsys, label):
+    _, doc = run_json(capsys, "build", "--group", "so0:3,5", "--genus", "2",
+                      "--d", "1", "--deformed")
+    doc["meta"]["d"] = label
+    path = tmp_path / "object.json"
+    path.write_text(json.dumps(doc))
+    code, res = run_json(capsys, "limit", "--input", str(path), "--line-degree", "1")
+    assert code == 1
+    assert res["code"] == "precondition"
+    assert repr(label) in res["message"]
+
+
 def test_sw_of_class_list(capsys):
     code, doc = run_json(capsys, "sw", "--genus", "2", "--classes", "1000,0100")
     assert code == 0
@@ -588,11 +601,11 @@ ALL_MODULES = {p.stem for p in (SRC / "higgs_atlas").glob("*.py")} - {"__init__"
          0, BUILD_SET),
         (["stability", "--input", "DOC"], 0, STABILITY_SET),
         (["limit", "--input", "DOC", "--search", "1"], 0, STABILITY_SET | {"deformation"}),
-        (["census", "--group", "sl:3", "--genus", "5"], 0, STABILITY_SET | {"catalog"}),
+        (["census", "--group", "sl:3", "--genus", "5"], 0, BUILD_SET | {"catalog"}),
         (["param", "--group", "so0:2,3", "--genus", "2", "--d", "4"], 0,
-         STABILITY_SET | {"catalog"}),
+         BUILD_SET | {"catalog"}),
         (["dim", "--group", "so0:2,3", "--genus", "2", "--consistency"], 0,
-         STABILITY_SET | {"catalog"}),
+         BUILD_SET | {"catalog"}),
         (["verify", "--only", "riemann-roch-chi"], 0, ALL_MODULES),
         (["census", "--group", "sl:3"], 2, {"errors"}),
     ],

@@ -32,6 +32,8 @@ from higgs_atlas import (
     graded_limit,
     limit_destabilized_branch,
     search_admissible_weights,
+    bundle_from_dict,
+    bundle_to_dict,
     validate,
     zero_weights,
 )
@@ -169,6 +171,14 @@ def test_destabilized_branch_needs_nonzero_alpha():
 def test_destabilized_branch_rejects_other_families():
     with pytest.raises(WrongGroupError):
         limit_destabilized_branch(build_maximal_so23(C2, 2), NDescriptor(degree=2))
+
+
+@pytest.mark.parametrize("label", ["1_0", "1_1", "³"])
+def test_destabilized_branch_refuses_a_non_integer_label(label):
+    doc = bundle_to_dict(build_extension_deformed_so35(C2, 1))
+    doc["meta"]["d"] = label
+    with pytest.raises(PreconditionError):
+        limit_destabilized_branch(bundle_from_dict(doc), NDescriptor(degree=1))
 
 
 def test_search_finds_the_three_circle_limits():

@@ -10,6 +10,7 @@ from dataclasses import replace
 import pytest
 
 from higgs_atlas import (
+    BoundError,
     BudgetError,
     Curve,
     F2Class,
@@ -17,6 +18,7 @@ from higgs_atlas import (
     MissingSpinError,
     ModelInvariantError,
     ParseError,
+    PreconditionError,
     PrymW0,
     SplitW0,
     Summand,
@@ -377,6 +379,21 @@ def test_switch_negates_only_an_integer_label(label, switched_label):
     assert dict(switched(bundle_from_dict(doc)).meta)["d"] == switched_label
 
 
+@pytest.mark.parametrize("label", ["1_0", "1_1", "³"])
+def test_embedding_refuses_a_non_integer_label(label):
+    doc = bundle_to_dict(build_maximal_so23(C2, 1))
+    doc["meta"]["d"] = label
+    with pytest.raises(PreconditionError):
+        embed_so23_to_so2n(bundle_from_dict(doc), 5)
+
+
+def test_embedding_reads_a_signed_label():
+    doc = bundle_to_dict(build_maximal_so23(C2, -3))
+    assert dict(embed_so23_to_so2n(bundle_from_dict(doc), 5).meta)["sw2"] == 1
+    doc["meta"]["d"] = "-3"
+    assert dict(embed_so23_to_so2n(bundle_from_dict(doc), 5).meta)["sw2"] == 1
+
+
 def test_switch_requires_a_declared_move():
     with pytest.raises(WrongGroupError):
         switched(build_hitchin_sl(C2, 3))
@@ -620,3 +637,33 @@ def test_degree_multiset_and_arrow_pattern_frozen():
         (0, 1, "generically-nonzero"),
         (1, 0, "generically-nonzero"),
     )
+
+
+# -- the q_j rule ---------------------------------------------------------------
+
+# builder of a chain with differentials q_on, its top index, and whether
+# only even differentials exist on it
+Q_BUILDERS = {
+    "hitchin_sl": (lambda q: build_hitchin_sl(C2, 4, q, spin_name="s"), 4, False),
+    "hitchin_so": (lambda q: build_hitchin_so(C2, 3, q), 6, True),
+    "hitchin_sp": (lambda q: build_hitchin_sp(C2, 3, q), 6, True),
+    "hitchin_so_nn": (lambda q: build_hitchin_so_nn(C2, 3, q), 4, True),
+    "exotic_so": (lambda q: build_exotic_so(C2, 3, 2, q_on=q), 4, True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(Q_BUILDERS))
+def test_differentials_outside_their_range_are_refused(name):
+    build, top, even = Q_BUILDERS[name]
+    for q_on in ((1,), (top + 1,), (2, 1), (2, top + 1)) + (((3,),) if even else ()):
+        with pytest.raises(BoundError):
+            build(q_on)
+
+
+@pytest.mark.parametrize("name", sorted(Q_BUILDERS))
+def test_differentials_at_both_ends_are_built(name):
+    build, top, even = Q_BUILDERS[name]
+    for q_on in ((2,), (top,), (top, 2, top)) + (() if even else ((3,),)):
+        names = {e.symbol.name for e in build(q_on).higgs}
+        assert {f"q{j}" for j in q_on} <= names
+    assert build((2, top, 2)) == build((top, 2))
