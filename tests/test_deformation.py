@@ -26,14 +26,14 @@ from higgs_atlas import (
     build_hitchin_sl,
     build_maximal_so23,
     build_so12,
+    bundle_from_dict,
+    bundle_to_dict,
     check_polystability,
     compose_weights,
     exponent_table,
     graded_limit,
     limit_destabilized_branch,
     search_admissible_weights,
-    bundle_from_dict,
-    bundle_to_dict,
     validate,
     zero_weights,
 )
