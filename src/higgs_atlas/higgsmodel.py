@@ -140,8 +140,12 @@ class SectionSymbol:
             raise ValueError("a unit section vanishes nowhere")
 
 
+_UNIT_SECTION = SectionSymbol("1", KIND_UNIT, VANISH_NOWHERE)
+
+
 def unit_section() -> SectionSymbol:
-    return SectionSymbol("1", KIND_UNIT, VANISH_NOWHERE)
+    """The unit section; one frozen symbol shared by every entry that uses it."""
+    return _UNIT_SECTION
 
 
 def named_section(name: str, vanishing: str = VANISH_GENERIC) -> SectionSymbol:
@@ -732,10 +736,9 @@ def build_maximal_so23(
     so V = K + K^-1 and W = O + M + M^-1.  The n = 2 twisted chain
     (``build_exotic_so``) builds the same object from the principal chain.
     """
-    h = build_maximal_so2n(curve, 3, SplitW0(d, mu, nu), q2)
     meta = {"family": "maximal-so23", "d": d,
             "switch_variable": "M", "switch_sections": "mu,nu"}
-    return replace(h, meta=tuple(sorted(meta.items())))
+    return _maximal_so2n(curve, 3, SplitW0(d, mu, nu), q2, True, meta)
 
 
 def build_maximal_so2n(
@@ -755,35 +758,52 @@ def build_maximal_so2n(
     """
     if n < 3:
         raise BoundError("signature (2, n) needs n >= 3")
-    g = curve.genus
+    meta: dict[str, object] = {"family": "maximal-so2n", "n": n}
+    if isinstance(w0, SplitW0):
+        meta.update({"w0": "split", "d": w0.degree,
+                     "sw1": F2Class.zero(curve.genus).bits(), "sw2": w0.degree % 2,
+                     "switch_variable": "M", "switch_sections": "mu,nu"})
+    elif isinstance(w0, TrivialW0):
+        meta.update({"w0": "trivial", "sw1": F2Class.zero(curve.genus).bits(), "sw2": 0})
+    elif isinstance(w0, PrymW0):
+        meta.update({"w0": "prym", "sw1": w0.sw1.bits(), "sw2": w0.sw2})
+    else:
+        raise TypeError(f"unknown W0 descriptor {w0!r}")
+    return _maximal_so2n(curve, n, w0, q2, beta0, meta)
+
+
+def _maximal_so2n(
+    curve: Curve,
+    n: int,
+    w0: SplitW0 | PrymW0 | TrivialW0,
+    q2: bool,
+    beta0: bool,
+    meta: Mapping[str, object],
+) -> GradedHiggsBundle:
+    """The signature-(2, n) object of ``build_maximal_so2n`` (n >= 3, a W0
+    descriptor of a known shape), assembled and validated once under the
+    caller's ``meta``."""
     torsion_classes: dict[str, F2Class] = {}
     declared: dict[str, int] = {}
     if isinstance(w0, PrymW0):
         i_expr = torsion("I")
         torsion_classes["I"] = w0.sw1
-    elif isinstance(w0, (SplitW0, TrivialW0)):
-        i_expr = trivial()
     else:
-        raise TypeError(f"unknown W0 descriptor {w0!r}")
+        i_expr = trivial()
     # the signature-(2, 1) principal chain twisted by I
     chain = [Summand(SIDE_V, i_expr.tensor(K_power(1))), Summand(SIDE_W, i_expr),
              Summand(SIDE_V, i_expr.tensor(K_power(-1)))]
     summands, sigma, entries = _split_chain(chain, (2,) if q2 else ())
-    meta: dict[str, object] = {"family": "maximal-so2n", "n": n}
     if isinstance(w0, SplitW0):
         # M + M^-1 carries the signature-(2,3) label range at every n
-        top = milnor_wood_bound(GroupTag("so0", (2, 3)), g)
+        top = milnor_wood_bound(GroupTag("so0", (2, 3)), curve.genus)
         if abs(w0.degree) > top:
             raise BoundError(f"|deg M| exceeds {top}")
         declared["M"] = w0.degree
         _add_m_pair(summands, sigma, entries, w0.degree, top, low_v=1, mu=w0.mu, nu=w0.nu)
         summands, sigma = _with_trivial_w(summands, sigma, n - 3)
-        meta.update({"w0": "split", "d": w0.degree,
-                     "sw1": F2Class.zero(g).bits(), "sw2": w0.degree % 2,
-                     "switch_variable": "M", "switch_sections": "mu,nu"})
     elif isinstance(w0, TrivialW0):
         summands, sigma = _with_trivial_w(summands, sigma, n - 1)
-        meta.update({"w0": "trivial", "sw1": F2Class.zero(g).bits(), "sw2": 0})
     else:
         if n != 3:
             raise BoundError("an indecomposable rank-2 block fills W0 only for n = 3")
@@ -792,7 +812,6 @@ def build_maximal_so2n(
         )
         declared["W0"] = 0
         sigma.append(len(chain))
-        meta.update({"w0": "prym", "sw1": w0.sw1.bits(), "sw2": w0.sw2})
     if beta0 and not isinstance(w0, SplitW0):
         # beta0 joins each summand of a trivial or flat W0 to the chain
         sym = named_section("beta0")

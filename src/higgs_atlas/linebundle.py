@@ -19,6 +19,13 @@ power becomes -k minus the number of spins, the spins and torsions stay,
 and every variable and divisor exponent is negated in the same name order.
 Every constructor here returns a normal form; a ``LineBundleExpr`` built
 field by field must be one too (sorted distinct names, nonzero exponents).
+
+A normal form is reduced from collected exponents once: once per
+``parse_expr`` (every factor's exponent is summed by kind first), once per
+``tensor`` of two expressions that both carry a non-K atom, and once per
+``tensor_all``.  K never changes the rest of a normal form, so a tensor
+with a pure power K^j keeps the other side's spins, torsions, variables
+and divisors as they are and adds j to its K power, with no reduction.
 """
 
 from __future__ import annotations
@@ -36,6 +43,7 @@ KIND_SPIN = "spin"
 KIND_DIVISOR = "divisor"
 
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z_0-9]*$")
+_RESERVED = ("K", "O")
 
 
 @dataclass(frozen=True)
@@ -49,12 +57,18 @@ class LineBundleExpr:
     # -- algebra ---------------------------------------------------------
 
     def tensor(self, other: "LineBundleExpr") -> "LineBundleExpr":
-        return _make(
-            self.k_power + other.k_power,
-            _merge_unit(self.spins, other.spins),
-            _merge_unit(self.torsions, other.torsions),
-            _merge_exp(self.variables, other.variables),
-            _merge_exp(self.divisors, other.divisors),
+        if other.canonical_power() is not None:
+            return self._twisted(other.k_power)
+        if self.canonical_power() is not None:
+            return other._twisted(self.k_power)
+        return tensor_all((self, other))
+
+    def _twisted(self, j: int) -> "LineBundleExpr":
+        """This expression tensored with K^j."""
+        if not j:
+            return self
+        return LineBundleExpr(
+            self.k_power + j, self.spins, self.torsions, self.variables, self.divisors
         )
 
     def dual(self) -> "LineBundleExpr":
@@ -144,24 +158,12 @@ def _negated(a: tuple[tuple[str, int], ...], b: tuple[tuple[str, int], ...]) -> 
     return len(a) == len(b) and all(n == m and e == -f for (n, e), (m, f) in zip(a, b))
 
 
-def _merge_unit(a: Iterable[str], b: Iterable[str]) -> dict:
-    out: dict[str, int] = {}
-    for n in list(a) + list(b):
-        out[n] = out.get(n, 0) + 1
-    return out
-
-
-def _merge_exp(a, b) -> dict:
-    out: dict[str, int] = {}
-    for n, e in list(a) + list(b):
-        out[n] = out.get(n, 0) + e
-    return out
-
-
 def _make(k, spin_exp, torsion_exp, var_exp, div_exp) -> LineBundleExpr:
+    if not (spin_exp or torsion_exp or var_exp or div_exp):
+        return LineBundleExpr(k)
     # spin reduction s^e = K^(e//2) * s^(e mod 2); torsion reduction mod 2
     spins = []
-    for name, e in (spin_exp.items() if isinstance(spin_exp, dict) else spin_exp):
+    for name, e in spin_exp.items():
         k += e // 2
         if e % 2:
             spins.append(name)
@@ -208,14 +210,27 @@ def divisor_twist(name: str, e: int = 1) -> LineBundleExpr:
 
 
 def tensor_all(exprs: Iterable[LineBundleExpr]) -> LineBundleExpr:
-    out = trivial()
+    """The product of ``exprs``: their exponents summed by kind, one reduction."""
+    k = 0
+    spins: dict[str, int] = {}
+    torsions: dict[str, int] = {}
+    variables: dict[str, int] = {}
+    divisors: dict[str, int] = {}
     for e in exprs:
-        out = out.tensor(e)
-    return out
+        k += e.k_power
+        for n in e.spins:
+            spins[n] = spins.get(n, 0) + 1
+        for n in e.torsions:
+            torsions[n] = torsions.get(n, 0) + 1
+        for n, x in e.variables:
+            variables[n] = variables.get(n, 0) + x
+        for n, x in e.divisors:
+            divisors[n] = divisors.get(n, 0) + x
+    return _make(k, spins, torsions, variables, divisors)
 
 
 def _check_name(name: str):
-    if name in ("K", "O") or not _NAME_RE.match(name):
+    if name in _RESERVED or not _NAME_RE.match(name):
         raise ValueError(f"bad symbol name {name!r}")
 
 
@@ -253,13 +268,18 @@ def parse_expr(text: str, kinds: Mapping[str, str] | None = None) -> LineBundleE
 
     ``kinds`` maps bare symbol names to their kind (variable / torsion /
     spin); names absent from the map default to ``variable``.  Divisor
-    twists are self-describing via the ``O(D)`` syntax.
+    twists are self-describing via the ``O(D)`` syntax.  The reserved names
+    K and O are refused as symbols (``O^2``, ``O(K)``) like any other bad
+    factor.
     """
     kinds = kinds or {}
     text = text.strip()
     if not text:
         raise ParseError("empty line-bundle expression")
-    out = trivial()
+    k = 0
+    exps: dict[str, dict[str, int]] = {
+        KIND_SPIN: {}, KIND_TORSION: {}, KIND_VARIABLE: {}, KIND_DIVISOR: {}
+    }
     for factor in text.split("*"):
         m = _FACTOR_RE.match(factor.strip())
         if not m:
@@ -268,26 +288,21 @@ def parse_expr(text: str, kinds: Mapping[str, str] | None = None) -> LineBundleE
         if o_mark:
             continue
         if k_mark:
-            out = out.tensor(K_power(int(k_exp) if k_exp else 1))
+            k += int(k_exp) if k_exp else 1
             continue
         if d_name:
+            name, kind = d_name, KIND_DIVISOR
             e = int(d_exp) if d_exp else 1
             if d_sign == "-":
                 e = -e
-            out = out.tensor(divisor_twist(d_name, e))
-            continue
-        e = int(name_exp) if name_exp else 1
-        kind = kinds.get(name, KIND_VARIABLE)
-        if kind == KIND_TORSION:
-            atom = torsion(name).power(e)
-        elif kind == KIND_SPIN:
-            atom = spin(name, e)
-        elif kind == KIND_DIVISOR:
-            atom = divisor_twist(name, e)
         else:
-            atom = variable(name, e)
-        out = out.tensor(atom)
-    return out
+            kind = kinds.get(name, KIND_VARIABLE)
+            e = int(name_exp) if name_exp else 1
+        if name in _RESERVED:
+            raise ParseError(f"bad factor {factor!r}: {name} is a reserved name")
+        bucket = exps.get(kind, exps[KIND_VARIABLE])
+        bucket[name] = bucket.get(name, 0) + e
+    return _make(k, exps[KIND_SPIN], exps[KIND_TORSION], exps[KIND_VARIABLE], exps[KIND_DIVISOR])
 
 
 __all__ = [

@@ -12,7 +12,12 @@ coordinate formula for the cup product, and the reachability oracle grows
 the set of values m classes reach one class at a time.  The validation
 oracle builds each Higgs entry's ambient as a line-bundle expression and
 reads its degree and shape from that expression; its duals are rebuilt
-by negating every exponent and reducing again, not by the closed form.
+by negating every exponent and reducing again, not by the closed form,
+and its tensor products reduce the merged exponents of both sides every
+time, with no shortcut for a power of K.  The parse oracle is the
+factor-by-factor parser the package ran before it summed each kind's
+exponents in one pass: every factor becomes an atom and is tensored on
+with that full reduction.
 The builder oracle writes the maximal signature-(2, 3) object out summand
 by summand, with no chain or M-pair helper, so a fault in those helpers
 cannot show on both sides of a comparison.
@@ -30,8 +35,12 @@ from higgs_atlas import (
     F2Class,
     GradedHiggsBundle,
     HiggsEntry,
+    KIND_DIVISOR,
+    KIND_SPIN,
+    KIND_TORSION,
     K_power,
     ModelInvariantError,
+    ParseError,
     PrymW0,
     SectionSymbol,
     SplitW0,
@@ -75,7 +84,7 @@ from higgs_atlas.higgsmodel import (
     make_bundle,
     validate,
 )
-from higgs_atlas.linebundle import LineBundleExpr, _make
+from higgs_atlas.linebundle import _FACTOR_RE, LineBundleExpr, _make
 
 
 def _arrows(h: GradedHiggsBundle) -> list[tuple[int, int]]:
@@ -340,6 +349,66 @@ def oracle_maximal_so23(
                        FORM_ORTHOGONAL, entries, declared={"M": d})
 
 
+# -- line-bundle oracles -----------------------------------------------------
+
+def oracle_tensor(a: LineBundleExpr, b: LineBundleExpr) -> LineBundleExpr:
+    """a (x) b through the full reduction: both sides' exponents merged by
+    name, then reduced, even when one side is a power of K."""
+    def merged(x, y):
+        out: dict[str, int] = {}
+        for n, e in list(x) + list(y):
+            out[n] = out.get(n, 0) + e
+        return out
+
+    return _make(
+        a.k_power + b.k_power,
+        merged(((n, 1) for n in a.spins), ((n, 1) for n in b.spins)),
+        merged(((n, 1) for n in a.torsions), ((n, 1) for n in b.torsions)),
+        merged(a.variables, b.variables),
+        merged(a.divisors, b.divisors),
+    )
+
+
+def oracle_parse(text: str, kinds=None) -> LineBundleExpr:
+    """The serialization parsed factor by factor: each factor is built as an
+    atom with the public constructors and tensored on with ``oracle_tensor``.
+    A reserved name (``O^2``, ``O(K)``) raises the constructors' bare
+    ``ValueError`` here, where ``parse_expr`` raises ``ParseError``."""
+    kinds = kinds or {}
+    text = text.strip()
+    if not text:
+        raise ParseError("empty line-bundle expression")
+    out = trivial()
+    for factor in text.split("*"):
+        m = _FACTOR_RE.match(factor.strip())
+        if not m:
+            raise ParseError(f"bad factor {factor!r}")
+        o_mark, k_mark, k_exp, d_sign, d_name, d_exp, name, name_exp = m.groups()
+        if o_mark:
+            continue
+        if k_mark:
+            out = oracle_tensor(out, K_power(int(k_exp) if k_exp else 1))
+            continue
+        if d_name:
+            e = int(d_exp) if d_exp else 1
+            if d_sign == "-":
+                e = -e
+            out = oracle_tensor(out, divisor_twist(d_name, e))
+            continue
+        e = int(name_exp) if name_exp else 1
+        kind = kinds.get(name)
+        if kind == KIND_TORSION:
+            atom = torsion(name).power(e)
+        elif kind == KIND_SPIN:
+            atom = spin(name, e)
+        elif kind == KIND_DIVISOR:
+            atom = divisor_twist(name, e)
+        else:
+            atom = variable(name, e)
+        out = oracle_tensor(out, atom)
+    return out
+
+
 # -- validation oracle -------------------------------------------------------
 
 def oracle_dual(e: LineBundleExpr) -> LineBundleExpr:
@@ -403,7 +472,7 @@ def expression_validate(h: GradedHiggsBundle) -> None:
         source, target = h.summands[s], h.summands[t]
         if source.rank != 1 or target.rank != 1:
             continue
-        amb = oracle_dual(source.bundle).tensor(target.bundle).tensor(K_power(1))
+        amb = oracle_tensor(oracle_tensor(oracle_dual(source.bundle), target.bundle), K_power(1))
         if sym.kind == "unit" and not amb.is_trivial():
             raise ModelInvariantError(
                 f"unit entry ({t},{s}) needs a trivial ambient, got {amb.serialize()}"

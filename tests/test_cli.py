@@ -317,12 +317,22 @@ def _repeated_higgs_entry(doc):
     doc["higgs"].append(dict(doc["higgs"][0]))
 
 
+def _reserved_name_as_power(doc):
+    next(r for r in doc["summands"] if r["bundle"] == "O")["bundle"] = "O^2"
+
+
+def _reserved_name_as_divisor(doc):
+    next(r for r in doc["summands"] if r["bundle"] == "O")["bundle"] = "O(K)"
+
+
 @pytest.mark.parametrize(
     "defect, message",
     [
         (_bogus_kind, "symbol 'M' has unknown kind 'bogus'"),
         (_wrong_recorded_degree, "summand 0 records degree 999, but its bundle has degree 2"),
         (_repeated_higgs_entry, "higgs entry (0, 2) is listed twice"),
+        (_reserved_name_as_power, "bad factor 'O^2': O is a reserved name"),
+        (_reserved_name_as_divisor, "bad factor 'O(K)': K is a reserved name"),
     ],
 )
 def test_defective_document_is_a_parse_error(defect, message, monkeypatch, capsys):

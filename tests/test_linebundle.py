@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from higgs_atlas import (
     Curve,
     DegreeContext,
+    KIND_DIVISOR,
     KIND_SPIN,
     KIND_TORSION,
     K_power,
@@ -21,6 +22,10 @@ from higgs_atlas import (
     trivial,
     variable,
 )
+from helpers import every_builder_output, oracle_dual, oracle_parse, oracle_tensor
+
+KINDS = {"I": KIND_TORSION, "s": KIND_SPIN}
+
 
 def atoms():
     return st.one_of(
@@ -102,6 +107,12 @@ def test_parse_rejects_garbage():
             parse_expr(bad)
 
 
+@pytest.mark.parametrize("text", ["O^2", "O^-1", "O(K)", "O(O)", "O(-K)^2", "M*O^2", "K*O(K)"])
+def test_parse_refuses_reserved_names(text):
+    with pytest.raises(ParseError, match="reserved name"):
+        parse_expr(text)
+
+
 def test_parse_defaults_names_to_variables():
     expr = parse_expr("M^2")
     assert expr.variables == (("M", 2),)
@@ -148,3 +159,82 @@ def test_degree_is_additive(a, b, g):
     declared = {"M": 3, "N": -2, "D": 1}
     total = a.tensor(b).resolved_degree(g, declared)
     assert total == a.resolved_degree(g, declared) + b.resolved_degree(g, declared)
+
+
+# -- agreement with the factor-by-factor oracles ---------------------------
+
+def fields(e):
+    return type(e), e.k_power, e.spins, e.torsions, e.variables, e.divisors
+
+
+def factor_texts():
+    """Unreduced factor sequences: repeated and cancelling names, spins and
+    torsions to any power, zero exponents, units, stray spaces."""
+    exps = st.integers(-3, 3)
+    factor = st.one_of(
+        st.just("O"),
+        st.just("K"),
+        exps.map(lambda e: f"K^{e}"),
+        st.tuples(st.sampled_from(("M", "N", "s", "t", "I", "J", "E")), exps).map(
+            lambda p: f"{p[0]}^{p[1]}"),
+        st.sampled_from(("M", "s", "I", "E")),
+        st.tuples(st.sampled_from(("D", "s", "M")), st.sampled_from(("", "-")), exps).map(
+            lambda p: f"O({p[1]}{p[0]})^{p[2]}"),
+    )
+    padded = st.tuples(st.sampled_from(("", " ")), factor, st.sampled_from(("", " "))).map("".join)
+    return st.lists(padded, min_size=1, max_size=6).map("*".join)
+
+
+ORACLE_KINDS = st.sampled_from(
+    (None, KINDS, {"s": KIND_SPIN, "t": KIND_SPIN, "I": KIND_TORSION, "J": KIND_TORSION,
+                   "E": KIND_DIVISOR}))
+
+
+@given(expressions(), expressions())
+def test_tensor_agrees_with_the_reduction_oracle(a, b):
+    assert fields(a.tensor(b)) == fields(oracle_tensor(a, b))
+
+
+@given(expressions(), st.integers(-3, 3))
+def test_tensor_with_a_power_of_k_agrees_with_the_reduction_oracle(a, j):
+    k = K_power(j)
+    assert fields(a.tensor(k)) == fields(k.tensor(a)) == fields(oracle_tensor(a, k))
+
+
+@given(st.lists(expressions(), max_size=5))
+def test_tensor_all_agrees_with_the_oracle_fold(exprs):
+    folded = trivial()
+    for e in exprs:
+        folded = oracle_tensor(folded, e)
+    assert fields(tensor_all(exprs)) == fields(folded)
+
+
+@given(expressions(), ORACLE_KINDS)
+def test_parse_agrees_with_the_factor_oracle_on_normal_forms(expr, kinds):
+    text = expr.serialize()
+    assert fields(parse_expr(text, kinds)) == fields(oracle_parse(text, kinds))
+
+
+@given(factor_texts(), ORACLE_KINDS)
+def test_parse_agrees_with_the_factor_oracle_on_unreduced_text(text, kinds):
+    assert fields(parse_expr(text, kinds)) == fields(oracle_parse(text, kinds))
+
+
+@pytest.mark.parametrize("genus", [2, 3])
+def test_builder_summands_and_ambients_agree_with_the_oracles(genus):
+    for h in every_builder_output(Curve(genus)):
+        kinds = {}
+        for s in h.summands:
+            kinds.update(dict.fromkeys(s.bundle.spins, KIND_SPIN))
+            kinds.update(dict.fromkeys(s.bundle.torsions, KIND_TORSION))
+        lines = [s.bundle for s in h.summands if s.rank == 1]
+        ambients = []
+        for source in lines:
+            for target in lines:
+                amb = source.dual().tensor(target).tensor(K_power(1))
+                slow = oracle_tensor(oracle_tensor(oracle_dual(source), target), K_power(1))
+                assert fields(amb) == fields(slow)
+                ambients.append(amb)
+        for e in [s.bundle for s in h.summands] + ambients:
+            text = e.serialize()
+            assert fields(parse_expr(text, kinds)) == fields(oracle_parse(text, kinds)) == fields(e)
