@@ -736,9 +736,10 @@ def build_maximal_so23(
     so V = K + K^-1 and W = O + M + M^-1.  The n = 2 twisted chain
     (``build_exotic_so``) builds the same object from the principal chain.
     """
+    h = build_maximal_so2n(curve, 3, SplitW0(d, mu, nu), q2)
     meta = {"family": "maximal-so23", "d": d,
             "switch_variable": "M", "switch_sections": "mu,nu"}
-    return _maximal_so2n(curve, 3, SplitW0(d, mu, nu), q2, True, meta)
+    return replace(h, meta=tuple(sorted(meta.items())))
 
 
 def build_maximal_so2n(
@@ -758,52 +759,35 @@ def build_maximal_so2n(
     """
     if n < 3:
         raise BoundError("signature (2, n) needs n >= 3")
-    meta: dict[str, object] = {"family": "maximal-so2n", "n": n}
-    if isinstance(w0, SplitW0):
-        meta.update({"w0": "split", "d": w0.degree,
-                     "sw1": F2Class.zero(curve.genus).bits(), "sw2": w0.degree % 2,
-                     "switch_variable": "M", "switch_sections": "mu,nu"})
-    elif isinstance(w0, TrivialW0):
-        meta.update({"w0": "trivial", "sw1": F2Class.zero(curve.genus).bits(), "sw2": 0})
-    elif isinstance(w0, PrymW0):
-        meta.update({"w0": "prym", "sw1": w0.sw1.bits(), "sw2": w0.sw2})
-    else:
-        raise TypeError(f"unknown W0 descriptor {w0!r}")
-    return _maximal_so2n(curve, n, w0, q2, beta0, meta)
-
-
-def _maximal_so2n(
-    curve: Curve,
-    n: int,
-    w0: SplitW0 | PrymW0 | TrivialW0,
-    q2: bool,
-    beta0: bool,
-    meta: Mapping[str, object],
-) -> GradedHiggsBundle:
-    """The signature-(2, n) object of ``build_maximal_so2n`` (n >= 3, a W0
-    descriptor of a known shape), assembled and validated once under the
-    caller's ``meta``."""
+    g = curve.genus
     torsion_classes: dict[str, F2Class] = {}
     declared: dict[str, int] = {}
     if isinstance(w0, PrymW0):
         i_expr = torsion("I")
         torsion_classes["I"] = w0.sw1
-    else:
+    elif isinstance(w0, (SplitW0, TrivialW0)):
         i_expr = trivial()
+    else:
+        raise TypeError(f"unknown W0 descriptor {w0!r}")
     # the signature-(2, 1) principal chain twisted by I
     chain = [Summand(SIDE_V, i_expr.tensor(K_power(1))), Summand(SIDE_W, i_expr),
              Summand(SIDE_V, i_expr.tensor(K_power(-1)))]
     summands, sigma, entries = _split_chain(chain, (2,) if q2 else ())
+    meta: dict[str, object] = {"family": "maximal-so2n", "n": n}
     if isinstance(w0, SplitW0):
         # M + M^-1 carries the signature-(2,3) label range at every n
-        top = milnor_wood_bound(GroupTag("so0", (2, 3)), curve.genus)
+        top = milnor_wood_bound(GroupTag("so0", (2, 3)), g)
         if abs(w0.degree) > top:
             raise BoundError(f"|deg M| exceeds {top}")
         declared["M"] = w0.degree
         _add_m_pair(summands, sigma, entries, w0.degree, top, low_v=1, mu=w0.mu, nu=w0.nu)
         summands, sigma = _with_trivial_w(summands, sigma, n - 3)
+        meta.update({"w0": "split", "d": w0.degree,
+                     "sw1": F2Class.zero(g).bits(), "sw2": w0.degree % 2,
+                     "switch_variable": "M", "switch_sections": "mu,nu"})
     elif isinstance(w0, TrivialW0):
         summands, sigma = _with_trivial_w(summands, sigma, n - 1)
+        meta.update({"w0": "trivial", "sw1": F2Class.zero(g).bits(), "sw2": 0})
     else:
         if n != 3:
             raise BoundError("an indecomposable rank-2 block fills W0 only for n = 3")
@@ -812,6 +796,7 @@ def _maximal_so2n(
         )
         declared["W0"] = 0
         sigma.append(len(chain))
+        meta.update({"w0": "prym", "sw1": w0.sw1.bits(), "sw2": w0.sw2})
     if beta0 and not isinstance(w0, SplitW0):
         # beta0 joins each summand of a trivial or flat W0 to the chain
         sym = named_section("beta0")

@@ -21,11 +21,9 @@ Every constructor here returns a normal form; a ``LineBundleExpr`` built
 field by field must be one too (sorted distinct names, nonzero exponents).
 
 A normal form is reduced from collected exponents once: once per
-``parse_expr`` (every factor's exponent is summed by kind first), once per
-``tensor`` of two expressions that both carry a non-K atom, and once per
-``tensor_all``.  K never changes the rest of a normal form, so a tensor
-with a pure power K^j keeps the other side's spins, torsions, variables
-and divisors as they are and adds j to its K power, with no reduction.
+``parse_expr`` (every factor's exponent is summed by kind first) and once
+per ``tensor`` or ``tensor_all`` (every operand's exponents are summed by
+kind first).
 """
 
 from __future__ import annotations
@@ -57,19 +55,7 @@ class LineBundleExpr:
     # -- algebra ---------------------------------------------------------
 
     def tensor(self, other: "LineBundleExpr") -> "LineBundleExpr":
-        if other.canonical_power() is not None:
-            return self._twisted(other.k_power)
-        if self.canonical_power() is not None:
-            return other._twisted(self.k_power)
         return tensor_all((self, other))
-
-    def _twisted(self, j: int) -> "LineBundleExpr":
-        """This expression tensored with K^j."""
-        if not j:
-            return self
-        return LineBundleExpr(
-            self.k_power + j, self.spins, self.torsions, self.variables, self.divisors
-        )
 
     def dual(self) -> "LineBundleExpr":
         return LineBundleExpr(
@@ -159,8 +145,6 @@ def _negated(a: tuple[tuple[str, int], ...], b: tuple[tuple[str, int], ...]) -> 
 
 
 def _make(k, spin_exp, torsion_exp, var_exp, div_exp) -> LineBundleExpr:
-    if not (spin_exp or torsion_exp or var_exp or div_exp):
-        return LineBundleExpr(k)
     # spin reduction s^e = K^(e//2) * s^(e mod 2); torsion reduction mod 2
     spins = []
     for name, e in spin_exp.items():

@@ -13,11 +13,11 @@ the set of values m classes reach one class at a time.  The validation
 oracle builds each Higgs entry's ambient as a line-bundle expression and
 reads its degree and shape from that expression; its duals are rebuilt
 by negating every exponent and reducing again, not by the closed form,
-and its tensor products reduce the merged exponents of both sides every
-time, with no shortcut for a power of K.  The parse oracle is the
-factor-by-factor parser the package ran before it summed each kind's
-exponents in one pass: every factor becomes an atom and is tensored on
-with that full reduction.
+and its tensor products merge the two sides' exponents name by name and
+reduce them, not by summing over all operands by kind.  The parse oracle
+is the factor-by-factor parser the package ran before it summed each
+kind's exponents in one pass: every factor becomes an atom and is
+tensored on with that merge and reduction.
 The builder oracle writes the maximal signature-(2, 3) object out summand
 by summand, with no chain or M-pair helper, so a fault in those helpers
 cannot show on both sides of a comparison.
@@ -352,8 +352,7 @@ def oracle_maximal_so23(
 # -- line-bundle oracles -----------------------------------------------------
 
 def oracle_tensor(a: LineBundleExpr, b: LineBundleExpr) -> LineBundleExpr:
-    """a (x) b through the full reduction: both sides' exponents merged by
-    name, then reduced, even when one side is a power of K."""
+    """a (x) b: both sides' exponents merged name by name, then reduced."""
     def merged(x, y):
         out: dict[str, int] = {}
         for n, e in list(x) + list(y):

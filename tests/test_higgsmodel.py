@@ -4,7 +4,6 @@ JSON round trip."""
 from __future__ import annotations
 
 import hashlib
-import dataclasses
 import itertools
 from dataclasses import replace
 
@@ -514,32 +513,6 @@ def test_maximal_two_three_matches_the_hand_written_diagram(genus):
         for mu, nu, q2 in itertools.product((True, False), repeat=3):
             h = build_maximal_so23(c, d, mu, nu, q2)
             assert replace(h, meta=()) == oracle_maximal_so23(c, d, mu, nu, q2), (d, mu, nu, q2)
-
-
-def test_maximal_two_three_is_assembled_and_validated_once(monkeypatch):
-    # one make_bundle under the so23 meta: no validated object is rebuilt
-    # through dataclasses.replace, and the body is build_maximal_so2n's
-    calls = dict.fromkeys(("make_bundle", "validate", "replace"), 0)
-
-    def spy(name, fn):
-        def counting(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return counting
-
-    monkeypatch.setattr(higgsmodel, "make_bundle", spy("make_bundle", higgsmodel.make_bundle))
-    monkeypatch.setattr(higgsmodel, "validate", spy("validate", higgsmodel.validate))
-    monkeypatch.setattr(higgsmodel, "replace", spy("replace", higgsmodel.replace))
-    monkeypatch.setattr(dataclasses, "replace", spy("replace", dataclasses.replace))
-    for d in range(-4, 5):
-        for mu, nu, q2 in itertools.product((True, False), repeat=3):
-            calls.update(dict.fromkeys(calls, 0))
-            h = build_maximal_so23(C2, d, mu, nu, q2)
-            assert calls == {"make_bundle": 1, "validate": 1, "replace": 0}, (d, mu, nu, q2)
-            assert dict(h.meta) == {"family": "maximal-so23", "d": d,
-                                    "switch_variable": "M", "switch_sections": "mu,nu"}
-            wide = build_maximal_so2n(C2, 3, SplitW0(d, mu, nu), q2)
-            assert replace(h, meta=()) == replace(wide, meta=()), (d, mu, nu, q2)
 
 
 @pytest.mark.parametrize("genus", sorted(BUILDER_DIGESTS))

@@ -195,12 +195,6 @@ def test_tensor_agrees_with_the_reduction_oracle(a, b):
     assert fields(a.tensor(b)) == fields(oracle_tensor(a, b))
 
 
-@given(expressions(), st.integers(-3, 3))
-def test_tensor_with_a_power_of_k_agrees_with_the_reduction_oracle(a, j):
-    k = K_power(j)
-    assert fields(a.tensor(k)) == fields(k.tensor(a)) == fields(oracle_tensor(a, k))
-
-
 @given(st.lists(expressions(), max_size=5))
 def test_tensor_all_agrees_with_the_oracle_fold(exprs):
     folded = trivial()
