@@ -6,6 +6,7 @@ from __future__ import annotations
 import contextlib
 import copy
 import gc
+import hashlib
 import io
 import json
 import os
@@ -20,6 +21,7 @@ from hypothesis import given, settings, strategies as st
 from higgs_atlas import (
     Curve,
     F2Class,
+    HiggsAtlasError,
     PrymW0,
     build_extension_deformed_so35,
     build_maximal_so23,
@@ -29,6 +31,8 @@ from higgs_atlas import (
     bundle_to_dict,
     check_polystability,
     cli,
+    minimal_realizing_n,
+    sw_surjectivity_witnesses,
 )
 from helpers import brute_force_minimal_n, brute_force_sw_witnesses
 
@@ -187,6 +191,56 @@ def test_sw_documents_match_the_brute_force(capsys):
     assert code == 0
     minimal = {pair.label(): n for pair, n in brute_force_minimal_n(3, 3).items()}
     assert doc == {"genus": 3, "n_max": 3, "minimal": minimal}
+
+
+SW_CLASS_LISTS = {
+    2: ("0000", "1000", "1000,0100", "1111,1111", "1010,0101,0011",
+        "0110,1001,1100,0011", "0001,0010,0100,1000", "1000,01000", "10x0", ""),
+    3: ("000000", "100000,010000", "101010,010101", "110000,001100,000011",
+        "111111,100001,011110,000000", "1000,010000"),
+}
+
+
+def _sw_call(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["sw", *argv])
+    return code, out.getvalue()
+
+
+def sw_documents(genus):
+    """Exit code and stdout of every frozen ``sw`` call at genus 2 or 3;
+    at genus 4, the error class and code of each refused search."""
+    g = str(genus)
+    if genus == 4:
+        lines = []
+        for mode, ask in (("--surjectivity", sw_surjectivity_witnesses),
+                          ("--minimal-n", minimal_realizing_n)):
+            for n in range(1, 5):
+                with pytest.raises(HiggsAtlasError) as info:
+                    ask(genus, n)
+                code, out = _sw_call("--genus", g, mode, "--n", str(n))
+                assert code == 1 and json.loads(out)["code"] == info.value.code
+                lines.append(f"{type(info.value).__name__}:{info.value.code}")
+        return lines
+    calls = [("--classes", classes) for classes in SW_CLASS_LISTS[genus]]
+    calls += [("--surjectivity", "--n", str(n)) for n in range(1, 5)]
+    calls += [("--minimal-n", "--n", str(n)) for n in range(0, 5)]
+    return ["%d %s" % _sw_call("--genus", g, *call) for call in calls]
+
+
+# sha256 of sw_documents(genus), one entry per line
+SW_DIGESTS = {
+    2: "6db6d181dfd27419dcf282ed228c563fba622173f0b2ff6c0db6bc6d2c9580ea",
+    3: "38ef3360ddb8dbbe3ca643572e182906a900c8ab1642794dff4576748b2818b7",
+    4: "e274aed5c3e47d92a0b5fc27f672c834e5d46bf77b1094f0332a98e3f1beb282",
+}
+
+
+@pytest.mark.parametrize("genus", sorted(SW_DIGESTS))
+def test_sw_documents_are_frozen(genus):
+    text = "\n".join(sw_documents(genus))
+    assert hashlib.sha256(text.encode()).hexdigest() == SW_DIGESTS[genus]
 
 
 def test_census_verb(capsys):
