@@ -344,19 +344,18 @@ def _cmd_census(args) -> dict:
 
 
 def _cmd_param(args) -> dict:
-    from .catalog import half_dimension, parameterization, resolve_extra_factor_reading
+    from .catalog import _twist_rank, half_dimension, parameterization, resolve_extra_factor_reading
     from .higgsmodel import GroupTag
 
     group = GroupTag.parse(args.group)
     p = parameterization(group, args.d, args.genus)
-    n = 1 if group.family == "so" else group.params[0]
     return {
         "group": str(group),
         "genus": args.genus,
         "d": args.d,
         "parameterization": p.to_dict(),
         "half_dimension": half_dimension(group, args.genus),
-        "extra_reading": resolve_extra_factor_reading(n, args.genus),
+        "extra_reading": resolve_extra_factor_reading(_twist_rank(group), args.genus),
     }
 
 

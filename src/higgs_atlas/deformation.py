@@ -35,7 +35,6 @@ from .higgsmodel import (
     GroupTag,
     _integer_label,
     _so35_frame,
-    canonical_json,
     milnor_wood_bound,
     named_section,
 )
@@ -282,7 +281,7 @@ def search_admissible_weights(
             size=count,
             budget=budget,
         )
-    found: dict[str, tuple[WeightAssignment, LimitResult]] = {}
+    found: dict[tuple, tuple[WeightAssignment, LimitResult]] = {}
     for combo in itertools.product(range(-bound, bound + 1), repeat=len(free)):
         weights = [0] * n
         for val, i in zip(combo, free):
@@ -292,7 +291,7 @@ def search_admissible_weights(
         res = graded_limit(h, w, direction)
         if not res.exists:
             continue
-        key = canonical_json(res.limit)
+        key = (res.limit.higgs, res.limit.dolbeault)
         if key not in found:
             found[key] = (w, res)
     return tuple(sorted(found.values(), key=lambda pair: pair[0].weights))

@@ -1,93 +1,88 @@
 """Mod-2 cohomology of the base surface and Stiefel-Whitney arithmetic.
 
 H^1(S; F_2) is modelled as F_2^(2g) in a fixed symplectic basis
-a_1, b_1, ..., a_g, b_g; coordinates are stored in that interleaved
-order, so coords[2i] is the a_(i+1) coefficient and coords[2i+1] the
-b_(i+1) coefficient.  The cup product pairs a_i with b_i:
+a_1, b_1, ..., a_g, b_g.  A class is one integer below 4^g: bit 2i holds
+the a_(i+1) coefficient and bit 2i + 1 the b_(i+1) coefficient, so the
+sum of classes is xor.  The cup product pairs a_i with b_i,
 
-    cup(x, y) = sum_i x[2i] y[2i+1] + x[2i+1] y[2i]   (mod 2)
+    cup(x, y) = sum_i x_(2i) y_(2i+1) + x_(2i+1) y_(2i)   (mod 2),
 
-which is alternating (cup(x, x) = 0) and nondegenerate.  H^2 is F_2.
-On integer encodings (bit i holds coords[i]) it is the parity of the even
-bits of (x & (y >> 1)) ^ ((x >> 1) & y).
+which is alternating (cup(x, x) = 0) and nondegenerate; H^2 is F_2.  On
+the integers it is the parity of the even bits of (x & (y >> 1)) ^
+((x >> 1) & y).
 
-For a direct sum of 2-torsion line bundles the total Stiefel-Whitney
-class expands to
-
-    sw_1 = sum of the classes,   sw_2 = sum over pairs j < k of cup products.
+An orthogonal bundle is labelled by its pair (sw_1, sw_2); the label of
+an orthogonal direct sum is the sum of the labels under ``SWPair.__add__``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Sequence
 
 from .curve import Curve
 from .errors import DimensionMismatchError, UnresolvedActionError
-from .linebundle import DegreeContext, LineBundleExpr, trivial
+from .linebundle import DegreeContext, LineBundleExpr, K_power, tensor_all
 
 
 @dataclass(frozen=True)
 class F2Class:
-    """An element of H^1(S; F_2) = F_2^(2g)."""
+    """An element of H^1(S; F_2) = F_2^(2g): bit i of ``value`` is
+    coordinate i of the interleaved basis a_1, b_1, ..., a_g, b_g."""
 
-    coords: tuple[int, ...]
+    genus: int
+    value: int
 
     def __post_init__(self):
-        if len(self.coords) % 2 or len(self.coords) < 4:
-            raise ValueError("coordinate length must be 2g with g >= 2")
-        if any(c not in (0, 1) for c in self.coords):
-            raise ValueError("coordinates must be bits")
-
-    @property
-    def genus(self) -> int:
-        return len(self.coords) // 2
+        if self.genus < 2:
+            raise ValueError("genus must be at least 2")
+        if not 0 <= self.value < 1 << (2 * self.genus):
+            raise ValueError(f"class value {self.value} is outside [0, 4^{self.genus})")
 
     def __add__(self, other: "F2Class") -> "F2Class":
         _check_same_genus(self, other)
-        return F2Class(tuple((a + b) % 2 for a, b in zip(self.coords, other.coords)))
+        return F2Class(self.genus, self.value ^ other.value)
 
     def is_zero(self) -> bool:
-        return not any(self.coords)
+        return not self.value
 
     def bits(self) -> str:
-        return "".join(str(c) for c in self.coords)
+        """The coordinates as a bit string, coordinate 0 first."""
+        return format(self.value, f"0{2 * self.genus}b")[::-1]
 
     def to_int(self) -> int:
-        return sum(c << i for i, c in enumerate(self.coords))
+        return self.value
 
     @staticmethod
     def zero(genus: int) -> "F2Class":
-        return F2Class((0,) * (2 * genus))
+        return F2Class(genus, 0)
 
     @staticmethod
     def from_bits(bits: str) -> "F2Class":
         if not bits or set(bits) - {"0", "1"}:
             raise ValueError(f"bad bit string {bits!r}")
-        return F2Class(tuple(int(c) for c in bits))
+        if len(bits) % 2 or len(bits) < 4:
+            raise ValueError("coordinate length must be 2g with g >= 2")
+        return F2Class(len(bits) // 2, int(bits[::-1], 2))
 
     @staticmethod
     def from_int(genus: int, value: int) -> "F2Class":
-        return F2Class(tuple((value >> i) & 1 for i in range(2 * genus)))
+        return F2Class(genus, value)
 
     @staticmethod
     def basis_a(genus: int, i: int) -> "F2Class":
-        coords = [0] * (2 * genus)
-        coords[2 * i] = 1
-        return F2Class(tuple(coords))
+        return F2Class(genus, 1 << (2 * i))
 
     @staticmethod
     def basis_b(genus: int, i: int) -> "F2Class":
-        coords = [0] * (2 * genus)
-        coords[2 * i + 1] = 1
-        return F2Class(tuple(coords))
+        return F2Class(genus, 2 << (2 * i))
 
 
 def all_classes(genus: int) -> tuple[F2Class, ...]:
     """Every class, ordered by integer encoding (the zero class first)."""
     if genus < 2:
         raise ValueError("genus must be at least 2")
-    return tuple(F2Class.from_int(genus, v) for v in range(1 << (2 * genus)))
+    return tuple(F2Class(genus, v) for v in range(1 << (2 * genus)))
 
 
 def _check_same_genus(a: F2Class, b: F2Class):
@@ -110,7 +105,7 @@ def _cup_int(x: int, y: int, even: int) -> int:
 def cup(a: F2Class, b: F2Class) -> int:
     """Cup product H^1 x H^1 -> H^2 = F_2 in the symplectic basis."""
     _check_same_genus(a, b)
-    return _cup_int(a.to_int(), b.to_int(), _even_bits(a.genus))
+    return _cup_int(a.value, b.value, _even_bits(a.genus))
 
 
 @dataclass(frozen=True)
@@ -124,25 +119,27 @@ class SWPair:
         if self.sw2 not in (0, 1):
             raise ValueError("sw2 must be a bit")
 
+    def __add__(self, other: "SWPair") -> "SWPair":
+        """The label of the orthogonal direct sum (Whitney sum formula;
+        Milnor & Stasheff, Characteristic Classes, 1974, section 4):
+
+            sw_1(A + B) = sw_1(A) + sw_1(B),
+            sw_2(A + B) = sw_2(A) + sw_2(B) + cup(sw_1(A), sw_1(B)).
+        """
+        return SWPair(self.sw1 + other.sw1, self.sw2 ^ other.sw2 ^ cup(self.sw1, other.sw1))
+
     def label(self) -> str:
         return f"sw1={self.sw1.bits()},sw2={self.sw2}"
 
 
 def total_sw_of_sum(classes: Sequence[F2Class], genus: int | None = None) -> SWPair:
-    """Total Stiefel-Whitney data of a direct sum of 2-torsion bundles."""
+    """Total Stiefel-Whitney data of a direct sum of 2-torsion line
+    bundles, each labelled (c, 0)."""
     if not classes:
         if genus is None:
             raise DimensionMismatchError("empty sum needs an explicit genus")
         return SWPair(F2Class.zero(genus), 0)
-    first = classes[0]
-    even = _even_bits(first.genus)
-    s1 = s2 = 0
-    for c in classes:
-        _check_same_genus(first, c)
-        x = c.to_int()
-        s2 ^= _cup_int(s1, x, even)
-        s1 ^= x
-    return SWPair(F2Class.from_int(first.genus, s1), s2)
+    return sum((SWPair(c, 0) for c in classes[1:]), SWPair(classes[0], 0))
 
 
 @dataclass(frozen=True)
@@ -313,7 +310,6 @@ class InvolutionAction:
 
     def apply(self, expr: LineBundleExpr) -> LineBundleExpr:
         table = self.action_map
-        out = trivial().tensor(LineBundleExpr(k_power=expr.k_power))
         pieces: list[tuple[str, int]] = [(n, 1) for n in expr.spins]
         pieces += [(n, 1) for n in expr.torsions]
         pieces += list(expr.variables) + list(expr.divisors)
@@ -322,9 +318,7 @@ class InvolutionAction:
             raise UnresolvedActionError(
                 f"involution action undeclared for: {', '.join(missing)}"
             )
-        for name, e in pieces:
-            out = out.tensor(table[name].power(e))
-        return out
+        return tensor_all([K_power(expr.k_power), *(table[name].power(e) for name, e in pieces)])
 
 
 def prym_membership(

@@ -1018,10 +1018,8 @@ def so2n_sw_label(h: GradedHiggsBundle) -> SWPair:
     Its label is the total class of the orthogonal sum: dual line pairs
     contribute their degree mod 2 to the second class, self-paired lines
     contribute their 2-torsion class to the first, opaque blocks carry
-    their recorded pair, and the cross terms follow the sum formula.
+    their recorded pair, and the labels add under ``SWPair.__add__``.
     """
-    from .f2cohomology import cup
-
     if h.group.family != "so0" or h.group.params[0] != 2:
         raise WrongGroupError(f"expected a signature-(2,n) object, got {h.group}")
     v_idx = h.side_indices(SIDE_V)
@@ -1051,18 +1049,11 @@ def so2n_sw_label(h: GradedHiggsBundle) -> SWPair:
                 raise WrongGroupError(f"block summand {i} carries no invariants")
             factors.append(s.sw)
         elif h.sigma[i] == i:
-            cls = zero
-            for name in s.bundle.torsions:
-                cls = cls + tclasses.get(name, zero)
-            factors.append(SWPair(cls, 0))
+            factors.append(SWPair(sum((tclasses.get(n, zero) for n in s.bundle.torsions), zero), 0))
         else:
             seen.add(h.sigma[i])
             factors.append(SWPair(zero, h.degree_of(i) % 2))
-    sw1, sw2 = zero, 0
-    for f in factors:
-        sw2 = (sw2 + f.sw2 + cup(sw1, f.sw1)) % 2
-        sw1 = sw1 + f.sw1
-    return SWPair(sw1, sw2)
+    return sum(factors, SWPair(zero, 0))
 
 
 # -- gauge moves and canonical forms ------------------------------------------

@@ -96,11 +96,6 @@ class LineBundleExpr:
     def is_trivial(self) -> bool:
         return self.canonical_power() == 0
 
-    def named_symbols(self) -> tuple[str, ...]:
-        names = list(self.spins) + list(self.torsions)
-        names += [n for n, _ in self.variables] + [n for n, _ in self.divisors]
-        return tuple(sorted(names))
-
     def resolved_degree(self, genus: int, declared: Mapping[str, int]) -> int:
         deg = self.k_power * (2 * genus - 2) + len(self.spins) * (genus - 1)
         missing = []

@@ -201,10 +201,11 @@ def sw_fold_explicit(classes: Sequence[F2Class]) -> tuple[F2Class, int]:
 
 def cup_coords(a: F2Class, b: F2Class) -> int:
     """Cup product by the coordinate formula sum_i a[2i] b[2i+1] + a[2i+1] b[2i]."""
+    x, y = [int(c) for c in a.bits()], [int(c) for c in b.bits()]
     total = 0
     for i in range(a.genus):
-        total += a.coords[2 * i] * b.coords[2 * i + 1]
-        total += a.coords[2 * i + 1] * b.coords[2 * i]
+        total += x[2 * i] * y[2 * i + 1]
+        total += x[2 * i + 1] * y[2 * i]
     return total % 2
 
 

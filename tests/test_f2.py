@@ -48,11 +48,22 @@ def classes(genus=2):
 
 def test_class_validation():
     with pytest.raises(ValueError):
-        F2Class((1, 0))
+        F2Class(1, 0)
     with pytest.raises(ValueError):
-        F2Class((1, 0, 2, 0))
+        F2Class(2, 16)
     with pytest.raises(ValueError):
         F2Class.from_bits("10x0")
+
+
+@pytest.mark.parametrize("value", [16, -1, 21])
+def test_from_int_refuses_values_outside_the_group(value):
+    with pytest.raises(ValueError, match=r"outside \[0, 4\^2\)"):
+        F2Class.from_int(2, value)
+
+
+def test_sw2_must_be_a_bit():
+    with pytest.raises(ValueError, match="sw2 must be a bit"):
+        SWPair(A1, 2)
 
 
 def test_bits_round_trip():
