@@ -18,8 +18,9 @@ import importlib
 __version__ = "0.1.0"
 
 # The library modules, each after the modules it imports.
-_MODULES = ("errors", "curve", "linebundle", "f2cohomology", "higgsmodel", "stability",
-            "deformation", "catalog", "verification")
+_MODULES = ("errors", "f2classes", "groups", "curve", "linebundle", "f2cohomology",
+            "higgsmodel", "canonical", "builders", "stability", "deformation", "catalog",
+            "verification")
 
 
 def _modules():

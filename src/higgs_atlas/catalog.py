@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 from .curve import Curve, h0
 from .errors import BoundError, UnsupportedGroupError
-from .f2cohomology import SWPair, all_classes
-from .higgsmodel import GroupTag, milnor_wood_bound
+from .f2classes import SWPair, all_classes
+from .groups import GroupTag, milnor_wood_bound
 from .linebundle import K_power, variable
 
 SECTOR_ALL = "all"
@@ -173,6 +173,8 @@ def resolve_extra_factor_reading(n: int, genus: int) -> dict:
 
 @dataclass(frozen=True)
 class ComponentDescriptor:
+    """One component of a census: its label, dimension and what is known of its shape."""
+
     group: GroupTag
     label: str
     dimension: int
@@ -199,6 +201,8 @@ class ComponentDescriptor:
 
 @dataclass(frozen=True)
 class Census:
+    """The components of a group's character variety, or of its maximal sector."""
+
     group: GroupTag
     genus: int
     sector: str

@@ -62,7 +62,7 @@ def _read_document(path: str) -> dict:
 
 
 def _parse_classes(genus: int, text: str) -> list:
-    from .f2cohomology import F2Class
+    from .f2classes import F2Class
 
     out = []
     for chunk in text.split(","):
@@ -103,8 +103,8 @@ def _parse_ints(text: str, signed: bool) -> tuple[int, ...]:
 
 
 def _parse_w0(genus: int, text: str):
-    from .f2cohomology import F2Class
-    from .higgsmodel import PrymW0, SplitW0, TrivialW0
+    from .builders import PrymW0, SplitW0, TrivialW0
+    from .f2classes import F2Class
 
     parts = text.split(":")
     if parts[0] == "split":
@@ -141,9 +141,7 @@ def _refuse_unread(args, group, *read: str) -> None:
 
 
 def _cmd_build(args) -> dict:
-    from .curve import Curve
-    from .higgsmodel import (
-        GroupTag,
+    from .builders import (
         build_degree_zero_chain,
         build_exotic_so,
         build_extension_deformed_so35,
@@ -155,8 +153,10 @@ def _cmd_build(args) -> dict:
         build_maximal_so2n,
         build_so12,
         build_twisted_fuchsian_sp,
-        bundle_to_dict,
     )
+    from .curve import Curve
+    from .groups import GroupTag
+    from .higgsmodel import bundle_to_dict
 
     group = GroupTag.parse(args.group)
     curve = Curve(args.genus)
@@ -237,7 +237,8 @@ def _cmd_build(args) -> dict:
 
 
 def _cmd_stability(args) -> dict:
-    from .higgsmodel import bundle_from_dict, milnor_wood_bound
+    from .groups import milnor_wood_bound
+    from .higgsmodel import bundle_from_dict
     from .stability import check_polystability
 
     h = bundle_from_dict(_read_document(args.input))
@@ -285,9 +286,9 @@ def _cmd_limit(args) -> dict:
 
 
 def _cmd_sw(args) -> dict:
-    from .f2cohomology import minimal_realizing_n, sw_surjectivity_witnesses, total_sw_of_sum
-
     if args.surjectivity:
+        from .f2cohomology import sw_surjectivity_witnesses
+
         report = sw_surjectivity_witnesses(args.genus, args.n)
         return {
             "genus": report.genus,
@@ -300,6 +301,8 @@ def _cmd_sw(args) -> dict:
             "missing": [pair.label() for pair in report.missing],
         }
     if args.minimal_n:
+        from .f2cohomology import minimal_realizing_n
+
         table = minimal_realizing_n(args.genus, args.n)
         return {
             "genus": args.genus,
@@ -308,6 +311,8 @@ def _cmd_sw(args) -> dict:
         }
     if not args.classes:
         raise PreconditionError("need --classes, --surjectivity, or --minimal-n")
+    from .f2classes import total_sw_of_sum
+
     classes = _parse_classes(args.genus, args.classes)
     pair = total_sw_of_sum(classes)
     return {"sw1": pair.sw1.bits(), "sw2": pair.sw2, "label": pair.label()}
@@ -336,7 +341,7 @@ def _census_table(doc: dict) -> str:
 
 def _cmd_census(args) -> dict:
     from .catalog import census
-    from .higgsmodel import GroupTag
+    from .groups import GroupTag
 
     group = GroupTag.parse(args.group)
     c = census(group, args.genus, args.sector)
@@ -345,7 +350,7 @@ def _cmd_census(args) -> dict:
 
 def _cmd_param(args) -> dict:
     from .catalog import _twist_rank, half_dimension, parameterization, resolve_extra_factor_reading
-    from .higgsmodel import GroupTag
+    from .groups import GroupTag
 
     group = GroupTag.parse(args.group)
     p = parameterization(group, args.d, args.genus)
@@ -366,7 +371,7 @@ def _cmd_dim(args) -> dict:
         group_dim,
         half_dimension,
     )
-    from .higgsmodel import GroupTag
+    from .groups import GroupTag
 
     group = GroupTag.parse(args.group)
     out = {

@@ -30,14 +30,8 @@ from .errors import (
     PreconditionError,
     WrongGroupError,
 )
-from .higgsmodel import (
-    GradedHiggsBundle,
-    GroupTag,
-    _integer_label,
-    _so35_frame,
-    milnor_wood_bound,
-    named_section,
-)
+from .groups import GroupTag, milnor_wood_bound
+from .higgsmodel import GradedHiggsBundle, bundle_to_dict, named_section
 from .stability import StabilityVerdict, check_polystability, subset_budget
 
 DIRECTION_TO_ZERO = "to-zero"
@@ -46,6 +40,8 @@ DIRECTION_TO_INFINITY = "to-infinity"
 
 @dataclass(frozen=True)
 class WeightAssignment:
+    """An integer gauge weight per summand and the weight of the field."""
+
     weights: tuple[int, ...]
     higgs_scale: int = 1
 
@@ -64,6 +60,8 @@ class WeightAssignment:
 
 @dataclass(frozen=True)
 class ExponentRow:
+    """The power of t scaling one field entry or extension term."""
+
     kind: str
     target: int
     source: int
@@ -73,6 +71,8 @@ class ExponentRow:
 
 @dataclass(frozen=True)
 class ExponentTable:
+    """The exponent of every field entry and extension term under one weight vector."""
+
     rows: tuple[ExponentRow, ...]
 
     @property
@@ -100,6 +100,8 @@ class ExponentTable:
 
 @dataclass(frozen=True)
 class LimitResult:
+    """A graded limit: whether it exists, its exponents, and the limit object."""
+
     exists: bool
     direction: str
     weights: WeightAssignment
@@ -109,8 +111,6 @@ class LimitResult:
     limit_stability: StabilityVerdict | None = None
 
     def to_dict(self) -> dict:
-        from .higgsmodel import bundle_to_dict
-
         out: dict = {
             "exists": self.exists,
             "direction": self.direction,
@@ -215,6 +215,9 @@ def limit_destabilized_branch(
     the extension summand, plus the delta extension term), and takes the
     limit at zero under the fixed pairing-compatible weights.
     """
+    # here rather than at the top, so the other limit verbs load no builders
+    from .builders import _integer_label, _so35_frame
+
     if h.meta_map.get("family") != "deformed-exotic-so35":
         raise WrongGroupError(
             "the destabilized branch is defined for the extension-deformed "

@@ -1,145 +1,22 @@
-"""Mod-2 cohomology of the base surface and Stiefel-Whitney arithmetic.
+"""Stiefel-Whitney searches over sums of classes, and double covers.
 
-H^1(S; F_2) is modelled as F_2^(2g) in a fixed symplectic basis
-a_1, b_1, ..., a_g, b_g.  A class is one integer below 4^g: bit 2i holds
-the a_(i+1) coefficient and bit 2i + 1 the b_(i+1) coefficient, so the
-sum of classes is xor.  The cup product pairs a_i with b_i,
-
-    cup(x, y) = sum_i x_(2i) y_(2i+1) + x_(2i+1) y_(2i)   (mod 2),
-
-which is alternating (cup(x, x) = 0) and nondegenerate; H^2 is F_2.  On
-the integers it is the parity of the even bits of (x & (y >> 1)) ^
-((x >> 1) & y).
-
-An orthogonal bundle is labelled by its pair (sw_1, sw_2); the label of
-an orthogonal direct sum is the sum of the labels under ``SWPair.__add__``.
+Which (sw_1, sw_2) labels a sum of n classes of H^1(S; F_2) reaches, with
+the smallest witness of each, and the double covers and Prym data that a
+nonzero sw_1 classifies.  The classes and their arithmetic are in
+``f2classes``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING
 
-from .curve import Curve
 from .errors import DimensionMismatchError, UnresolvedActionError
-from .linebundle import DegreeContext, LineBundleExpr, K_power, tensor_all
+from .f2classes import F2Class, SWPair, _even_bits, _whitney, all_classes
 
-
-@dataclass(frozen=True)
-class F2Class:
-    """An element of H^1(S; F_2) = F_2^(2g): bit i of ``value`` is
-    coordinate i of the interleaved basis a_1, b_1, ..., a_g, b_g."""
-
-    genus: int
-    value: int
-
-    def __post_init__(self):
-        if self.genus < 2:
-            raise ValueError("genus must be at least 2")
-        if not 0 <= self.value < 1 << (2 * self.genus):
-            raise ValueError(f"class value {self.value} is outside [0, 4^{self.genus})")
-
-    def __add__(self, other: "F2Class") -> "F2Class":
-        _check_same_genus(self, other)
-        return F2Class(self.genus, self.value ^ other.value)
-
-    def is_zero(self) -> bool:
-        return not self.value
-
-    def bits(self) -> str:
-        """The coordinates as a bit string, coordinate 0 first."""
-        return format(self.value, f"0{2 * self.genus}b")[::-1]
-
-    def to_int(self) -> int:
-        return self.value
-
-    @staticmethod
-    def zero(genus: int) -> "F2Class":
-        return F2Class(genus, 0)
-
-    @staticmethod
-    def from_bits(bits: str) -> "F2Class":
-        if not bits or set(bits) - {"0", "1"}:
-            raise ValueError(f"bad bit string {bits!r}")
-        if len(bits) % 2 or len(bits) < 4:
-            raise ValueError("coordinate length must be 2g with g >= 2")
-        return F2Class(len(bits) // 2, int(bits[::-1], 2))
-
-    @staticmethod
-    def from_int(genus: int, value: int) -> "F2Class":
-        return F2Class(genus, value)
-
-    @staticmethod
-    def basis_a(genus: int, i: int) -> "F2Class":
-        return F2Class(genus, 1 << (2 * i))
-
-    @staticmethod
-    def basis_b(genus: int, i: int) -> "F2Class":
-        return F2Class(genus, 2 << (2 * i))
-
-
-def all_classes(genus: int) -> tuple[F2Class, ...]:
-    """Every class, ordered by integer encoding (the zero class first)."""
-    if genus < 2:
-        raise ValueError("genus must be at least 2")
-    return tuple(F2Class(genus, v) for v in range(1 << (2 * genus)))
-
-
-def _check_same_genus(a: F2Class, b: F2Class):
-    if a.genus != b.genus:
-        raise DimensionMismatchError(
-            f"classes live on different surfaces (genus {a.genus} vs {b.genus})"
-        )
-
-
-def _even_bits(genus: int) -> int:
-    """Mask of the a-coordinates (bits 0, 2, ..., 2g - 2) of an integer encoding."""
-    return ((1 << (2 * genus)) - 1) // 3
-
-
-def _cup_int(x: int, y: int, even: int) -> int:
-    """Cup product of two integer encodings; ``even`` is ``_even_bits(genus)``."""
-    return (((x & (y >> 1)) ^ ((x >> 1) & y)) & even).bit_count() & 1
-
-
-def cup(a: F2Class, b: F2Class) -> int:
-    """Cup product H^1 x H^1 -> H^2 = F_2 in the symplectic basis."""
-    _check_same_genus(a, b)
-    return _cup_int(a.value, b.value, _even_bits(a.genus))
-
-
-@dataclass(frozen=True)
-class SWPair:
-    """(sw_1, sw_2) of an orthogonal bundle; sw_2 is a single bit."""
-
-    sw1: F2Class
-    sw2: int
-
-    def __post_init__(self):
-        if self.sw2 not in (0, 1):
-            raise ValueError("sw2 must be a bit")
-
-    def __add__(self, other: "SWPair") -> "SWPair":
-        """The label of the orthogonal direct sum (Whitney sum formula;
-        Milnor & Stasheff, Characteristic Classes, 1974, section 4):
-
-            sw_1(A + B) = sw_1(A) + sw_1(B),
-            sw_2(A + B) = sw_2(A) + sw_2(B) + cup(sw_1(A), sw_1(B)).
-        """
-        return SWPair(self.sw1 + other.sw1, self.sw2 ^ other.sw2 ^ cup(self.sw1, other.sw1))
-
-    def label(self) -> str:
-        return f"sw1={self.sw1.bits()},sw2={self.sw2}"
-
-
-def total_sw_of_sum(classes: Sequence[F2Class], genus: int | None = None) -> SWPair:
-    """Total Stiefel-Whitney data of a direct sum of 2-torsion line
-    bundles, each labelled (c, 0)."""
-    if not classes:
-        if genus is None:
-            raise DimensionMismatchError("empty sum needs an explicit genus")
-        return SWPair(F2Class.zero(genus), 0)
-    return sum((SWPair(c, 0) for c in classes[1:]), SWPair(classes[0], 0))
+if TYPE_CHECKING:  # annotations only, so the sw searches load no line-bundle code
+    from .curve import Curve
+    from .linebundle import DegreeContext, LineBundleExpr
 
 
 @dataclass(frozen=True)
@@ -202,7 +79,7 @@ def _smallest_witness(target: tuple[int, int], n: int, genus: int) -> list[int]:
     out = []
     for left in range(n, 0, -1):
         for c in range(1 << (2 * genus)):
-            rest = (t1 ^ c, t2 ^ _cup_int(c, t1, even))
+            rest = _whitney(t1, t2, c, 0, even)
             if _reachable(rest, left - 1):
                 break
         out.append(c)
@@ -309,6 +186,9 @@ class InvolutionAction:
         return dict(self.action)
 
     def apply(self, expr: LineBundleExpr) -> LineBundleExpr:
+        # here rather than at the top, so the sw searches load no line-bundle code
+        from .linebundle import K_power, tensor_all
+
         table = self.action_map
         pieces: list[tuple[str, int]] = [(n, 1) for n in expr.spins]
         pieces += [(n, 1) for n in expr.torsions]
@@ -342,11 +222,6 @@ def prym_membership(
 
 
 __all__ = [
-    "F2Class",
-    "SWPair",
-    "all_classes",
-    "cup",
-    "total_sw_of_sum",
     "SurjectivityReport",
     "sw_surjectivity_witnesses",
     "minimal_realizing_n",

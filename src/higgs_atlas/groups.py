@@ -1,0 +1,71 @@
+"""Group tags and the one rule that decides each family's label range.
+
+A group is named by a family and its integer parameters, written
+``family:p1,p2`` on the command line and in documents (``so0:2,3``,
+``sp:4``).  The catalog, the builders and the object model all read these
+facts, so they live apart from any of them.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from .errors import ParseError, UnsupportedGroupError, _read_int
+
+_FAMILIES = ("sl", "psl", "sp", "so", "so0", "slc")
+
+
+@dataclass(frozen=True)
+class GroupTag:
+    """A group family and its parameters: a rank, or a signature pair."""
+
+    family: str
+    params: tuple[int, ...]
+
+    def __post_init__(self):
+        if self.family not in _FAMILIES:
+            raise ValueError(f"unknown group family {self.family!r}")
+        if not self.params or any(p < 1 for p in self.params):
+            raise ValueError("group parameters must be positive integers")
+        if self.family in ("sl", "psl", "slc", "sp"):
+            if len(self.params) != 1 or self.params[0] < 2:
+                raise ValueError(f"{self.family} takes one parameter >= 2")
+            if self.family == "sp" and self.params[0] % 2:
+                raise ValueError("symplectic rank parameter must be even")
+        elif len(self.params) != 2:
+            raise ValueError(f"{self.family} takes a signature pair")
+
+    def __str__(self) -> str:
+        return f"{self.family}:{','.join(str(p) for p in self.params)}"
+
+    @staticmethod
+    def parse(text: str) -> "GroupTag":
+        family, colon, rest = text.partition(":")
+        params = tuple(_read_int(p) for p in rest.split(","))
+        try:
+            if not colon or None in params:
+                raise ValueError("group parameters must be integers")
+            return GroupTag(family, params)
+        except ValueError as exc:
+            raise ParseError(f"bad group tag {text!r}") from exc
+
+
+def milnor_wood_bound(group: GroupTag, genus: int) -> int:
+    """Largest allowed value of the integer component label: the one place
+    a family's label range is decided."""
+    g = genus
+    fam, params = group.family, group.params
+    if fam == "sl" and params == (2,):
+        return g - 1
+    if fam == "sp":
+        return (params[0] // 2) * (g - 1)
+    if fam == "so0" and params[1] == params[0] + 1:
+        return params[0] * (2 * g - 2)
+    if (fam, params) in (("psl", (2,)), ("so", (1, 2))):
+        return 2 * g - 2
+    if fam == "so0" and params[0] == 2 and params[1] >= 4:
+        return 2 * g - 2
+    raise UnsupportedGroupError(f"no bound recorded for {group}")
+
+
+__all__ = ["GroupTag", "milnor_wood_bound"]

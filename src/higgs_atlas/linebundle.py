@@ -46,6 +46,8 @@ _RESERVED = ("K", "O")
 
 @dataclass(frozen=True)
 class LineBundleExpr:
+    """A formal line bundle in normal form: K^k times named spin, torsion and degree factors."""
+
     k_power: int = 0
     spins: tuple[str, ...] = ()
     torsions: tuple[str, ...] = ()

@@ -34,7 +34,7 @@ from .errors import (
     UnrecognizedShapeError,
     _read_int,
 )
-from .higgsmodel import GradedHiggsBundle, gauge_orbit_key
+from .higgsmodel import GradedHiggsBundle
 
 STATUS_STABLE = "stable"
 STATUS_POLYSTABLE = "polystable"
@@ -55,6 +55,8 @@ def subset_budget() -> int:
 
 @dataclass(frozen=True)
 class InvariantSubobject:
+    """An arrow-closed set of summand indices and its total degree."""
+
     indices: tuple[int, ...]
     degree: int
 
@@ -65,6 +67,8 @@ class InvariantSubobject:
 
 @dataclass(frozen=True)
 class StabilityVerdict:
+    """A polystability status, with a destabilizing witness or a stable decomposition."""
+
     status: str
     witness: InvariantSubobject | None = None
     decomposition: tuple[tuple[int, ...], ...] | None = None
@@ -240,6 +244,9 @@ def check_polystability(
 
 def gauge_equivalent(a: GradedHiggsBundle, b: GradedHiggsBundle) -> bool:
     """Equality up to summand reordering and the switching move."""
+    # here rather than at the top, so the stability and limit verbs load no canonical keys
+    from .canonical import gauge_orbit_key
+
     if a.group != b.group or a.genus != b.genus:
         return False
     return gauge_orbit_key(a) == gauge_orbit_key(b)

@@ -14,11 +14,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import catalog, deformation, f2cohomology, stability
-from .curve import Curve, EXACT, h0, riemann_roch_chi
-from .errors import BoundError, HiggsAtlasError
-from .f2cohomology import F2Class, cup, total_sw_of_sum
-from .higgsmodel import (
-    GroupTag,
+from .builders import (
     SplitW0,
     build_exotic_so,
     build_fuchsian,
@@ -31,20 +27,20 @@ from .higgsmodel import (
     build_so12,
     build_twisted_fuchsian_sp,
     build_extension_deformed_so35,
-    arrow_pattern,
-    canonical_key,
-    milnor_wood_bound,
-    permute_summands,
-    summand_degree_multiset,
-    switchable,
-    switched,
-    validate,
 )
+from .canonical import canonical_key, permute_summands, switchable, switched
+from .curve import Curve, EXACT, h0, riemann_roch_chi
+from .errors import BoundError, HiggsAtlasError
+from .f2classes import F2Class, cup, total_sw_of_sum
+from .groups import GroupTag, milnor_wood_bound
+from .higgsmodel import arrow_pattern, summand_degree_multiset, validate
 from .linebundle import K_power, parse_expr, spin, torsion, variable
 
 
 @dataclass(frozen=True)
 class CheckResult:
+    """The outcome of one named consistency check."""
+
     name: str
     passed: bool
     detail: str

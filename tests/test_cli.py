@@ -379,6 +379,26 @@ def _reserved_name_as_divisor(doc):
     next(r for r in doc["summands"] if r["bundle"] == "O")["bundle"] = "O(K)"
 
 
+def _numeric_group(doc):
+    doc["group"] = 7
+
+
+def _numeric_higgs_name(doc):
+    doc["higgs"][0]["name"] = 7
+
+
+def _numeric_extension_name(doc):
+    doc["dolbeault"].append({"to": 0, "from": 1, "name": 7})
+
+
+def _list_meta_value(doc):
+    doc["meta"]["family"] = ["maximal-so23"]
+
+
+def _object_meta_value(doc):
+    doc["meta"]["d"] = {"d": 2}
+
+
 @pytest.mark.parametrize(
     "defect, message",
     [
@@ -387,6 +407,12 @@ def _reserved_name_as_divisor(doc):
         (_repeated_higgs_entry, "higgs entry (0, 2) is listed twice"),
         (_reserved_name_as_power, "bad factor 'O^2': O is a reserved name"),
         (_reserved_name_as_divisor, "bad factor 'O(K)': K is a reserved name"),
+        (_numeric_group, "group must be a string, got 7"),
+        (_numeric_higgs_name, "higgs entry name must be a string, got 7"),
+        (_numeric_extension_name, "extension term name must be a string, got 7"),
+        (_list_meta_value,
+         "meta value 'family' must be a string or an integer, got ['maximal-so23']"),
+        (_object_meta_value, "meta value 'd' must be a string or an integer, got {'d': 2}"),
     ],
 )
 def test_defective_document_is_a_parse_error(defect, message, monkeypatch, capsys):
@@ -517,6 +543,7 @@ def _object_file(tmp_path, capsys, *build_args):
 
 SO23 = ("--group", "so0:2,3", "--genus", "2", "--d", "1", "--maximal")
 SO25 = ("--group", "so0:2,5", "--genus", "2", "--maximal")
+SO35_DEFORMED = ("--group", "so0:3,5", "--genus", "2", "--d", "2", "--deformed")
 
 
 # An integer written as text is ASCII digits, with one leading "-" only where
@@ -649,34 +676,43 @@ print(json.dumps([code, loaded]))
 """
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-SW_SET = {"errors", "curve", "linebundle", "f2cohomology"}
-BUILD_SET = SW_SET | {"higgsmodel"}
-STABILITY_SET = BUILD_SET | {"stability"}
+CLASSES_SET = {"errors", "f2classes"}
+SW_SET = CLASSES_SET | {"f2cohomology"}
+CATALOG_SET = CLASSES_SET | {"groups", "curve", "linebundle", "catalog"}
+MODEL_SET = CLASSES_SET | {"groups", "curve", "linebundle", "higgsmodel"}
+BUILD_SET = MODEL_SET | {"builders"}
+STABILITY_SET = MODEL_SET | {"stability"}
+LIMIT_SET = STABILITY_SET | {"deformation"}
 ALL_MODULES = {p.stem for p in (SRC / "higgs_atlas").glob("*.py")} - {"__init__"}
 
 
 @pytest.mark.parametrize(
     "argv, expected_code, expected",
     [
-        (["sw", "--genus", "2", "--classes", "1000,0100"], 0, SW_SET),
+        (["sw", "--genus", "2", "--classes", "1000,0100"], 0, CLASSES_SET),
         (["sw", "--genus", "2", "--minimal-n"], 0, SW_SET),
         (["build", *SO23], 0, BUILD_SET),
         (["build", "--group", "so0:2,5", "--genus", "2", "--maximal", "--w0", "trivial"],
          0, BUILD_SET),
         (["stability", "--input", "DOC"], 0, STABILITY_SET),
-        (["limit", "--input", "DOC", "--search", "1"], 0, STABILITY_SET | {"deformation"}),
-        (["census", "--group", "sl:3", "--genus", "5"], 0, BUILD_SET | {"catalog"}),
-        (["param", "--group", "so0:2,3", "--genus", "2", "--d", "4"], 0,
-         BUILD_SET | {"catalog"}),
-        (["dim", "--group", "so0:2,3", "--genus", "2", "--consistency"], 0,
-         BUILD_SET | {"catalog"}),
+        (["limit", "--input", "DOC", "--search", "1"], 0, LIMIT_SET),
+        (["census", "--group", "sl:3", "--genus", "5"], 0, CATALOG_SET),
+        (["param", "--group", "so0:2,3", "--genus", "2", "--d", "4"], 0, CATALOG_SET),
+        (["dim", "--group", "so0:2,3", "--genus", "2", "--consistency"], 0, CATALOG_SET),
         (["verify", "--only", "riemann-roch-chi"], 0, ALL_MODULES),
         (["census", "--group", "sl:3"], 2, {"errors"}),
+        (["limit", "--input", "DOC", "--weights", "0,0,0,0,0"], 0, LIMIT_SET),
+        # the fixture reads the deformed object's frame from the builders
+        (["limit", "--input", "DEFORMED", "--line-degree", "2"], 0, LIMIT_SET | {"builders"}),
+        (["sw", "--genus", "2", "--surjectivity", "--n", "2"], 0, SW_SET),
+        (["verify", "--list"], 0, ALL_MODULES),
+        (["build", "--group", "sp:4", "--genus", "2", "--classes", "0110,0000"], 0, BUILD_SET),
     ],
 )
 def test_each_verb_loads_only_its_modules(argv, expected_code, expected, tmp_path, capsys):
-    path = _object_file(tmp_path, capsys, *SO23)
-    argv = [str(path) if a == "DOC" else a for a in argv]
+    documents = {"DOC": SO23, "DEFORMED": SO35_DEFORMED}
+    argv = [str(_object_file(tmp_path, capsys, *documents[a])) if a in documents else a
+            for a in argv]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     env.pop("HIGGS_ATLAS_BUDGET", None)

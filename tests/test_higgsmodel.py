@@ -60,7 +60,7 @@ from higgs_atlas import (
     validate,
     variable,
 )
-from higgs_atlas import higgsmodel
+from higgs_atlas import canonical
 from helpers import builder_corpus, every_builder_output, oracle_maximal_so23
 
 C2 = Curve(2)
@@ -414,7 +414,7 @@ def test_canonical_key_validates_once(monkeypatch):
         validate(h)
 
     h = build_maximal_so2n(C2, 6, TrivialW0())
-    monkeypatch.setattr(higgsmodel, "validate", counting_validate)
+    monkeypatch.setattr(canonical, "validate", counting_validate)
     key = canonical_key(h)
     assert len(calls) == 1 and calls[0] is h
     calls.clear()
@@ -433,7 +433,7 @@ def test_gauge_orbit_key_validates_each_presentation_once(monkeypatch):
         validate(h)
 
     h = build_maximal_so23(C2, 2)
-    monkeypatch.setattr(higgsmodel, "validate", counting_validate)
+    monkeypatch.setattr(canonical, "validate", counting_validate)
     assert gauge_equivalent(h, h)
     assert len(calls) == 4
 

@@ -33,7 +33,8 @@ from higgs_atlas import (
     validate,
     variable,
 )
-from higgs_atlas.higgsmodel import _ambient_k_power, _permutation_orbit
+from higgs_atlas.canonical import _permutation_orbit
+from higgs_atlas.higgsmodel import _ambient_k_power
 from higgs_atlas.linebundle import _make
 from helpers import (
     builder_corpus,
