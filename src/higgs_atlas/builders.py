@@ -16,6 +16,7 @@ from typing import Iterable, Mapping, Sequence
 from .curve import Curve
 from .errors import (
     BoundError,
+    DimensionMismatchError,
     MissingSpinError,
     ModelInvariantError,
     PreconditionError,
@@ -395,6 +396,10 @@ def build_maximal_so2n(
     torsion_classes: dict[str, F2Class] = {}
     declared: dict[str, int] = {}
     if isinstance(w0, PrymW0):
+        if w0.sw1.genus != g:
+            raise DimensionMismatchError(
+                f"the W0 class {w0.sw1.bits()} has genus {w0.sw1.genus}, the curve genus {g}"
+            )
         i_expr = torsion("I")
         torsion_classes["I"] = w0.sw1
     elif isinstance(w0, (SplitW0, TrivialW0)):

@@ -18,11 +18,20 @@ are read with `--input PATH` where PATH may be `-` for stdin.  Exit code
 
 Each handler imports the modules its verb runs, so a process loads only
 those; a usage error loads nothing beyond ``errors``.
+
+``run`` is the process entry of ``python -m higgs_atlas.cli`` and of the
+``higgs-atlas`` script.  A process answers one question and exits, so a
+reference cycle it leaves is reclaimed by the exit anyway: ``run`` switches
+Python's cyclic collector off before ``main`` (the collections the imports
+would trigger find next to nothing) and freezes every object after it, so
+the interpreter's last collection does not walk them all.  ``main`` leaves
+its caller's collector as it found it.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 
@@ -102,7 +111,7 @@ def _parse_ints(text: str, signed: bool) -> tuple[int, ...]:
     return values
 
 
-def _parse_w0(genus: int, text: str):
+def _parse_w0(text: str):
     from .builders import PrymW0, SplitW0, TrivialW0
     from .f2classes import F2Class
 
@@ -141,6 +150,11 @@ def _refuse_unread(args, group, *read: str) -> None:
 
 
 def _cmd_build(args) -> dict:
+    from .groups import GroupTag
+
+    # a malformed tag is refused before the builders are loaded
+    group = GroupTag.parse(args.group)
+
     from .builders import (
         build_degree_zero_chain,
         build_exotic_so,
@@ -155,10 +169,8 @@ def _cmd_build(args) -> dict:
         build_twisted_fuchsian_sp,
     )
     from .curve import Curve
-    from .groups import GroupTag
     from .higgsmodel import bundle_to_dict
 
-    group = GroupTag.parse(args.group)
     curve = Curve(args.genus)
     q_on = _parse_ints(args.q_on, signed=False) if args.q_on else ()
     fam, params = group.family, group.params
@@ -193,6 +205,9 @@ def _cmd_build(args) -> dict:
         if args.d is None:
             raise PreconditionError("the deformed family needs --d")
         h = build_extension_deformed_so35(curve, args.d, mu=args.mu is not False)
+    elif fam == "so0" and params == (2, 3) and args.maximal and args.w0:
+        _refuse_unread(args, group, "maximal", "w0", "q2")
+        h = build_maximal_so2n(curve, 3, _parse_w0(args.w0), q2=args.q2 is not False)
     elif fam == "so0" and params == (2, 3) and args.maximal:
         _refuse_unread(args, group, "maximal", "d", "mu", "nu", "q2")
         if args.d is None:
@@ -211,9 +226,7 @@ def _cmd_build(args) -> dict:
                 "the maximal signature-(2,n) family needs --w0 "
                 "(split:<d>, prym:<bits>:<bit>, or trivial)"
             )
-        h = build_maximal_so2n(
-            curve, params[1], _parse_w0(args.genus, args.w0), q2=args.q2 is not False
-        )
+        h = build_maximal_so2n(curve, params[1], _parse_w0(args.w0), q2=args.q2 is not False)
     elif fam == "so0" and len(params) == 2 and params[1] == params[0] + 1:
         if args.d is None:
             _refuse_unread(args, group, "q_on")
@@ -520,5 +533,16 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
 
+def run() -> None:
+    """The process entry: ``main`` with the cyclic collector off, then exit
+    with its code once every object is frozen out of the last collection."""
+    gc.disable()
+    try:
+        code = main()
+    finally:
+        gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -435,6 +435,14 @@ def _json_meta(meta: Mapping) -> Mapping:
     return meta
 
 
+def _json_class(bits, genus: int, what: str) -> F2Class:
+    """A mod-2 class written as its bit string, which must be of the object's genus."""
+    cls = F2Class.from_bits(bits)
+    if cls.genus != genus:
+        raise ParseError(f"{what} {bits!r} has {len(bits)} bits, expected {2 * genus}")
+    return cls
+
+
 def _refuse_repeats(keys: Iterable[tuple], what: str, error: type = ParseError) -> None:
     seen = set()
     for key in keys:
@@ -446,10 +454,10 @@ def _refuse_repeats(keys: Iterable[tuple], what: str, error: type = ParseError) 
 def bundle_from_dict(data: Mapping) -> GradedHiggsBundle:
     """Load an object document.  Refused with ParseError, besides missing
     keys, non-integer numbers, and a group or section name that is not a
-    string: an unknown symbol kind, a meta value that is neither a string
-    nor an integer, a Higgs entry or an extension term listed twice, and a
-    recorded summand degree that differs from the degree its bundle
-    resolves to."""
+    string: an unknown symbol kind, a mod-2 class of another genus than the
+    object's, a meta value that is neither a string nor an integer, a Higgs
+    entry or an extension term listed twice, and a recorded summand degree
+    that differs from the degree its bundle resolves to."""
     if not isinstance(data, Mapping):
         raise ParseError(f"an object document must be a JSON object, got {type(data).__name__}")
     try:
@@ -468,7 +476,7 @@ def bundle_from_dict(data: Mapping) -> GradedHiggsBundle:
             if info.get("degree") is not None
         }
         tclasses = {
-            name: F2Class.from_bits(info["class"])
+            name: _json_class(info["class"], curve.genus, f"class of symbol {name!r}")
             for name, info in symbols.items()
             if "class" in info
         }
@@ -477,7 +485,8 @@ def bundle_from_dict(data: Mapping) -> GradedHiggsBundle:
         for i, row in enumerate(data["summands"]):
             sw = None
             if "sw1" in row:
-                sw = SWPair(F2Class.from_bits(row["sw1"]), _json_int(row["sw2"], "sw2"))
+                sw = SWPair(_json_class(row["sw1"], curve.genus, f"sw1 of summand {i}"),
+                            _json_int(row["sw2"], "sw2"))
             summands.append(
                 Summand(row["side"], parse_expr(row["bundle"], kinds),
                         _json_int(row.get("rank", 1), "summand rank"), sw)

@@ -4,6 +4,9 @@ Each check is a small executable statement of an invariant the package
 relies on.  They overlap the test suite on purpose: the suite freezes
 expected values, while this registry lets an installed copy revalidate
 itself without the test harness present.
+
+Each check imports the modules it runs, so ``verify --only`` loads only
+those of the named checks and ``verify --list`` none of them.
 """
 
 from __future__ import annotations
@@ -13,28 +16,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable
 
-from . import catalog, deformation, f2cohomology, stability
-from .builders import (
-    SplitW0,
-    build_exotic_so,
-    build_fuchsian,
-    build_hitchin_sl,
-    build_hitchin_so,
-    build_hitchin_so_nn,
-    build_hitchin_sp,
-    build_maximal_so23,
-    build_maximal_so2n,
-    build_so12,
-    build_twisted_fuchsian_sp,
-    build_extension_deformed_so35,
-)
-from .canonical import canonical_key, permute_summands, switchable, switched
-from .curve import Curve, EXACT, h0, riemann_roch_chi
-from .errors import BoundError, HiggsAtlasError
-from .f2classes import F2Class, cup, total_sw_of_sum
-from .groups import GroupTag, milnor_wood_bound
-from .higgsmodel import arrow_pattern, summand_degree_multiset, validate
-from .linebundle import K_power, parse_expr, spin, torsion, variable
+from .errors import HiggsAtlasError
 
 
 @dataclass(frozen=True)
@@ -61,6 +43,14 @@ def _register(name: str):
 
 
 def _sample_builders(genus: int = 2):
+    from .builders import (
+        SplitW0, build_exotic_so, build_extension_deformed_so35, build_fuchsian, build_hitchin_sl,
+        build_hitchin_so, build_hitchin_so_nn, build_hitchin_sp, build_maximal_so23,
+        build_maximal_so2n, build_so12, build_twisted_fuchsian_sp,
+    )
+    from .curve import Curve
+    from .f2classes import F2Class
+
     curve = Curve(genus)
     g = genus
     yield build_fuchsian(curve)
@@ -84,6 +74,8 @@ def _sample_builders(genus: int = 2):
 
 @_register("riemann-roch-chi")
 def _check_chi() -> str:
+    from .curve import Curve, riemann_roch_chi
+
     for g in range(2, 7):
         c = Curve(g)
         for deg in range(-6, 7):
@@ -94,6 +86,9 @@ def _check_chi() -> str:
 
 @_register("h0-decision-table")
 def _check_h0() -> str:
+    from .curve import EXACT, Curve, h0
+    from .linebundle import K_power
+
     c = Curve(2)
     cases = [
         (K_power(1), 2, EXACT),
@@ -111,6 +106,9 @@ def _check_h0() -> str:
 
 @_register("h0-canonical-powers")
 def _check_h0_powers() -> str:
+    from .curve import Curve, h0
+    from .linebundle import K_power
+
     for g in range(2, 6):
         c = Curve(g)
         for j in range(2, 6):
@@ -121,6 +119,8 @@ def _check_h0_powers() -> str:
 
 @_register("linebundle-round-trip")
 def _check_serialize() -> str:
+    from .linebundle import K_power, parse_expr, spin, torsion, variable
+
     exprs = [
         K_power(2).tensor(variable("M", -1)).tensor(torsion("I")),
         spin("s").tensor(K_power(-1)),
@@ -135,6 +135,8 @@ def _check_serialize() -> str:
 
 @_register("spin-square-is-canonical")
 def _check_spin_square() -> str:
+    from .linebundle import K_power, spin, torsion
+
     if spin("s").power(2) != K_power(1):
         raise AssertionError("s^2 != K")
     if not torsion("I").power(2).is_trivial():
@@ -144,6 +146,8 @@ def _check_spin_square() -> str:
 
 @_register("cup-alternating")
 def _check_cup_alternating() -> str:
+    from .f2classes import F2Class, cup
+
     rng = random.Random(7)
     for _ in range(50):
         g = rng.choice([2, 3])
@@ -155,6 +159,8 @@ def _check_cup_alternating() -> str:
 
 @_register("cup-symplectic-basis")
 def _check_cup_basis() -> str:
+    from .f2classes import F2Class, cup
+
     g = 3
     for i in range(g):
         for j in range(g):
@@ -168,6 +174,8 @@ def _check_cup_basis() -> str:
 
 @_register("sw-unreachable-at-two-terms")
 def _check_sw_gap() -> str:
+    from . import f2cohomology
+
     rep2 = f2cohomology.sw_surjectivity_witnesses(2, 2)
     rep3 = f2cohomology.sw_surjectivity_witnesses(2, 3)
     gap = {p for p in rep2.missing if p.sw1.is_zero() and p.sw2 == 1}
@@ -180,6 +188,10 @@ def _check_sw_gap() -> str:
 
 @_register("double-cover-genus")
 def _check_cover() -> str:
+    from . import f2cohomology
+    from .curve import Curve
+    from .f2classes import F2Class
+
     for g in (2, 3, 4):
         cov = f2cohomology.DoubleCover(Curve(g), F2Class.basis_a(g, 0))
         if cov.cover_genus != 2 * g - 1:
@@ -189,6 +201,8 @@ def _check_cover() -> str:
 
 @_register("builders-validate")
 def _check_builders() -> str:
+    from .higgsmodel import validate
+
     count = 0
     for h in _sample_builders():
         validate(h)
@@ -206,6 +220,12 @@ def _check_degree_sums() -> str:
 
 @_register("hitchin-objects-stable")
 def _check_hitchin_stable() -> str:
+    from . import stability
+    from .builders import (
+        build_fuchsian, build_hitchin_sl, build_hitchin_so, build_hitchin_so_nn, build_hitchin_sp,
+    )
+    from .curve import Curve
+
     curve = Curve(2)
     objs = [
         build_hitchin_sl(curve, 3, (2, 3)),
@@ -224,6 +244,10 @@ def _check_hitchin_stable() -> str:
 
 @_register("exotic-at-top-is-hitchin")
 def _check_exotic_top() -> str:
+    from .builders import build_exotic_so, build_hitchin_so
+    from .curve import Curve
+    from .higgsmodel import arrow_pattern, summand_degree_multiset
+
     for g in (2, 3):
         curve = Curve(g)
         for n in (2, 3):
@@ -239,6 +263,10 @@ def _check_exotic_top() -> str:
 
 @_register("milnor-wood-rejection")
 def _check_mw_reject() -> str:
+    from .builders import build_exotic_so, build_maximal_so23, build_so12
+    from .curve import Curve
+    from .errors import BoundError
+
     curve = Curve(2)
     probes = [
         lambda: build_so12(curve, 3),
@@ -257,6 +285,9 @@ def _check_mw_reject() -> str:
 
 @_register("milnor-wood-census-agreement")
 def _check_mw_census() -> str:
+    from . import catalog
+    from .groups import GroupTag, milnor_wood_bound
+
     for g in (2, 3):
         bound = 2 * g - 2
         if milnor_wood_bound(GroupTag("so", (1, 2)), g) != bound:
@@ -270,6 +301,10 @@ def _check_mw_census() -> str:
 
 @_register("so12-criterion-samples")
 def _check_so12_samples() -> str:
+    from . import stability
+    from .builders import build_so12
+    from .curve import Curve
+
     curve = Curve(2)
     expectations = [
         (2, True, False, "stable"),
@@ -287,6 +322,9 @@ def _check_so12_samples() -> str:
 
 @_register("census-frozen-totals")
 def _check_census_totals() -> str:
+    from . import catalog
+    from .groups import GroupTag
+
     cases = [
         (GroupTag("sl", (3,)), 2, catalog.SECTOR_ALL, 3),
         (GroupTag("sl", (4,)), 2, catalog.SECTOR_ALL, 6),
@@ -305,6 +343,9 @@ def _check_census_totals() -> str:
 
 @_register("cover-multiplicity-sum")
 def _check_cover_sum() -> str:
+    from . import catalog
+    from .groups import GroupTag
+
     for g in (2, 3):
         src = catalog.census(GroupTag("so", (1, 2)), g)
         lifted = sum(
@@ -320,6 +361,9 @@ def _check_cover_sum() -> str:
 
 @_register("parameterization-telescoping")
 def _check_telescoping() -> str:
+    from . import catalog
+    from .groups import GroupTag
+
     for g in (2, 3, 4):
         for n in (1, 2, 3):
             group = GroupTag("so", (1, 2)) if n == 1 else GroupTag("so0", (n, n + 1))
@@ -333,6 +377,8 @@ def _check_telescoping() -> str:
 
 @_register("extra-factor-reading")
 def _check_reading() -> str:
+    from . import catalog
+
     for n in (2, 3, 4, 5):
         rep = catalog.resolve_extra_factor_reading(n, 2)
         if rep["readings_agree"] != (n == 2):
@@ -342,6 +388,9 @@ def _check_reading() -> str:
 
 @_register("dimension-consistency")
 def _check_dims() -> str:
+    from . import catalog
+    from .groups import GroupTag
+
     cases = [
         (GroupTag("so", (1, 2)), 2, catalog.SECTOR_ALL),
         (GroupTag("so0", (2, 3)), 2, catalog.SECTOR_MAXIMAL),
@@ -356,6 +405,10 @@ def _check_dims() -> str:
 
 @_register("zero-weight-retraction")
 def _check_zero_weights() -> str:
+    from . import deformation
+    from .builders import build_hitchin_sl, build_so12
+    from .curve import Curve
+
     curve = Curve(2)
     for h in (build_so12(curve, 1), build_hitchin_sl(curve, 3, (2, 3))):
         res = deformation.graded_limit(h, deformation.zero_weights(h))
@@ -366,6 +419,11 @@ def _check_zero_weights() -> str:
 
 @_register("limit-preserves-validity")
 def _check_limit_validity() -> str:
+    from . import deformation
+    from .builders import build_extension_deformed_so35
+    from .curve import Curve
+    from .higgsmodel import validate
+
     curve = Curve(2)
     h = build_extension_deformed_so35(curve, 3)
     for direction in (deformation.DIRECTION_TO_ZERO, deformation.DIRECTION_TO_INFINITY):
@@ -379,6 +437,10 @@ def _check_limit_validity() -> str:
 
 @_register("switch-is-involutive")
 def _check_switch() -> str:
+    from .builders import build_maximal_so23, build_so12
+    from .canonical import canonical_key, switchable, switched
+    from .curve import Curve
+
     curve = Curve(2)
     for h in (build_so12(curve, 1), build_maximal_so23(curve, 2)):
         if not switchable(h):
@@ -390,6 +452,11 @@ def _check_switch() -> str:
 
 @_register("stability-gauge-invariance")
 def _check_gauge_invariance() -> str:
+    from . import stability
+    from .builders import build_exotic_so, build_maximal_so23, build_so12
+    from .canonical import permute_summands, switchable, switched
+    from .curve import Curve
+
     rng = random.Random(11)
     curve = Curve(2)
     objs = [build_so12(curve, 1), build_maximal_so23(curve, 3),
@@ -410,6 +477,8 @@ def _check_gauge_invariance() -> str:
 
 @_register("sw-additivity-small")
 def _check_sw_small() -> str:
+    from .f2classes import F2Class, total_sw_of_sum
+
     g = 2
     classes = [F2Class.basis_a(g, 0), F2Class.basis_b(g, 0), F2Class.basis_a(g, 1)]
     for k in (1, 2, 3):

@@ -80,6 +80,8 @@ def test_build_rejects_missing_spin_choice(capsys):
     ("--group so0:2,3 --d 2 --maximal --q-on 2", "--q-on"),
     ("--group so0:3,4 --w0 trivial", "--w0"),
     ("--group sl:4 --spin-name s --classes 1000", "--classes"),
+    # the W0 label is given by --d or by --w0, not both
+    ("--group so0:2,3 --maximal --w0 prym:1010:1 --d 1 --mu", "--d, --mu"),
 ])
 def test_build_refuses_flags_its_builder_does_not_read(capsys, flags, unread):
     code, doc = run_json(capsys, "build", "--genus", "2", *flags.split())
@@ -676,6 +678,16 @@ print(json.dumps([code, loaded]))
 """
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _src_env() -> dict:
+    """This environment with ``src`` first on the path and the budget unset."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    env.pop("HIGGS_ATLAS_BUDGET", None)
+    return env
+
+
 CLASSES_SET = {"errors", "f2classes"}
 SW_SET = CLASSES_SET | {"f2cohomology"}
 CATALOG_SET = CLASSES_SET | {"groups", "curve", "linebundle", "catalog"}
@@ -683,7 +695,7 @@ MODEL_SET = CLASSES_SET | {"groups", "curve", "linebundle", "higgsmodel"}
 BUILD_SET = MODEL_SET | {"builders"}
 STABILITY_SET = MODEL_SET | {"stability"}
 LIMIT_SET = STABILITY_SET | {"deformation"}
-ALL_MODULES = {p.stem for p in (SRC / "higgs_atlas").glob("*.py")} - {"__init__"}
+VERIFY_SET = {"errors", "verification"}
 
 
 @pytest.mark.parametrize(
@@ -699,27 +711,152 @@ ALL_MODULES = {p.stem for p in (SRC / "higgs_atlas").glob("*.py")} - {"__init__"
         (["census", "--group", "sl:3", "--genus", "5"], 0, CATALOG_SET),
         (["param", "--group", "so0:2,3", "--genus", "2", "--d", "4"], 0, CATALOG_SET),
         (["dim", "--group", "so0:2,3", "--genus", "2", "--consistency"], 0, CATALOG_SET),
-        (["verify", "--only", "riemann-roch-chi"], 0, ALL_MODULES),
+        (["verify", "--only", "riemann-roch-chi"], 0, VERIFY_SET | {"curve"}),
         (["census", "--group", "sl:3"], 2, {"errors"}),
         (["limit", "--input", "DOC", "--weights", "0,0,0,0,0"], 0, LIMIT_SET),
         # the fixture reads the deformed object's frame from the builders
         (["limit", "--input", "DEFORMED", "--line-degree", "2"], 0, LIMIT_SET | {"builders"}),
         (["sw", "--genus", "2", "--surjectivity", "--n", "2"], 0, SW_SET),
-        (["verify", "--list"], 0, ALL_MODULES),
+        (["verify", "--list"], 0, VERIFY_SET),
         (["build", "--group", "sp:4", "--genus", "2", "--classes", "0110,0000"], 0, BUILD_SET),
+        # a malformed group tag is refused before the builders are loaded
+        (["build", "--group", "xx:3", "--genus", "2"], 1, {"errors", "groups"}),
+        (["verify", "--only", "census-frozen-totals"], 0, VERIFY_SET | CATALOG_SET),
+        (["verify", "--only", "riemann-roch-chi,census-frozen-totals"], 0,
+         VERIFY_SET | CATALOG_SET),
+        (["verify", "--only", "stability-gauge-invariance"], 0,
+         VERIFY_SET | STABILITY_SET | {"builders", "canonical"}),
+        (["build", "--group", "so0:2,3", "--genus", "2", "--maximal", "--w0", "prym:1010:1"],
+         0, BUILD_SET),
     ],
 )
 def test_each_verb_loads_only_its_modules(argv, expected_code, expected, tmp_path, capsys):
     documents = {"DOC": SO23, "DEFORMED": SO35_DEFORMED}
     argv = [str(_object_file(tmp_path, capsys, *documents[a])) if a in documents else a
             for a in argv]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    env.pop("HIGGS_ATLAS_BUDGET", None)
     proc = subprocess.run(
         [sys.executable, "-c", _PROBE, *argv],
-        env=env, capture_output=True, text=True, timeout=120, check=True,
+        env=_src_env(), capture_output=True, text=True, timeout=120, check=True,
     )
     code, loaded = json.loads(proc.stdout)
     assert code == expected_code
     assert set(loaded) == expected | {"cli"}
+
+
+def test_main_leaves_the_callers_collector_as_it_found_it(capsys):
+    frozen = gc.get_freeze_count()
+    assert gc.isenabled()
+    assert run(capsys, "build", *SO23)[0] == 0
+    assert gc.isenabled() and gc.get_freeze_count() == frozen
+    gc.disable()
+    try:
+        assert run(capsys, "census", "--group", "sl:3", "--genus", "2")[0] == 0
+        assert not gc.isenabled() and gc.get_freeze_count() == frozen
+    finally:
+        gc.enable()
+
+
+# Replaces cli.main, calls the process entry and prints whether the
+# collector was on inside main, the exit code, and whether any object was
+# frozen on the way out.
+_RUN_PROBE = """
+import gc, json, sys
+from higgs_atlas import cli
+seen = []
+def fake_main(argv=None):
+    seen.append(gc.isenabled())
+    return int(sys.argv[1])
+cli.main = fake_main
+try:
+    cli.run()
+except SystemExit as exc:
+    print(json.dumps([seen, exc.code, gc.get_freeze_count() > 0]))
+"""
+
+
+@pytest.mark.parametrize("code", [0, 1])
+def test_run_keeps_the_collector_off_and_returns_mains_code(code):
+    proc = subprocess.run(
+        [sys.executable, "-c", _RUN_PROBE, str(code)],
+        env=_src_env(), capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert json.loads(proc.stdout) == [[False], code, True]
+
+
+def test_the_process_entry_prints_what_main_prints(capsys):
+    argv = ["build", "--group", "so0:2,3", "--genus", "2", "--maximal", "--w0", "prym:1010:1"]
+    code, expected = run(capsys, *argv)
+    proc = subprocess.run(
+        [sys.executable, "-m", "higgs_atlas.cli", *argv],
+        env=_src_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, expected, "")
+    usage = subprocess.run(
+        [sys.executable, "-m", "higgs_atlas.cli", "census", "--group", "sl:3", "--genus", "two"],
+        env=_src_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert (usage.returncode, usage.stdout) == (2, "")
+    assert "invalid int value" in usage.stderr
+
+
+def test_the_console_script_is_the_process_entry():
+    text = (SRC.parent / "pyproject.toml").read_text(encoding="utf-8")
+    assert 'higgs-atlas = "higgs_atlas.cli:run"' in text
+
+
+PRYM = ("--group", "so0:2,3", "--genus", "2", "--maximal", "--w0", "prym:1010:1")
+
+
+def test_a_prym_w0_object_builds_validates_and_gets_a_verdict(tmp_path, capsys):
+    code, doc = run_json(capsys, "build", *PRYM)
+    assert code == 0
+    want = build_maximal_so2n(Curve(2), 3, PrymW0(sw1=F2Class.from_bits("1010"), sw2=1))
+    assert bundle_from_dict(doc) == want
+    assert doc["meta"]["w0"] == "prym"
+    path = tmp_path / "prym.json"
+    path.write_text(json.dumps(doc))
+    code, verdict = run_json(capsys, "stability", "--input", str(path))
+    assert code == 0
+    assert verdict["status"] == check_polystability(want).status
+    assert verdict["group"] == "so0:2,3"
+
+
+def test_a_prym_w0_class_of_another_genus_is_refused(capsys):
+    code, doc = run_json(capsys, "build", "--group", "so0:2,3", "--genus", "3", "--maximal",
+                         "--w0", "prym:1010:1")
+    assert code == 1
+    assert (doc["status"], doc["code"]) == ("error", "dimension-mismatch")
+
+
+def _genus3_twisted_fuchsian() -> dict:
+    return bundle_to_dict(
+        build_twisted_fuchsian_sp(Curve(3), [F2Class.from_bits("011000"), F2Class.zero(3)])
+    )
+
+
+def _edit_symbol_class(doc):
+    doc["symbols"]["I1"]["class"] = "0110"
+
+
+def _edit_block_class(doc):
+    block = next(row for row in doc["summands"] if "sw1" in row)
+    block["sw1"] = "101000"
+
+
+@pytest.mark.parametrize("doc, edit, message", [
+    (_genus3_twisted_fuchsian(), _edit_symbol_class,
+     "class of symbol 'I1' '0110' has 4 bits, expected 6"),
+    (FUZZ_BASES[1], _edit_block_class, "sw1 of summand 3 '101000' has 6 bits, expected 4"),
+])
+def test_a_document_class_of_another_genus_is_a_parse_error(doc, edit, message, monkeypatch,
+                                                           capsys):
+    doc = copy.deepcopy(doc)
+    bundle_from_dict(doc)
+    edit(doc)
+    with pytest.raises(HiggsAtlasError) as exc:
+        bundle_from_dict(doc)
+    assert (exc.value.code, str(exc.value)) == ("parse", message)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+    code, res = run_json(capsys, "stability", "--input", "-")
+    assert code == 1
+    assert (res["status"], res["code"], res["message"]) == ("error", "parse", message)

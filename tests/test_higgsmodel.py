@@ -13,6 +13,7 @@ from higgs_atlas import (
     BoundError,
     BudgetError,
     Curve,
+    DimensionMismatchError,
     F2Class,
     GroupTag,
     MissingSpinError,
@@ -237,6 +238,14 @@ def test_maximal_so2n_variants():
     assert any(s.rank == 2 for s in prym.summands)
     plain = build_maximal_so2n(C2, 5, TrivialW0())
     assert plain.group == GroupTag("so0", (2, 5))
+
+
+def test_maximal_so2n_refuses_a_prym_class_of_another_genus():
+    with pytest.raises(DimensionMismatchError, match="genus 2, the curve genus 3"):
+        build_maximal_so2n(C3, 3, PrymW0(sw1=F2Class.from_bits("1010"), sw2=1))
+    h = build_maximal_so2n(C3, 3, PrymW0(sw1=F2Class.from_bits("101000"), sw2=1))
+    assert dict(h.torsion_classes)["I"].genus == 3
+    assert so2n_sw_label(h).sw1 == F2Class.from_bits("101000")
 
 
 # -- validation rejections ----------------------------------------------------
