@@ -473,7 +473,9 @@ def build_twisted_fuchsian_sp(
     v_exprs = []
     for j, cls in enumerate(classes, start=1):
         if cls.genus != g:
-            raise ModelInvariantError("torsion class genus does not match the curve")
+            raise DimensionMismatchError(
+                f"the class {cls.bits()} has genus {cls.genus}, the curve genus {g}"
+            )
         if cls.is_zero():
             v_exprs.append(spin(spin_name))
         else:

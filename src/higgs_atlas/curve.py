@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import UnresolvedDegreeError
-
 EXACT = "exact"
 GENERIC = "generic-assumption"
 
@@ -71,12 +69,10 @@ def h0(curve: Curve, bundle, declared=None) -> SectionCount:
     of K qualifies.  A degree-0 expression that is not literally the
     trivial bundle falls through to the generic row.
 
-    ``declared`` supplies integer degrees for named symbols, either as a
-    mapping or as any object with a ``declared_map`` attribute.  A symbol
-    without a declared degree raises UnresolvedDegreeError.
+    ``declared`` is a mapping from named symbols to their integer degrees.
+    A symbol without a declared degree raises UnresolvedDegreeError.
     """
-    degrees = _declared_map(declared)
-    deg = bundle.resolved_degree(curve.genus, degrees)
+    deg = bundle.resolved_degree(curve.genus, declared or {})
     g = curve.genus
     if deg < 0:
         return SectionCount(0, EXACT)
@@ -88,14 +84,6 @@ def h0(curve: Curve, bundle, declared=None) -> SectionCount:
     if deg > 2 * g - 2:
         return SectionCount(deg - g + 1, EXACT)
     return SectionCount(max(0, deg - g + 1), GENERIC)
-
-
-def _declared_map(declared) -> dict:
-    if declared is None:
-        return {}
-    if hasattr(declared, "declared_map"):
-        return dict(declared.declared_map)
-    return dict(declared)
 
 
 __all__ = [

@@ -179,15 +179,6 @@ def zero_weights(h: GradedHiggsBundle, higgs_scale: int = 1) -> WeightAssignment
     return WeightAssignment((0,) * len(h.summands), higgs_scale)
 
 
-def compose_weights(a: WeightAssignment, b: WeightAssignment) -> WeightAssignment:
-    if len(a.weights) != len(b.weights):
-        raise DimensionMismatchError("weight vectors have different lengths")
-    return WeightAssignment(
-        tuple(x + y for x, y in zip(a.weights, b.weights)),
-        a.higgs_scale + b.higgs_scale,
-    )
-
-
 # -- the worked degeneration fixtures -----------------------------------------
 
 DEFORMED_SO35_RETRACTION = WeightAssignment((2, 0, -2, 3, 1, -1, -3, 0))
@@ -310,7 +301,6 @@ __all__ = [
     "exponent_table",
     "graded_limit",
     "zero_weights",
-    "compose_weights",
     "NDescriptor",
     "limit_destabilized_branch",
     "DEFORMED_SO35_RETRACTION",

@@ -28,10 +28,6 @@ class DimensionMismatchError(HiggsAtlasError):
     code = "dimension-mismatch"
 
 
-class UnresolvedActionError(HiggsAtlasError):
-    code = "unresolved-action"
-
-
 class MissingSpinError(HiggsAtlasError):
     code = "missing-spin"
 
@@ -87,7 +83,7 @@ def _read_int(text: str, signed: bool = False) -> int | None:
 
 __all__ = [
     "HiggsAtlasError", "UnresolvedDegreeError", "DimensionMismatchError",
-    "UnresolvedActionError", "MissingSpinError", "BoundError", "PreconditionError",
-    "WrongGroupError", "UnsupportedGroupError", "UnrecognizedShapeError", "BudgetError",
+    "MissingSpinError", "BoundError", "PreconditionError", "WrongGroupError",
+    "UnsupportedGroupError", "UnrecognizedShapeError", "BudgetError",
     "ContradictionError", "ParityViolationError", "ModelInvariantError", "ParseError",
 ]

@@ -1,9 +1,8 @@
 """Stiefel-Whitney searches over sums of classes, and double covers.
 
 Which (sw_1, sw_2) labels a sum of n classes of H^1(S; F_2) reaches, with
-the smallest witness of each, and the double covers and Prym data that a
-nonzero sw_1 classifies.  The classes and their arithmetic are in
-``f2classes``.
+the smallest witness of each, and the double cover that a nonzero sw_1
+classifies.  The classes and their arithmetic are in ``f2classes``.
 """
 
 from __future__ import annotations
@@ -11,12 +10,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import DimensionMismatchError, UnresolvedActionError
+from .errors import DimensionMismatchError
 from .f2classes import F2Class, SWPair, _even_bits, _whitney, all_classes
 
-if TYPE_CHECKING:  # annotations only, so the sw searches load no line-bundle code
+if TYPE_CHECKING:  # annotations only, so the sw searches load no curve code
     from .curve import Curve
-    from .linebundle import DegreeContext, LineBundleExpr
 
 
 @dataclass(frozen=True)
@@ -134,7 +132,7 @@ def minimal_realizing_n(genus: int, n_max: int = 3) -> dict[SWPair, int | None]:
     }
 
 
-# -- double covers and Prym data -------------------------------------------
+# -- double covers ---------------------------------------------------------
 
 @dataclass(frozen=True)
 class DoubleCover:
@@ -155,78 +153,9 @@ class DoubleCover:
         return 2 * self.base.genus - 1
 
 
-@dataclass(frozen=True)
-class PrymDescriptor:
-    """One of the two components of the kernel of the norm map of a cover."""
-
-    cover: DoubleCover
-    component: int
-
-    def __post_init__(self):
-        if self.component not in (0, 1):
-            raise ValueError("a Prym variety has exactly two components")
-
-
-@dataclass(frozen=True)
-class InvolutionAction:
-    """Declared action of the cover involution on named symbols.
-
-    Maps each symbol name to the expression it pulls back to; the
-    canonical bundle of the cover is always fixed.
-    """
-
-    action: tuple[tuple[str, LineBundleExpr], ...]
-
-    @staticmethod
-    def of(**mapping: LineBundleExpr) -> "InvolutionAction":
-        return InvolutionAction(tuple(sorted(mapping.items())))
-
-    @property
-    def action_map(self) -> dict[str, LineBundleExpr]:
-        return dict(self.action)
-
-    def apply(self, expr: LineBundleExpr) -> LineBundleExpr:
-        # here rather than at the top, so the sw searches load no line-bundle code
-        from .linebundle import K_power, tensor_all
-
-        table = self.action_map
-        pieces: list[tuple[str, int]] = [(n, 1) for n in expr.spins]
-        pieces += [(n, 1) for n in expr.torsions]
-        pieces += list(expr.variables) + list(expr.divisors)
-        missing = sorted({n for n, _ in pieces if n not in table})
-        if missing:
-            raise UnresolvedActionError(
-                f"involution action undeclared for: {', '.join(missing)}"
-            )
-        return tensor_all([K_power(expr.k_power), *(table[name].power(e) for name, e in pieces)])
-
-
-def prym_membership(
-    cover: DoubleCover,
-    action: InvolutionAction,
-    bundle: LineBundleExpr,
-    ctx: DegreeContext | None = None,
-) -> bool:
-    """Does the declared involution send the bundle to its dual?
-
-    Membership in the kernel of the norm map is the symbol-level condition
-    pullback(bundle) = dual(bundle).  When a degree context is supplied the
-    degree-0 precondition on the cover is enforced.
-    """
-    if ctx is not None:
-        if ctx.degree(bundle) != 0:
-            raise ValueError("norm-kernel membership needs a degree-0 bundle")
-    if bundle.is_trivial():
-        return True
-    return action.apply(bundle) == bundle.dual()
-
-
 __all__ = [
     "SurjectivityReport",
     "sw_surjectivity_witnesses",
     "minimal_realizing_n",
     "DoubleCover",
-    "PrymDescriptor",
-    "InvolutionAction",
-    "prym_membership",
 ]

@@ -41,11 +41,9 @@ from .linebundle import (
 
 SCHEMA = "higgs-atlas/1"
 
-VANISH_ZERO = "identically-zero"
 VANISH_GENERIC = "generically-nonzero"
 VANISH_NOWHERE = "nowhere-vanishing"
 
-KIND_ZERO = "zero"
 KIND_UNIT = "unit"
 KIND_NAMED = "named"
 
@@ -65,12 +63,10 @@ class SectionSymbol:
     vanishing: str
 
     def __post_init__(self):
-        if self.kind not in (KIND_ZERO, KIND_UNIT, KIND_NAMED):
+        if self.kind not in (KIND_UNIT, KIND_NAMED):
             raise ValueError(f"bad section kind {self.kind!r}")
-        if self.vanishing not in (VANISH_ZERO, VANISH_GENERIC, VANISH_NOWHERE):
+        if self.vanishing not in (VANISH_GENERIC, VANISH_NOWHERE):
             raise ValueError(f"bad vanishing tag {self.vanishing!r}")
-        if (self.kind == KIND_ZERO) != (self.vanishing == VANISH_ZERO):
-            raise ValueError("zero sections and identically-zero flags coincide")
         if self.kind == KIND_UNIT and self.vanishing != VANISH_NOWHERE:
             raise ValueError("a unit section vanishes nowhere")
 
@@ -179,9 +175,7 @@ def make_bundle(
     meta: Mapping[str, object] | None = None,
 ) -> GradedHiggsBundle:
     higgs = tuple(
-        HiggsEntry(t, s, sym)
-        for t, s, sym in sorted(entries, key=lambda e: (e[0], e[1]))
-        if sym.kind != KIND_ZERO
+        HiggsEntry(t, s, sym) for t, s, sym in sorted(entries, key=lambda e: (e[0], e[1]))
     )
     dol = tuple(
         DolbeaultTerm(t, s, n) for t, s, n in sorted(dolbeault, key=lambda d: (d[0], d[1], d[2]))
@@ -563,10 +557,8 @@ __all__ = [
     "canonical_json",
     "summand_degree_multiset",
     "arrow_pattern",
-    "VANISH_ZERO",
     "VANISH_GENERIC",
     "VANISH_NOWHERE",
-    "KIND_ZERO",
     "KIND_UNIT",
     "KIND_NAMED",
     "SIDE_V",

@@ -32,7 +32,6 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .curve import Curve
 from .errors import ParseError, UnresolvedDegreeError
 
 KIND_VARIABLE = "variable"
@@ -215,27 +214,6 @@ def _check_name(name: str):
         raise ValueError(f"bad symbol name {name!r}")
 
 
-# -- degree context --------------------------------------------------------
-
-@dataclass(frozen=True)
-class DegreeContext:
-    """A curve plus declared integer degrees for variables and divisors."""
-
-    curve: Curve
-    declared: tuple[tuple[str, int], ...] = ()
-
-    @staticmethod
-    def of(curve: Curve, **degrees: int) -> "DegreeContext":
-        return DegreeContext(curve, tuple(sorted(degrees.items())))
-
-    @property
-    def declared_map(self) -> dict[str, int]:
-        return dict(self.declared)
-
-    def degree(self, expr: LineBundleExpr) -> int:
-        return expr.resolved_degree(self.curve.genus, self.declared_map)
-
-
 # -- parsing ---------------------------------------------------------------
 
 _FACTOR_RE = re.compile(
@@ -288,7 +266,6 @@ def parse_expr(text: str, kinds: Mapping[str, str] | None = None) -> LineBundleE
 
 __all__ = [
     "LineBundleExpr",
-    "DegreeContext",
     "trivial",
     "K_power",
     "variable",

@@ -18,8 +18,6 @@ closed subsets of an object are the unions of one closed subset per
 component.  ``check_polystability`` therefore scans each component on its
 own, at a cost of the sum of 2^|C| over components C instead of 2^n, and
 puts the verdict back together exactly (see its docstring).
-``enumerate_invariant_subobjects`` lists every closed subset and still
-scans all 2^n masks.
 """
 
 from __future__ import annotations
@@ -133,16 +131,6 @@ def _closed_subsets(
             continue
         indices = tuple(g for i, g in enumerate(members) if mask >> i & 1)
         out.append(InvariantSubobject(indices, sum(degrees[i] for i in indices)))
-    return out
-
-
-def enumerate_invariant_subobjects(h: GradedHiggsBundle) -> list[InvariantSubobject]:
-    """All arrow-closed index subsets, the empty and full ones included,
-    sorted by size then lexicographically."""
-    n = len(h.summands)
-    _check_budget(n, 1 << n)
-    out = _closed_subsets(tuple(range(n)), _arrows(h), h.degrees())
-    out.sort(key=lambda s: (s.size, s.indices))
     return out
 
 
@@ -260,7 +248,6 @@ __all__ = [
     "subset_budget",
     "InvariantSubobject",
     "StabilityVerdict",
-    "enumerate_invariant_subobjects",
     "components",
     "check_polystability",
     "gauge_equivalent",

@@ -359,6 +359,18 @@ def test_input_that_is_not_a_json_object_is_a_parse_error(tmp_path, capsys):
     assert doc["code"] == "parse"
 
 
+def test_an_identically_zero_entry_is_a_parse_error(tmp_path, capsys):
+    # absent entries are the zero sections; no entry may name one
+    _, doc = run_json(capsys, "build", "--group", "so:1,2", "--genus", "2", "--d", "0")
+    doc["higgs"][0]["vanishing"] = "identically-zero"
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(doc))
+    code, res = run_json(capsys, "stability", "--input", str(path))
+    assert code == 1
+    assert (res["status"], res["code"]) == ("error", "parse")
+    assert res["message"].endswith("bad vanishing tag 'identically-zero'")
+
+
 def _bogus_kind(doc):
     doc["symbols"]["M"]["kind"] = "bogus"
 

@@ -9,7 +9,6 @@ from higgs_atlas import (
     EXACT,
     GENERIC,
     Curve,
-    DegreeContext,
     K_power,
     SectionCount,
     UnresolvedDegreeError,
@@ -88,11 +87,6 @@ def test_h0_divisor_twist_frozen():
     bundle = divisor_twist("D", -1).tensor(K_power(2))
     got = h0(Curve(3), bundle, {"D": 2})
     assert got == SectionCount(4, EXACT)
-
-
-def test_h0_accepts_degree_context():
-    ctx = DegreeContext.of(Curve(2), M=3)
-    assert h0(Curve(2), variable("M"), ctx).value == 2
 
 
 def test_h0_unresolved_symbol():

@@ -28,8 +28,6 @@ from higgs_atlas import (
     build_so12,
     bundle_from_dict,
     bundle_to_dict,
-    check_polystability,
-    compose_weights,
     exponent_table,
     graded_limit,
     limit_destabilized_branch,
@@ -198,16 +196,6 @@ def test_search_respects_budget(monkeypatch):
     monkeypatch.setenv("HIGGS_ATLAS_BUDGET", "2")
     with pytest.raises(BudgetError):
         search_admissible_weights(h, 3)
-
-
-def test_compose_weights_adds_componentwise():
-    a = WeightAssignment((0, 1, -1), higgs_scale=1)
-    b = WeightAssignment((0, 2, -2), higgs_scale=0)
-    c = compose_weights(a, b)
-    assert c.weights == (0, 3, -3)
-    assert c.higgs_scale == 1
-    with pytest.raises(DimensionMismatchError):
-        compose_weights(a, WeightAssignment((0, 0)))
 
 
 def test_limits_of_chain_objects_stay_valid():

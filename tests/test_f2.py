@@ -1,5 +1,5 @@
-"""Mod-2 cohomology arithmetic: cup products, characteristic classes,
-double covers, and norm-kernel membership."""
+"""Mod-2 cohomology arithmetic: cup products, characteristic classes
+and double covers."""
 
 from __future__ import annotations
 
@@ -9,23 +9,15 @@ from hypothesis import given, strategies as st
 from higgs_atlas import f2cohomology
 from higgs_atlas import (
     Curve,
-    DegreeContext,
     DimensionMismatchError,
     DoubleCover,
     F2Class,
-    InvolutionAction,
-    PrymDescriptor,
     SWPair,
-    UnresolvedActionError,
     all_classes,
     cup,
     minimal_realizing_n,
-    prym_membership,
     sw_surjectivity_witnesses,
-    torsion,
     total_sw_of_sum,
-    trivial,
-    variable,
 )
 from helpers import (
     brute_force_minimal_n,
@@ -233,34 +225,3 @@ def test_double_cover_rejects_zero_class():
         DoubleCover(Curve(3), A1)
 
 
-def test_prym_descriptor_components():
-    cover = DoubleCover(Curve(2), A1)
-    assert PrymDescriptor(cover, 0) != PrymDescriptor(cover, 1)
-    with pytest.raises(ValueError):
-        PrymDescriptor(cover, 2)
-
-
-def test_prym_membership_symbolic():
-    cover = DoubleCover(Curve(2), A1)
-    # the involution sends M to its own dual: M lies in the norm kernel
-    action = InvolutionAction.of(M=variable("M", -1))
-    assert prym_membership(cover, action, variable("M"))
-    # a fixed symbol is not in the kernel unless 2-torsion
-    fixed = InvolutionAction.of(M=variable("M"), I=torsion("I"))
-    assert not prym_membership(cover, fixed, variable("M"))
-    assert prym_membership(cover, fixed, torsion("I"))
-    assert prym_membership(cover, fixed, trivial())
-
-
-def test_prym_membership_degree_guard():
-    cover = DoubleCover(Curve(2), A1)
-    action = InvolutionAction.of(M=variable("M", -1))
-    ctx = DegreeContext.of(Curve(3), M=1)
-    with pytest.raises(ValueError):
-        prym_membership(cover, action, variable("M"), ctx)
-
-
-def test_involution_action_missing_symbol():
-    action = InvolutionAction.of(M=variable("M", -1))
-    with pytest.raises(UnresolvedActionError):
-        action.apply(variable("N"))

@@ -248,6 +248,17 @@ def test_maximal_so2n_refuses_a_prym_class_of_another_genus():
     assert so2n_sw_label(h).sw1 == F2Class.from_bits("101000")
 
 
+@pytest.mark.parametrize("build", [
+    lambda c, cls: build_maximal_so2n(c, 3, PrymW0(sw1=cls, sw2=1)),
+    lambda c, cls: build_twisted_fuchsian_sp(c, [cls, F2Class.zero(c.genus)]),
+], ids=["maximal-so2n", "twisted-fuchsian-sp"])
+def test_a_class_of_another_genus_is_a_dimension_mismatch(build):
+    with pytest.raises(DimensionMismatchError,
+                       match=r"class 1010 has genus 2, the curve genus 3$"):
+        build(C3, F2Class.from_bits("1010"))
+    assert dict(build(C3, F2Class.from_bits("101000")).torsion_classes)
+
+
 # -- validation rejections ----------------------------------------------------
 
 def _simple(sigma=(0, 2, 1), entries=(), declared=None):

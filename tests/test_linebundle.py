@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 
 from higgs_atlas import (
     Curve,
-    DegreeContext,
     KIND_DIVISOR,
     KIND_SPIN,
     KIND_TORSION,
@@ -86,12 +85,6 @@ def test_unresolved_degree_reports_all_missing_names():
     with pytest.raises(UnresolvedDegreeError) as err:
         expr.resolved_degree(2, {})
     assert "D" in str(err.value) and "M" in str(err.value)
-
-
-def test_degree_context():
-    ctx = DegreeContext.of(Curve(2), M=3, D=1)
-    assert ctx.degree(variable("M").tensor(divisor_twist("D", 2))) == 5
-    assert ctx.declared_map == {"M": 3, "D": 1}
 
 
 def test_parse_round_trip_with_kinds():
