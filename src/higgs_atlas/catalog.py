@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from .curve import Curve, h0
 from .errors import BoundError, UnsupportedGroupError
 from .f2classes import SWPair, all_classes
-from .groups import GroupTag, milnor_wood_bound
+from .groups import GroupTag, _check_label, milnor_wood_bound
 from .linebundle import K_power, variable
 
 SECTOR_ALL = "all"
@@ -40,13 +40,10 @@ def group_dim(group: GroupTag) -> int:
         return n * n - 1
     if fam == "sp":
         (two_n,) = params
-        if two_n % 2:
-            raise UnsupportedGroupError(f"odd symplectic rank in {group}")
         return (two_n // 2) * (two_n + 1)
-    if fam in ("so", "so0"):
-        m = sum(params)
-        return m * (m - 1) // 2
-    raise UnsupportedGroupError(f"unknown family in {group}")
+    # so and so0; ``GroupTag`` admits no other family
+    m = sum(params)
+    return m * (m - 1) // 2
 
 
 def character_variety_dimension(group: GroupTag, genus: int) -> int:
@@ -118,14 +115,12 @@ def parameterization(group: GroupTag, d: int, genus: int) -> Parameterization:
     """
     curve = Curve(genus)
     n = _twist_rank(group)
-    bound = milnor_wood_bound(group, genus)
     if d == 0:
         raise BoundError(
             "the degree-zero slot is a quotient, not a product",
             retraction=PIC_ZERO_RETRACTION,
         )
-    if d < 0 or d > bound:
-        raise BoundError(f"label must satisfy 0 < d <= {bound}, got {d}")
+    bound = _check_label(group, genus, d, positive=True)
     fiber = h0(
         curve, variable("M").tensor(K_power(n)), declared={"M": d}
     )

@@ -30,7 +30,7 @@ from .errors import (
     PreconditionError,
     WrongGroupError,
 )
-from .groups import GroupTag, milnor_wood_bound
+from .groups import GroupTag, _check_label
 from .higgsmodel import GradedHiggsBundle, bundle_to_dict, named_section
 from .stability import StabilityVerdict, check_polystability, subset_budget
 
@@ -78,10 +78,6 @@ class ExponentTable:
     @property
     def all_nonnegative(self) -> bool:
         return all(r.exponent >= 0 for r in self.rows)
-
-    @property
-    def min_exponent(self) -> int | None:
-        return min((r.exponent for r in self.rows), default=None)
 
     def to_dict(self) -> dict:
         return {
@@ -215,6 +211,7 @@ def limit_destabilized_branch(
             "signature-(3,5) family only"
         )
     d = _integer_label(h)
+    bound = _check_label(GroupTag("so0", (3, 4)), h.genus, d, positive=True)
     if not line.alpha_nonzero:
         raise ContradictionError(
             "a destabilizing line with alpha = 0 would leave the rank-2 part "
@@ -222,7 +219,6 @@ def limit_destabilized_branch(
         )
     if line.degree <= 0:
         raise BoundError(f"the destabilizing line needs positive degree, got {line.degree}")
-    bound = milnor_wood_bound(GroupTag("so0", (3, 4)), h.genus)
     if line.degree > bound:
         raise BoundError(f"alpha lives in a bundle of degree {bound - line.degree} < 0")
     if (line.degree - d) % 2:

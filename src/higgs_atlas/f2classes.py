@@ -49,9 +49,6 @@ class F2Class:
         """The coordinates as a bit string, coordinate 0 first."""
         return format(self.value, f"0{2 * self.genus}b")[::-1]
 
-    def to_int(self) -> int:
-        return self.value
-
     @staticmethod
     def zero(genus: int) -> "F2Class":
         return F2Class(genus, 0)
@@ -82,6 +79,16 @@ def all_classes(genus: int) -> tuple[F2Class, ...]:
     if genus < 2:
         raise ValueError("genus must be at least 2")
     return tuple(F2Class(genus, v) for v in range(1 << (2 * genus)))
+
+
+def _check_genus(cls: F2Class, genus: int, what: str = "") -> None:
+    """Refuse a class of another genus than the curve's: the one rule every
+    builder, document and verb that takes a class with a curve applies."""
+    if cls.genus != genus:
+        raise DimensionMismatchError(
+            f"{what + ': ' if what else ''}the class {cls.bits()} has genus {cls.genus}, "
+            f"the curve genus {genus}"
+        )
 
 
 def _check_same_genus(a: F2Class, b: F2Class):
@@ -142,7 +149,11 @@ class SWPair:
 
 def total_sw_of_sum(classes: Sequence[F2Class], genus: int | None = None) -> SWPair:
     """Total Stiefel-Whitney data of a direct sum of 2-torsion line
-    bundles, each labelled (c, 0)."""
+    bundles, each labelled (c, 0); with ``genus`` given, every class must
+    be of that genus."""
+    if genus is not None:
+        for i, c in enumerate(classes):
+            _check_genus(c, genus, f"summand {i}")
     if not classes:
         if genus is None:
             raise DimensionMismatchError("empty sum needs an explicit genus")

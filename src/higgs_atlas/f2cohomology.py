@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import DimensionMismatchError
-from .f2classes import F2Class, SWPair, _even_bits, _whitney, all_classes
+from .f2classes import F2Class, SWPair, _check_genus, _even_bits, _whitney, all_classes
 
 if TYPE_CHECKING:  # annotations only, so the sw searches load no curve code
     from .curve import Curve
@@ -142,8 +142,7 @@ class DoubleCover:
     sw1: F2Class
 
     def __post_init__(self):
-        if self.sw1.genus != self.base.genus:
-            raise DimensionMismatchError("classifying class has the wrong genus")
+        _check_genus(self.sw1, self.base.genus)
         if self.sw1.is_zero():
             raise ValueError("a connected double cover needs a nonzero class")
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ParseError, UnsupportedGroupError, _read_int
+from .errors import BoundError, ParseError, UnsupportedGroupError, _read_int
 
 _FAMILIES = ("sl", "psl", "sp", "so", "so0", "slc")
 
@@ -66,6 +66,16 @@ def milnor_wood_bound(group: GroupTag, genus: int) -> int:
     if fam == "so0" and params[0] == 2 and params[1] >= 4:
         return 2 * g - 2
     raise UnsupportedGroupError(f"no bound recorded for {group}")
+
+
+def _check_label(group: GroupTag, genus: int, d: int, positive: bool = False) -> int:
+    """Refuse an integer label outside -bound..bound, or 1..bound when
+    ``positive``; return the bound.  Every label range is read here."""
+    bound = milnor_wood_bound(group, genus)
+    low = 1 if positive else -bound
+    if not low <= d <= bound:
+        raise BoundError(f"label {d} of {group} is outside {low}..{bound} at genus {genus}")
+    return bound
 
 
 __all__ = ["GroupTag", "milnor_wood_bound"]

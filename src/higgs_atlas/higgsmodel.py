@@ -27,7 +27,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .curve import Curve
 from .errors import ModelInvariantError, ParseError
-from .f2classes import F2Class, SWPair
+from .f2classes import F2Class, SWPair, _check_genus
 from .groups import GroupTag
 from .linebundle import (
     KIND_DIVISOR,
@@ -199,14 +199,16 @@ def make_bundle(
 # -- structural validation -------------------------------------------------
 
 def validate(h: GradedHiggsBundle) -> None:
-    """Check the structural invariants; raise ModelInvariantError on failure.
+    """Check the structural invariants; raise ModelInvariantError on failure,
+    or DimensionMismatchError for a mod-2 class of another genus.
 
-    In order: sigma is an involution of the summands pairing each line with
-    its dual (blocks are self-paired of degree 0), orthogonal pairings keep
-    sides and symplectic ones exchange them; the group's ranks and
-    determinant conditions hold (every summand degree resolves, V side
-    first, or UnresolvedDegreeError names the missing symbols); no two Higgs
-    entries share a (target, source); each entry is off the diagonal, has
+    In order: every mod-2 class (a torsion symbol's, a block's sw_1) is of
+    the object's genus; sigma is an involution of the summands pairing each
+    line with its dual (blocks are self-paired of degree 0), orthogonal
+    pairings keep sides and symplectic ones exchange them; the group's
+    ranks, determinant conditions and total degree hold (every summand
+    degree resolves, V side first, or UnresolvedDegreeError names the
+    missing symbols); no two Higgs entries share a (target, source); each entry is off the diagonal, has
     its transpose partner, and fits its ambient Hom(L_s, L_t (x) K): a unit
     needs it trivial, a nowhere-vanishing section needs degree 0, a generic
     section needs degree >= 0 unless the ambient is a power of K; each
@@ -219,6 +221,11 @@ def validate(h: GradedHiggsBundle) -> None:
     K^(k_t - k_s + 1); its degree is deg L_t - deg L_s + 2g - 2 from the
     degrees resolved once.
     """
+    for name, cls in h.torsion_classes:
+        _check_genus(cls, h.genus, f"symbol {name}")
+    for i, s in enumerate(h.summands):
+        if s.sw is not None:
+            _check_genus(s.sw.sw1, h.genus, f"sw1 of summand {i}")
     n = len(h.summands)
     if len(h.sigma) != n:
         raise ModelInvariantError("pairing involution has the wrong length")
@@ -311,39 +318,22 @@ def _check_group_shape(h: GradedHiggsBundle) -> list[int]:
     w = [degrees[i] for i in w_idx]
     rank_v = sum(h.summands[i].rank for i in v_idx)
     rank_w = sum(h.summands[i].rank for i in w_idx)
-    if fam == "so0":
-        p, q = params
-        if (rank_v, rank_w) != (p, q):
+    if fam in ("so", "so0"):
+        if (rank_v, rank_w) != params:
             raise ModelInvariantError(
                 f"rank mismatch for {h.group}: got ({rank_v},{rank_w})"
             )
         # determinant condition: both factors have trivial determinant
-        if sum(v) != 0 or sum(w) != 0:
+        if fam == "so0" and (sum(v) != 0 or sum(w) != 0):
             raise ModelInvariantError(
                 f"determinant condition fails for {h.group}: degrees {sum(v)},{sum(w)}"
             )
-    elif fam == "so":
-        p, q = params
-        if (rank_v, rank_w) != (p, q):
-            raise ModelInvariantError(
-                f"rank mismatch for {h.group}: got ({rank_v},{rank_w})"
-            )
-        if sum(v) + sum(w) != 0:
-            raise ModelInvariantError("total degree must vanish")
-    elif fam == "sp":
-        (two_n,) = params
-        if h.total_rank != two_n or rank_v != two_n // 2:
-            raise ModelInvariantError(f"rank mismatch for {h.group}")
-        if sum(v) + sum(w) != 0:
-            raise ModelInvariantError("total degree must vanish")
-        if h.form != FORM_SYMPLECTIC:
-            raise ModelInvariantError("symplectic groups need a symplectic pairing")
-    elif fam in ("sl", "psl", "slc"):
-        (nn,) = params
-        if h.total_rank != nn:
-            raise ModelInvariantError(f"rank mismatch for {h.group}")
-        if sum(v) + sum(w) != 0:
-            raise ModelInvariantError("total degree must vanish")
+    elif h.total_rank != params[0] or (fam == "sp" and rank_v != params[0] // 2):
+        raise ModelInvariantError(f"rank mismatch for {h.group}")
+    if sum(degrees) != 0:
+        raise ModelInvariantError("total degree must vanish")
+    if fam == "sp" and h.form != FORM_SYMPLECTIC:
+        raise ModelInvariantError("symplectic groups need a symplectic pairing")
     return degrees
 
 
@@ -429,14 +419,6 @@ def _json_meta(meta: Mapping) -> Mapping:
     return meta
 
 
-def _json_class(bits, genus: int, what: str) -> F2Class:
-    """A mod-2 class written as its bit string, which must be of the object's genus."""
-    cls = F2Class.from_bits(bits)
-    if cls.genus != genus:
-        raise ParseError(f"{what} {bits!r} has {len(bits)} bits, expected {2 * genus}")
-    return cls
-
-
 def _refuse_repeats(keys: Iterable[tuple], what: str, error: type = ParseError) -> None:
     seen = set()
     for key in keys:
@@ -448,10 +430,11 @@ def _refuse_repeats(keys: Iterable[tuple], what: str, error: type = ParseError) 
 def bundle_from_dict(data: Mapping) -> GradedHiggsBundle:
     """Load an object document.  Refused with ParseError, besides missing
     keys, non-integer numbers, and a group or section name that is not a
-    string: an unknown symbol kind, a mod-2 class of another genus than the
-    object's, a meta value that is neither a string nor an integer, a Higgs
-    entry or an extension term listed twice, and a recorded summand degree
-    that differs from the degree its bundle resolves to."""
+    string: an unknown symbol kind, a meta value that is neither a string
+    nor an integer, a Higgs entry or an extension term listed twice, and a
+    recorded summand degree that differs from the degree its bundle
+    resolves to.  A mod-2 class of another genus than the object's is
+    refused by ``validate``, as a DimensionMismatchError."""
     if not isinstance(data, Mapping):
         raise ParseError(f"an object document must be a JSON object, got {type(data).__name__}")
     try:
@@ -469,18 +452,14 @@ def bundle_from_dict(data: Mapping) -> GradedHiggsBundle:
             for name, info in symbols.items()
             if info.get("degree") is not None
         }
-        tclasses = {
-            name: _json_class(info["class"], curve.genus, f"class of symbol {name!r}")
-            for name, info in symbols.items()
-            if "class" in info
-        }
+        tclasses = {name: F2Class.from_bits(info["class"])
+                    for name, info in symbols.items() if "class" in info}
         summands = []
         recorded = []
         for i, row in enumerate(data["summands"]):
             sw = None
             if "sw1" in row:
-                sw = SWPair(_json_class(row["sw1"], curve.genus, f"sw1 of summand {i}"),
-                            _json_int(row["sw2"], "sw2"))
+                sw = SWPair(F2Class.from_bits(row["sw1"]), _json_int(row["sw2"], "sw2"))
             summands.append(
                 Summand(row["side"], parse_expr(row["bundle"], kinds),
                         _json_int(row.get("rank", 1), "summand rank"), sw)

@@ -10,6 +10,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -19,20 +20,29 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from higgs_atlas import (
+    BoundError,
     Curve,
+    DimensionMismatchError,
+    DoubleCover,
     F2Class,
+    GroupTag,
     HiggsAtlasError,
     PrymW0,
+    SplitW0,
+    build_exotic_so,
     build_extension_deformed_so35,
     build_maximal_so23,
     build_maximal_so2n,
+    build_so12,
     build_twisted_fuchsian_sp,
     bundle_from_dict,
     bundle_to_dict,
     check_polystability,
     cli,
     minimal_realizing_n,
+    parameterization,
     sw_surjectivity_witnesses,
+    total_sw_of_sum,
 )
 from helpers import brute_force_minimal_n, brute_force_sw_witnesses
 
@@ -234,7 +244,7 @@ def sw_documents(genus):
 # sha256 of sw_documents(genus), one entry per line
 SW_DIGESTS = {
     2: "6db6d181dfd27419dcf282ed228c563fba622173f0b2ff6c0db6bc6d2c9580ea",
-    3: "38ef3360ddb8dbbe3ca643572e182906a900c8ab1642794dff4576748b2818b7",
+    3: "e1f725f551ec8c7ab9ce5cfa428f61c4f81ed3803ac8bc3ec2e4652c46087923",
     4: "e274aed5c3e47d92a0b5fc27f672c834e5d46bf77b1094f0332a98e3f1beb282",
 }
 
@@ -833,17 +843,56 @@ def test_a_prym_w0_object_builds_validates_and_gets_a_verdict(tmp_path, capsys):
     assert verdict["group"] == "so0:2,3"
 
 
-def test_a_prym_w0_class_of_another_genus_is_refused(capsys):
-    code, doc = run_json(capsys, "build", "--group", "so0:2,3", "--genus", "3", "--maximal",
-                         "--w0", "prym:1010:1")
-    assert code == 1
-    assert (doc["status"], doc["code"]) == ("error", "dimension-mismatch")
+def test_a_prym_w0_sw2_that_is_not_a_bit_is_refused(capsys):
+    code, doc = run_json(capsys, "build", "--group", "so0:2,3", "--genus", "2", "--maximal",
+                         "--w0", "prym:1010:2")
+    assert (code, doc["code"], doc["message"]) == (1, "value", "sw2 must be a bit")
+    with pytest.raises(ValueError, match="^sw2 must be a bit$"):
+        build_maximal_so2n(Curve(2), 3, PrymW0(sw1=F2Class.from_bits("1010"), sw2=2))
 
 
-def _genus3_twisted_fuchsian() -> dict:
-    return bundle_to_dict(
-        build_twisted_fuchsian_sp(Curve(3), [F2Class.from_bits("011000"), F2Class.zero(3)])
-    )
+# -- one refusal per mistake ---------------------------------------------------
+
+# each mistake: the one error class and the one message shape it gets
+MISTAKES = {
+    "genus": (DimensionMismatchError,
+              r"([\w ]+: )?the class [01]+ has genus \d+, the curve genus \d+"),
+    "label": (BoundError, r"label -?\d+ of \S+ is outside -?\d+\.\.\d+ at genus \d+"),
+}
+_ERRORS = {cls.code: cls for cls in HiggsAtlasError.__subclasses__()}
+
+
+def _edited(doc: dict, edit) -> dict:
+    """A copy of the valid document ``doc`` after ``edit``."""
+    doc = copy.deepcopy(doc)
+    bundle_from_dict(doc)
+    edit(doc)
+    return doc
+
+
+def _cli(*argv, stdin=None):
+    """A CLI call, with the document ``stdin()`` on stdin when given."""
+    def ask(monkeypatch, capsys):
+        if stdin is not None:
+            monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(stdin())))
+        code, res = run_json(capsys, *argv)
+        assert (code, res["status"]) == (1, "error")
+        return _ERRORS[res["code"]], res["code"], res["message"]
+    return ask
+
+
+def _lib(call):
+    def ask(monkeypatch, capsys):
+        with pytest.raises(HiggsAtlasError) as exc:
+            call()
+        return type(exc.value), exc.value.code, str(exc.value)
+    return ask
+
+
+_GENUS3_TWISTED_FUCHSIAN = bundle_to_dict(
+    build_twisted_fuchsian_sp(Curve(3), [F2Class.from_bits("011000"), F2Class.zero(3)])
+)
+_A1 = F2Class.from_bits("1010")
 
 
 def _edit_symbol_class(doc):
@@ -855,20 +904,83 @@ def _edit_block_class(doc):
     block["sw1"] = "101000"
 
 
-@pytest.mark.parametrize("doc, edit, message", [
-    (_genus3_twisted_fuchsian(), _edit_symbol_class,
-     "class of symbol 'I1' '0110' has 4 bits, expected 6"),
-    (FUZZ_BASES[1], _edit_block_class, "sw1 of summand 3 '101000' has 6 bits, expected 4"),
+def _edit_label(doc):
+    doc["meta"]["d"] = 7
+
+
+REFUSAL_CELLS = [
+    # a class of another genus than the curve's
+    ("genus", "cli-build-classes",
+     _cli("build", "--group", "sp:4", "--genus", "3", "--classes", "1010,0000"),
+     "summand 0: the class 1010 has genus 2, the curve genus 3"),
+    ("genus", "cli-build-w0-prym",
+     _cli("build", "--group", "so0:2,3", "--genus", "3", "--maximal", "--w0", "prym:1010:1"),
+     "symbol I: the class 1010 has genus 2, the curve genus 3"),
+    ("genus", "cli-sw-classes", _cli("sw", "--genus", "3", "--classes", "101000,1010"),
+     "summand 1: the class 1010 has genus 2, the curve genus 3"),
+    ("genus", "document-symbol-class",
+     _cli("stability", "--input", "-",
+          stdin=lambda: _edited(_GENUS3_TWISTED_FUCHSIAN, _edit_symbol_class)),
+     "symbol I1: the class 0110 has genus 2, the curve genus 3"),
+    ("genus", "document-block-sw1",
+     _cli("stability", "--input", "-", stdin=lambda: _edited(FUZZ_BASES[1], _edit_block_class)),
+     "sw1 of summand 3: the class 101000 has genus 3, the curve genus 2"),
+    ("genus", "library-bundle-from-dict",
+     _lib(lambda: bundle_from_dict(_edited(_GENUS3_TWISTED_FUCHSIAN, _edit_symbol_class))),
+     "symbol I1: the class 0110 has genus 2, the curve genus 3"),
+    ("genus", "library-maximal-so2n",
+     _lib(lambda: build_maximal_so2n(Curve(3), 3, PrymW0(sw1=_A1, sw2=1))),
+     "symbol I: the class 1010 has genus 2, the curve genus 3"),
+    ("genus", "library-twisted-fuchsian",
+     _lib(lambda: build_twisted_fuchsian_sp(Curve(3), [_A1, F2Class.zero(3)])),
+     "summand 0: the class 1010 has genus 2, the curve genus 3"),
+    ("genus", "library-twisted-fuchsian-zero-class",
+     _lib(lambda: build_twisted_fuchsian_sp(Curve(3), [F2Class.zero(3), F2Class.zero(2)])),
+     "summand 1: the class 0000 has genus 2, the curve genus 3"),
+    ("genus", "library-total-sw-of-sum", _lib(lambda: total_sw_of_sum([_A1], 3)),
+     "summand 0: the class 1010 has genus 2, the curve genus 3"),
+    ("genus", "library-double-cover", _lib(lambda: DoubleCover(Curve(3), _A1)),
+     "the class 1010 has genus 2, the curve genus 3"),
+    # an integer label outside its family's range
+    ("label", "cli-build-so12", _cli("build", "--group", "so:1,2", "--genus", "2", "--d", "3"),
+     "label 3 of so:1,2 is outside -2..2 at genus 2"),
+    ("label", "cli-build-exotic", _cli("build", "--group", "so0:2,3", "--genus", "2", "--d", "-1"),
+     "label -1 of so0:2,3 is outside 1..4 at genus 2"),
+    ("label", "cli-build-maximal-so23",
+     _cli("build", "--group", "so0:2,3", "--genus", "2", "--maximal", "--d", "5"),
+     "label 5 of so0:2,3 is outside -4..4 at genus 2"),
+    ("label", "cli-build-w0-split",
+     _cli("build", "--group", "so0:2,4", "--genus", "2", "--maximal", "--w0", "split:-5"),
+     "label -5 of so0:2,3 is outside -4..4 at genus 2"),
+    ("label", "cli-build-deformed",
+     _cli("build", "--group", "so0:3,5", "--genus", "2", "--deformed", "--d", "7"),
+     "label 7 of so0:3,4 is outside 1..6 at genus 2"),
+    ("label", "cli-param", _cli("param", "--group", "so0:3,4", "--genus", "3", "--d", "13"),
+     "label 13 of so0:3,4 is outside 1..12 at genus 3"),
+    ("label", "document-meta-d",
+     _cli("limit", "--input", "-", "--line-degree", "1",
+          stdin=lambda: _edited(FUZZ_BASES[2], _edit_label)),
+     "label 7 of so0:3,4 is outside 1..6 at genus 2"),
+    ("label", "library-so12", _lib(lambda: build_so12(Curve(2), -3)),
+     "label -3 of so:1,2 is outside -2..2 at genus 2"),
+    ("label", "library-exotic", _lib(lambda: build_exotic_so(Curve(2), 3, 7)),
+     "label 7 of so0:3,4 is outside 1..6 at genus 2"),
+    ("label", "library-maximal-so2n",
+     _lib(lambda: build_maximal_so2n(Curve(3), 5, SplitW0(9))),
+     "label 9 of so0:2,3 is outside -8..8 at genus 3"),
+    ("label", "library-deformed", _lib(lambda: build_extension_deformed_so35(Curve(2), 0)),
+     "label 0 of so0:3,4 is outside 1..6 at genus 2"),
+    ("label", "library-parameterization",
+     _lib(lambda: parameterization(GroupTag("so", (1, 2)), 3, 2)),
+     "label 3 of so:1,2 is outside 1..2 at genus 2"),
+]
+
+
+@pytest.mark.parametrize("mistake, ask, message", [
+    pytest.param(mistake, ask, message, id=f"{mistake}-{path}")
+    for mistake, path, ask, message in REFUSAL_CELLS
 ])
-def test_a_document_class_of_another_genus_is_a_parse_error(doc, edit, message, monkeypatch,
-                                                           capsys):
-    doc = copy.deepcopy(doc)
-    bundle_from_dict(doc)
-    edit(doc)
-    with pytest.raises(HiggsAtlasError) as exc:
-        bundle_from_dict(doc)
-    assert (exc.value.code, str(exc.value)) == ("parse", message)
-    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
-    code, res = run_json(capsys, "stability", "--input", "-")
-    assert code == 1
-    assert (res["status"], res["code"], res["message"]) == ("error", "parse", message)
+def test_one_refusal_per_mistake(mistake, ask, message, monkeypatch, capsys):
+    error, shape = MISTAKES[mistake]
+    assert ask(monkeypatch, capsys) == (error, error.code, message)
+    assert re.fullmatch(shape, message)

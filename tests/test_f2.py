@@ -62,7 +62,7 @@ def test_bits_round_trip():
     for v in range(16):
         c = F2Class.from_int(2, v)
         assert F2Class.from_bits(c.bits()) == c
-        assert c.to_int() == v
+        assert c.value == v
 
 
 def test_all_classes_enumeration():
