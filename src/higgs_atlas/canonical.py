@@ -172,9 +172,12 @@ def gauge_orbit_key(h: GradedHiggsBundle) -> str:
 
 def structurally_equal(a: GradedHiggsBundle, b: GradedHiggsBundle) -> bool:
     """Equality up to summand reordering (groups and genus included)."""
-    if a.group != b.group or a.genus != b.genus:
-        return False
-    return canonical_key(a) == canonical_key(b)
+    return a.group == b.group and a.genus == b.genus and canonical_key(a) == canonical_key(b)
+
+
+def gauge_equivalent(a: GradedHiggsBundle, b: GradedHiggsBundle) -> bool:
+    """Equality up to summand reordering and the switching move."""
+    return a.group == b.group and a.genus == b.genus and gauge_orbit_key(a) == gauge_orbit_key(b)
 
 
 __all__ = [
@@ -184,4 +187,5 @@ __all__ = [
     "canonical_key",
     "gauge_orbit_key",
     "structurally_equal",
+    "gauge_equivalent",
 ]

@@ -138,15 +138,11 @@ def resolve_extra_factor_reading(n: int, genus: int) -> dict:
     even powers match it for every n, the (n-1) copies of the quadratic
     space only at n = 2.  Returns the adopted reading with the numbers.
     """
-    curve = Curve(genus)
     group = GroupTag("so", (1, 2)) if n == 1 else GroupTag("so0", (n, n + 1))
-    bound = milnor_wood_bound(group, genus)
-    d = 1
-    fiber = h0(curve, variable("M").tensor(K_power(n)), declared={"M": d}).value
-    base = bound - d
-    needed = half_dimension(group, genus) - fiber - base
-    summed = extra_factor_dimension(curve, n)
-    copies = (n - 1) * h0(curve, K_power(2)).value
+    p = parameterization(group, 1, genus)
+    needed = half_dimension(group, genus) - p.fiber_rank - p.base_exponent
+    summed = p.extra_factor_dim
+    copies = (n - 1) * h0(Curve(genus), K_power(2)).value
     adopted = "sum of h0(K^(2j)), j = 1..n-1"
     if summed != needed:
         raise BoundError(

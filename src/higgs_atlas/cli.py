@@ -16,6 +16,12 @@ census and verify renders a plain-text table instead.  Object documents
 are read with `--input PATH` where PATH may be `-` for stdin.  Exit code
 0 on success, 1 on a reported domain error, 2 on usage errors.
 
+`build` decides a command in one order: the group tag (and the genus),
+the builder they and the switches choose, any given flag that builder
+does not read, a flag it cannot do without, then the text of each flag.
+It passes the builder only the flags given, so an omitted flag takes the
+builder's own default and `--spin-name ''` is refused at every rank.
+
 Each handler imports the modules its verb runs, so a process loads only
 those; a usage error loads nothing beyond ``errors``.
 
@@ -120,24 +126,41 @@ def _parse_w0(text: str):
     raise ParseError(f"unknown rank-2 complement descriptor {text!r}")
 
 
-# Every flag of `build`, as its argparse dest.  Each defaults to None, so a
-# flag the caller gave can be told from one left out: `is not False` reads a
-# switch that is on by default, `is True` one that is off by default.
-_BUILD_FLAGS = (
-    "d", "q_on", "spin_name", "classes", "w0", "mu", "nu", "q2", "pfaffian", "maximal", "deformed",
-)
+# Every flag of `build`, as its argparse dest, with the one reader of its
+# text (None where argparse already made the value).  Each defaults to None,
+# so a flag the caller gave can be told from one left out: `_given` passes
+# on only the given ones, as given, so an omitted flag takes the builder's
+# default and `--spin-name ''` reaches the builder, which refuses it.
+_BUILD_FLAGS = {
+    "d": None, "q_on": lambda text: _parse_ints(text, signed=False), "spin_name": None,
+    "classes": _parse_classes, "w0": _parse_w0, "mu": None, "nu": None, "q2": None,
+    "pfaffian": None, "maximal": None, "deformed": None,
+}
 
 
-def _refuse_unread(args, group, *read: str) -> None:
-    """Refuse every build flag the caller gave that the chosen builder,
-    which reads the dests ``read``, would ignore."""
+def _given(args, group, *read: str, needs: str | None = None, by: str | None = None) -> dict:
+    """The build flags the caller gave, as keyword arguments for the builder
+    of ``group``, which reads the dests ``read`` and cannot do without
+    ``needs``; ``by`` is the flag that chose the builder, passed to none.
+
+    Refused in this order: a given flag the builder does not read, a
+    missing ``needs`` (an empty text counts as missing), then a flag text
+    its reader refuses."""
+    given = {name: value for name in _BUILD_FLAGS if (value := getattr(args, name)) is not None}
     unread = [
         f"--{'no-' if value is False else ''}{name.replace('_', '-')}"
-        for name in _BUILD_FLAGS
-        if name not in read and (value := getattr(args, name)) is not None
+        for name, value in given.items()
+        if name not in read and name != by
     ]
     if unread:
         raise PreconditionError(f"the {group} builder does not read {', '.join(unread)}")
+    if needs and given.get(needs) in (None, ""):
+        raise PreconditionError(f"the {group} builder needs --{needs}")
+    given.pop(by, None)
+    return {
+        name: reader(value) if (reader := _BUILD_FLAGS[name]) else value
+        for name, value in given.items()
+    }
 
 
 def _cmd_build(args) -> dict:
@@ -163,78 +186,42 @@ def _cmd_build(args) -> dict:
     from .higgsmodel import bundle_to_dict
 
     curve = Curve(args.genus)
-    q_on = _parse_ints(args.q_on, signed=False) if args.q_on else ()
     fam, params = group.family, group.params
 
     if fam == "sl":
-        _refuse_unread(args, group, "q_on", "spin_name")
-        h = build_hitchin_sl(curve, params[0], q_on, spin_name=args.spin_name)
+        h = build_hitchin_sl(curve, params[0], **_given(args, group, "q_on", "spin_name"))
+    elif fam == "sp" and args.classes:
+        given = _given(args, group, "classes", "spin_name", "q2")
+        if 2 * len(given["classes"]) != params[0]:
+            raise ParseError(f"{len(given['classes'])} classes do not fill rank {params[0]}")
+        h = build_twisted_fuchsian_sp(curve, **given)
     elif fam == "sp":
-        if args.classes:
-            _refuse_unread(args, group, "classes", "spin_name", "q2")
-            classes = _parse_classes(args.classes)
-            if 2 * len(classes) != params[0]:
-                raise ParseError(
-                    f"{len(classes)} classes do not fill rank {params[0]}"
-                )
-            h = build_twisted_fuchsian_sp(
-                curve, classes, spin_name=args.spin_name or "s", q2=args.q2 is not False
-            )
-        else:
-            _refuse_unread(args, group, "q_on", "spin_name")
-            h = build_hitchin_sp(curve, params[0] // 2, q_on, args.spin_name or "s")
+        h = build_hitchin_sp(curve, params[0] // 2, **_given(args, group, "q_on", "spin_name"))
     elif fam == "so" and params == (1, 2):
-        _refuse_unread(args, group, "d", "mu", "nu")
-        if args.d is None:
-            raise PreconditionError("so:1,2 needs an integer label --d")
-        h = build_so12(curve, args.d, mu=args.mu is not False, nu=args.nu is not False)
+        h = build_so12(curve, **_given(args, group, "d", "mu", "nu", needs="d"))
     elif fam == "so0" and len(params) == 2 and params[0] == params[1]:
-        _refuse_unread(args, group, "q_on", "pfaffian")
-        h = build_hitchin_so_nn(curve, params[0], q_on, pfaffian=args.pfaffian is True)
+        h = build_hitchin_so_nn(curve, params[0], **_given(args, group, "q_on", "pfaffian"))
     elif fam == "so0" and params == (3, 5) and args.deformed:
-        _refuse_unread(args, group, "deformed", "d", "mu")
-        if args.d is None:
-            raise PreconditionError("the deformed family needs --d")
-        h = build_extension_deformed_so35(curve, args.d, mu=args.mu is not False)
+        h = build_extension_deformed_so35(
+            curve, **_given(args, group, "d", "mu", needs="d", by="deformed")
+        )
     elif fam == "so0" and params == (2, 3) and args.maximal and args.w0:
-        _refuse_unread(args, group, "maximal", "w0", "q2")
-        h = build_maximal_so2n(curve, 3, _parse_w0(args.w0), q2=args.q2 is not False)
+        h = build_maximal_so2n(curve, 3, **_given(args, group, "w0", "q2", by="maximal"))
     elif fam == "so0" and params == (2, 3) and args.maximal:
-        _refuse_unread(args, group, "maximal", "d", "mu", "nu", "q2")
-        if args.d is None:
-            raise PreconditionError("the maximal signature-(2,3) family needs --d")
         h = build_maximal_so23(
-            curve,
-            args.d,
-            mu=args.mu is not False,
-            nu=args.nu is not False,
-            q2=args.q2 is not False,
+            curve, **_given(args, group, "d", "mu", "nu", "q2", needs="d", by="maximal")
         )
     elif fam == "so0" and params[0] == 2 and params[1] >= 4 and args.maximal:
-        _refuse_unread(args, group, "maximal", "w0", "q2")
-        if not args.w0:
-            raise PreconditionError(
-                "the maximal signature-(2,n) family needs --w0 "
-                "(split:<d>, prym:<bits>:<bit>, or trivial)"
-            )
-        h = build_maximal_so2n(curve, params[1], _parse_w0(args.w0), q2=args.q2 is not False)
+        h = build_maximal_so2n(
+            curve, params[1], **_given(args, group, "w0", "q2", needs="w0", by="maximal")
+        )
     elif fam == "so0" and len(params) == 2 and params[1] == params[0] + 1:
         if args.d is None:
-            _refuse_unread(args, group, "q_on")
-            h = build_hitchin_so(curve, params[0], q_on)
+            h = build_hitchin_so(curve, params[0], **_given(args, group, "q_on"))
         elif args.d == 0:
-            _refuse_unread(args, group, "d")
-            h = build_degree_zero_chain(curve, params[0])
+            h = build_degree_zero_chain(curve, params[0], **_given(args, group, by="d"))
         else:
-            _refuse_unread(args, group, "d", "mu", "nu", "q_on")
-            h = build_exotic_so(
-                curve,
-                params[0],
-                args.d,
-                mu=args.mu is not False,
-                nu=args.nu is True,
-                q_on=q_on,
-            )
+            h = build_exotic_so(curve, params[0], **_given(args, group, "d", "mu", "nu", "q_on"))
     else:
         raise UnsupportedGroupError(f"no builder for {group} with these flags")
     return bundle_to_dict(h)

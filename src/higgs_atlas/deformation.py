@@ -200,7 +200,8 @@ def limit_destabilized_branch(
     Swaps the split rank-2 part for the destabilizing line and its dual,
     rewires the connecting sections (beta up, alpha down, gamma through
     the extension summand, plus the delta extension term), and takes the
-    limit at zero under the fixed pairing-compatible weights.
+    limit at zero under the fixed pairing-compatible weights.  The label
+    d of the meta must be the declared degree of M.
     """
     # here rather than at the top, so the other limit verbs load no builders
     from .builders import _integer_label, _so35_frame
@@ -212,6 +213,8 @@ def limit_destabilized_branch(
         )
     d = _integer_label(h)
     bound = _check_label(GroupTag("so0", (3, 4)), h.genus, d, positive=True)
+    if d != (deg_m := h.declared_map.get("M")):
+        raise PreconditionError(f"the component label d = {d} is not deg M = {deg_m}")
     if not line.alpha_nonzero:
         raise ContradictionError(
             "a destabilizing line with alpha = 0 would leave the rank-2 part "

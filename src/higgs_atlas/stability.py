@@ -230,16 +230,6 @@ def check_polystability(
     )
 
 
-def gauge_equivalent(a: GradedHiggsBundle, b: GradedHiggsBundle) -> bool:
-    """Equality up to summand reordering and the switching move."""
-    # here rather than at the top, so the stability and limit verbs load no canonical keys
-    from .canonical import gauge_orbit_key
-
-    if a.group != b.group or a.genus != b.genus:
-        return False
-    return gauge_orbit_key(a) == gauge_orbit_key(b)
-
-
 __all__ = [
     "STATUS_STABLE",
     "STATUS_POLYSTABLE",
@@ -250,5 +240,4 @@ __all__ = [
     "StabilityVerdict",
     "components",
     "check_polystability",
-    "gauge_equivalent",
 ]

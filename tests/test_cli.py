@@ -7,7 +7,9 @@ import contextlib
 import copy
 import gc
 import hashlib
+import inspect
 import io
+import itertools
 import json
 import os
 import re
@@ -27,10 +29,18 @@ from higgs_atlas import (
     F2Class,
     GroupTag,
     HiggsAtlasError,
+    NDescriptor,
+    PreconditionError,
     PrymW0,
     SplitW0,
+    TrivialW0,
+    build_degree_zero_chain,
     build_exotic_so,
     build_extension_deformed_so35,
+    build_hitchin_sl,
+    build_hitchin_so,
+    build_hitchin_so_nn,
+    build_hitchin_sp,
     build_maximal_so23,
     build_maximal_so2n,
     build_so12,
@@ -39,6 +49,7 @@ from higgs_atlas import (
     bundle_to_dict,
     check_polystability,
     cli,
+    limit_destabilized_branch,
     minimal_realizing_n,
     parameterization,
     sw_surjectivity_witnesses,
@@ -76,9 +87,13 @@ def test_build_output_is_byte_deterministic(capsys):
     assert first == second
 
 
-def test_build_rejects_missing_spin_choice(capsys):
-    code, doc = run_json(capsys, "build", "--group", "sl:4", "--genus", "2",
-                         "--spin-name", "")
+@pytest.mark.parametrize("flags", [
+    pytest.param("--group sl:4", id="sl:4"),
+    pytest.param("--group sp:4", id="sp:4"),
+    pytest.param("--group sp:4 --classes 1000,0000", id="sp:4-classes"),
+])
+def test_build_rejects_missing_spin_choice(capsys, flags):
+    code, doc = run_json(capsys, "build", "--genus", "2", *flags.split(), "--spin-name", "")
     assert code == 1
     assert doc["status"] == "error"
     assert doc["code"] == "missing-spin"
@@ -98,6 +113,107 @@ def test_build_refuses_flags_its_builder_does_not_read(capsys, flags, unread):
     assert code == 1
     assert doc["code"] == "precondition"
     assert doc["message"].endswith(f"builder does not read {unread}")
+
+
+# -- the build grid --------------------------------------------------------------
+
+# Each flag value of the grid: its tokens, its dest, and the value the library
+# takes for it (None where the text is malformed or the flag only chooses).
+GRID_FLAGS = [
+    (("--d", "2"), "d", 2),
+    (("--d", "0"), "d", 0),
+    (("--d", "-1"), "d", -1),
+    (("--d", "9"), "d", 9),
+    (("--q-on", "2"), "q_on", (2,)),
+    (("--q-on", ""), "q_on", ()),
+    (("--q-on", "2,x"), "q_on", None),
+    (("--spin-name", "t"), "spin_name", "t"),
+    (("--spin-name", ""), "spin_name", ""),
+    (("--classes", "1000,0000"), "classes", [F2Class.from_bits("1000"), F2Class.zero(2)]),
+    (("--classes", "1000"), "classes", [F2Class.from_bits("1000")]),
+    (("--classes", ""), "classes", None),
+    (("--w0", "trivial"), "w0", TrivialW0()),
+    (("--w0", "split:2"), "w0", SplitW0(2)),
+    (("--w0", "prym:1010:1"), "w0", PrymW0(sw1=F2Class.from_bits("1010"), sw2=1)),
+    (("--w0", "bad"), "w0", None),
+    (("--mu",), "mu", True),
+    (("--no-mu",), "mu", False),
+    (("--nu",), "nu", True),
+    (("--no-nu",), "nu", False),
+    (("--q2",), "q2", True),
+    (("--no-q2",), "q2", False),
+    (("--pfaffian",), "pfaffian", True),
+    (("--maximal",), "maximal", None),
+    (("--deformed",), "deformed", None),
+]
+# every supported group, each with every single flag
+GRID_GROUPS = ["sl:3", "sl:4", "sp:2", "sp:4", "so:1,2", "so0:2,2", "so0:3,3", "so0:2,3",
+               "so0:3,4", "so0:3,5", "so0:2,4"]
+# each builder with the tag and switch that reach it, fed every single flag and
+# every pair of flags it reads
+GRID_FEEDS = [
+    ("sl:4", build_hitchin_sl),
+    ("sp:4", build_hitchin_sp),
+    ("sp:4", build_twisted_fuchsian_sp),
+    ("so:1,2", build_so12),
+    ("so0:3,3", build_hitchin_so_nn),
+    ("so0:3,5 --deformed", build_extension_deformed_so35),
+    ("so0:2,3 --maximal", build_maximal_so23),
+    ("so0:2,3 --maximal", build_maximal_so2n),
+    ("so0:2,4 --maximal", build_maximal_so2n),
+    ("so0:3,4", build_exotic_so),
+]
+# the builder of each meta family, with the arguments it takes from the group tag
+FAMILY_BUILDERS = {
+    "hitchin-sl": (build_hitchin_sl, lambda p: (p[0],)),
+    "hitchin-sp": (build_hitchin_sp, lambda p: (p[0] // 2,)),
+    "twisted-fuchsian-sp": (build_twisted_fuchsian_sp, lambda p: ()),
+    "so12": (build_so12, lambda p: ()),
+    "hitchin-so-nn": (build_hitchin_so_nn, lambda p: (p[0],)),
+    "deformed-exotic-so35": (build_extension_deformed_so35, lambda p: ()),
+    "maximal-so23": (build_maximal_so23, lambda p: ()),
+    "maximal-so2n": (build_maximal_so2n, lambda p: (p[1],)),
+    "hitchin-so": (build_hitchin_so, lambda p: (p[0],)),
+    "degree-zero-chain": (build_degree_zero_chain, lambda p: (p[0],)),
+    "exotic-so": (build_exotic_so, lambda p: (p[0],)),
+}
+# sha256 over every grid command, its exit code and its stdout
+BUILD_GRID_DIGEST = "8163949e5dbe20015965db8d0141e04a1d4c9247967e9ba82d4226467ac3b08b"
+
+
+def _build_grid() -> list:
+    """(base tokens, flags) for every cell of the grid, each once."""
+    bases = dict.fromkeys([*GRID_GROUPS, *(base for base, _ in GRID_FEEDS)])
+    cells = [(base.split(), (flag,)) for base in bases for flag in GRID_FLAGS]
+    for base, builder in GRID_FEEDS:
+        read = inspect.signature(builder).parameters
+        cells += [
+            (base.split(), pair) for pair in itertools.combinations(GRID_FLAGS, 2)
+            if pair[0][1] != pair[1][1] and pair[0][1] in read and pair[1][1] in read
+        ]
+    return list({(*base, *(tokens for tokens, _, _ in flags)): (base, flags)
+                 for base, flags in cells}.values())
+
+
+def test_build_passes_on_only_the_flags_it_was_given():
+    digest, families = hashlib.sha256(), set()
+    for (group, *switch), flags in _build_grid():
+        argv = ["build", "--group", group, "--genus", "2", *switch,
+                *(token for tokens, _, _ in flags for token in tokens)]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(argv)
+        digest.update(json.dumps([argv, code, out.getvalue()]).encode())
+        if code == 0:
+            doc = json.loads(out.getvalue())
+            builder, tag_args = FAMILY_BUILDERS[doc["meta"]["family"]]
+            read = inspect.signature(builder).parameters
+            given = {dest: value for _, dest, value in flags if dest in read}
+            h = builder(Curve(2), *tag_args(GroupTag.parse(group).params), **given)
+            assert doc == bundle_to_dict(h), argv
+            families.add(doc["meta"]["family"])
+    assert families == set(FAMILY_BUILDERS)
+    assert digest.hexdigest() == BUILD_GRID_DIGEST
 
 
 def test_stability_round_trip(tmp_path, capsys):
@@ -858,6 +974,7 @@ MISTAKES = {
     "genus": (DimensionMismatchError,
               r"([\w ]+: )?the class [01]+ has genus \d+, the curve genus \d+"),
     "label": (BoundError, r"label -?\d+ of \S+ is outside -?\d+\.\.\d+ at genus \d+"),
+    "label-degree": (PreconditionError, r"the component label d = -?\d+ is not deg M = -?\d+"),
 }
 _ERRORS = {cls.code: cls for cls in HiggsAtlasError.__subclasses__()}
 
@@ -904,8 +1021,10 @@ def _edit_block_class(doc):
     block["sw1"] = "101000"
 
 
-def _edit_label(doc):
-    doc["meta"]["d"] = 7
+def _edit_label(d):
+    def edit(doc):
+        doc["meta"]["d"] = d
+    return edit
 
 
 REFUSAL_CELLS = [
@@ -959,7 +1078,7 @@ REFUSAL_CELLS = [
      "label 13 of so0:3,4 is outside 1..12 at genus 3"),
     ("label", "document-meta-d",
      _cli("limit", "--input", "-", "--line-degree", "1",
-          stdin=lambda: _edited(FUZZ_BASES[2], _edit_label)),
+          stdin=lambda: _edited(FUZZ_BASES[2], _edit_label(7))),
      "label 7 of so0:3,4 is outside 1..6 at genus 2"),
     ("label", "library-so12", _lib(lambda: build_so12(Curve(2), -3)),
      "label -3 of so:1,2 is outside -2..2 at genus 2"),
@@ -973,6 +1092,15 @@ REFUSAL_CELLS = [
     ("label", "library-parameterization",
      _lib(lambda: parameterization(GroupTag("so", (1, 2)), 3, 2)),
      "label 3 of so:1,2 is outside 1..2 at genus 2"),
+    # a document's label in range that is not the degree its object declares
+    ("label-degree", "document-meta-d",
+     _cli("limit", "--input", "-", "--line-degree", "1",
+          stdin=lambda: _edited(FUZZ_BASES[2], _edit_label(3))),
+     "the component label d = 3 is not deg M = 1"),
+    ("label-degree", "library-destabilized-branch",
+     _lib(lambda: limit_destabilized_branch(
+         bundle_from_dict(_edited(FUZZ_BASES[2], _edit_label(3))), NDescriptor(1))),
+     "the component label d = 3 is not deg M = 1"),
 ]
 
 
