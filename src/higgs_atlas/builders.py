@@ -10,7 +10,7 @@ checked by ``higgsmodel.validate`` before it is returned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Iterable, Mapping, Sequence
 
 from .curve import Curve
@@ -19,6 +19,7 @@ from .errors import (
     MissingSpinError,
     PreconditionError,
     WrongGroupError,
+    _Value,
     _read_int,
 )
 from .f2classes import F2Class, SWPair, _check_genus
@@ -43,33 +44,36 @@ from .linebundle import K_power, spin, torsion, trivial, variable
 
 # -- W0 descriptors for the rank-2 orthogonal story --------------------------
 
-@dataclass(frozen=True)
-class SplitW0:
+class SplitW0(_Value):
     """W0 = M + M^-1 (+ trivial padding); first Stiefel-Whitney class 0."""
 
-    degree: int
-    mu: bool = True
-    nu: bool = True
+    __slots__ = ("degree", "mu", "nu")
+
+    def __init__(self, degree: int, mu: bool = True, nu: bool = True):
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "nu", nu)
 
 
-@dataclass(frozen=True)
-class PrymW0:
+class PrymW0(_Value):
     """An indecomposable flat orthogonal rank-2 block from a double cover.
 
     Kept opaque: only its Stiefel-Whitney data enters the combinatorics.
     """
 
-    sw1: F2Class
-    sw2: int
+    __slots__ = ("sw1", "sw2")
 
-    def __post_init__(self):
-        if self.sw1.is_zero():
+    def __init__(self, sw1: F2Class, sw2: int):
+        if sw1.is_zero():
             raise ValueError("an indecomposable flat O(2) bundle has sw1 != 0")
+        object.__setattr__(self, "sw1", sw1)
+        object.__setattr__(self, "sw2", sw2)
 
 
-@dataclass(frozen=True)
-class TrivialW0:
+class TrivialW0(_Value):
     """W0 = a sum of trivial line bundles."""
+
+    __slots__ = ()
 
 
 # -- chain helpers -----------------------------------------------------------

@@ -19,10 +19,8 @@ reading fails the dimension count for n > 2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .curve import Curve, h0
-from .errors import BoundError, UnsupportedGroupError
+from .errors import BoundError, UnsupportedGroupError, _Value
 from .f2classes import SWPair, all_classes
 from .groups import GroupTag, _check_label, milnor_wood_bound
 from .linebundle import K_power, variable
@@ -58,8 +56,7 @@ def half_dimension(group: GroupTag, genus: int) -> int:
 
 # -- parameterizations ---------------------------------------------------------
 
-@dataclass(frozen=True)
-class Parameterization:
+class Parameterization(_Value):
     """Product description of an integer-labelled component.
 
     fiber_rank:       complex dimension of the section space fiber
@@ -67,9 +64,12 @@ class Parameterization:
     extra_factor_dim: summed dimension of the extra differential spaces
     """
 
-    fiber_rank: int
-    base_exponent: int
-    extra_factor_dim: int
+    __slots__ = ("fiber_rank", "base_exponent", "extra_factor_dim")
+
+    def __init__(self, fiber_rank: int, base_exponent: int, extra_factor_dim: int):
+        object.__setattr__(self, "fiber_rank", fiber_rank)
+        object.__setattr__(self, "base_exponent", base_exponent)
+        object.__setattr__(self, "extra_factor_dim", extra_factor_dim)
 
     @property
     def total(self) -> int:
@@ -162,18 +162,33 @@ def resolve_extra_factor_reading(n: int, genus: int) -> dict:
 
 # -- component descriptors and censuses ----------------------------------------
 
-@dataclass(frozen=True)
-class ComponentDescriptor:
+class ComponentDescriptor(_Value):
     """One component of a census: its label, dimension and what is known of its shape."""
 
-    group: GroupTag
-    label: str
-    dimension: int
-    parameterization: Parameterization | None = None
-    retraction: str | None = None
-    cover_multiplicity: int | None = None
-    hitchin: bool = False
-    remark_level: bool = False
+    __slots__ = (
+        "group", "label", "dimension", "parameterization", "retraction", "cover_multiplicity",
+        "hitchin", "remark_level",
+    )
+
+    def __init__(
+        self,
+        group: GroupTag,
+        label: str,
+        dimension: int,
+        parameterization: Parameterization | None = None,
+        retraction: str | None = None,
+        cover_multiplicity: int | None = None,
+        hitchin: bool = False,
+        remark_level: bool = False,
+    ):
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "dimension", dimension)
+        object.__setattr__(self, "parameterization", parameterization)
+        object.__setattr__(self, "retraction", retraction)
+        object.__setattr__(self, "cover_multiplicity", cover_multiplicity)
+        object.__setattr__(self, "hitchin", hitchin)
+        object.__setattr__(self, "remark_level", remark_level)
 
     def to_dict(self) -> dict:
         out: dict = {"label": self.label, "dimension": self.dimension}
@@ -190,16 +205,26 @@ class ComponentDescriptor:
         return out
 
 
-@dataclass(frozen=True)
-class Census:
+class Census(_Value):
     """The components of a group's character variety, or of its maximal sector."""
 
-    group: GroupTag
-    genus: int
-    sector: str
-    components: tuple[ComponentDescriptor, ...]
-    complete: bool
-    note: str = ""
+    __slots__ = ("group", "genus", "sector", "components", "complete", "note")
+
+    def __init__(
+        self,
+        group: GroupTag,
+        genus: int,
+        sector: str,
+        components: tuple[ComponentDescriptor, ...],
+        complete: bool,
+        note: str = "",
+    ):
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "genus", genus)
+        object.__setattr__(self, "sector", sector)
+        object.__setattr__(self, "components", components)
+        object.__setattr__(self, "complete", complete)
+        object.__setattr__(self, "note", note)
 
     @property
     def total_count(self) -> int | None:

@@ -112,6 +112,8 @@ def _parse_w0(text: str):
     from .builders import PrymW0, SplitW0, TrivialW0
     from .f2classes import F2Class
 
+    if not text:
+        raise ParseError("no rank-2 complement descriptor given")
     parts = text.split(":")
     if parts[0] == "split":
         if len(parts) != 2 or (degree := _read_int(parts[1], signed=True)) is None:
@@ -144,8 +146,8 @@ def _given(args, group, *read: str, needs: str | None = None, by: str | None = N
     ``needs``; ``by`` is the flag that chose the builder, passed to none.
 
     Refused in this order: a given flag the builder does not read, a
-    missing ``needs`` (an empty text counts as missing), then a flag text
-    its reader refuses."""
+    missing ``needs``, then a flag text its reader refuses (an empty
+    ``--classes`` or ``--w0`` among them)."""
     given = {name: value for name in _BUILD_FLAGS if (value := getattr(args, name)) is not None}
     unread = [
         f"--{'no-' if value is False else ''}{name.replace('_', '-')}"
@@ -154,7 +156,7 @@ def _given(args, group, *read: str, needs: str | None = None, by: str | None = N
     ]
     if unread:
         raise PreconditionError(f"the {group} builder does not read {', '.join(unread)}")
-    if needs and given.get(needs) in (None, ""):
+    if needs and needs not in given:
         raise PreconditionError(f"the {group} builder needs --{needs}")
     given.pop(by, None)
     return {
@@ -190,7 +192,7 @@ def _cmd_build(args) -> dict:
 
     if fam == "sl":
         h = build_hitchin_sl(curve, params[0], **_given(args, group, "q_on", "spin_name"))
-    elif fam == "sp" and args.classes:
+    elif fam == "sp" and args.classes is not None:
         given = _given(args, group, "classes", "spin_name", "q2")
         if 2 * len(given["classes"]) != params[0]:
             raise ParseError(f"{len(given['classes'])} classes do not fill rank {params[0]}")
@@ -205,7 +207,7 @@ def _cmd_build(args) -> dict:
         h = build_extension_deformed_so35(
             curve, **_given(args, group, "d", "mu", needs="d", by="deformed")
         )
-    elif fam == "so0" and params == (2, 3) and args.maximal and args.w0:
+    elif fam == "so0" and params == (2, 3) and args.maximal and args.w0 is not None:
         h = build_maximal_so2n(curve, 3, **_given(args, group, "w0", "q2", by="maximal"))
     elif fam == "so0" and params == (2, 3) and args.maximal:
         h = build_maximal_so23(

@@ -10,29 +10,28 @@ only the generic expectation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .errors import _Value
 
 EXACT = "exact"
 GENERIC = "generic-assumption"
 
 
-@dataclass(frozen=True)
-class Curve:
+class Curve(_Value):
     """Genus marker for the base surface.  genus >= 2 throughout."""
 
-    genus: int
+    __slots__ = ("genus",)
 
-    def __post_init__(self):
-        if not isinstance(self.genus, int) or self.genus < 2:
-            raise ValueError(f"genus must be an integer >= 2, got {self.genus!r}")
+    def __init__(self, genus: int):
+        if not isinstance(genus, int) or genus < 2:
+            raise ValueError(f"genus must be an integer >= 2, got {genus!r}")
+        object.__setattr__(self, "genus", genus)
 
     @property
     def canonical_degree(self) -> int:
         return 2 * self.genus - 2
 
 
-@dataclass(frozen=True)
-class SectionCount:
+class SectionCount(_Value):
     """h^0 value together with its epistemic status.
 
     ``exactness`` is EXACT when the value is forced for every bundle of the
@@ -40,14 +39,15 @@ class SectionCount:
     degree (special bundles may have more sections).
     """
 
-    value: int
-    exactness: str
+    __slots__ = ("value", "exactness")
 
-    def __post_init__(self):
-        if self.exactness not in (EXACT, GENERIC):
-            raise ValueError(f"bad exactness tag {self.exactness!r}")
-        if self.value < 0:
+    def __init__(self, value: int, exactness: str):
+        if exactness not in (EXACT, GENERIC):
+            raise ValueError(f"bad exactness tag {exactness!r}")
+        if value < 0:
             raise ValueError("section count cannot be negative")
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "exactness", exactness)
 
 
 def riemann_roch_chi(curve: Curve, degree: int) -> int:

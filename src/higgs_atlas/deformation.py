@@ -18,7 +18,7 @@ split locus when the deformed object fails to be stable.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 from .curve import Curve
 from .errors import (
@@ -29,6 +29,7 @@ from .errors import (
     ParityViolationError,
     PreconditionError,
     WrongGroupError,
+    _Value,
 )
 from .groups import GroupTag, _check_label
 from .higgsmodel import GradedHiggsBundle, bundle_to_dict, named_section
@@ -38,12 +39,14 @@ DIRECTION_TO_ZERO = "to-zero"
 DIRECTION_TO_INFINITY = "to-infinity"
 
 
-@dataclass(frozen=True)
-class WeightAssignment:
+class WeightAssignment(_Value):
     """An integer gauge weight per summand and the weight of the field."""
 
-    weights: tuple[int, ...]
-    higgs_scale: int = 1
+    __slots__ = ("weights", "higgs_scale")
+
+    def __init__(self, weights: tuple[int, ...], higgs_scale: int = 1):
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "higgs_scale", higgs_scale)
 
     def validate_against(self, h: GradedHiggsBundle) -> None:
         if len(self.weights) != len(h.summands):
@@ -58,22 +61,36 @@ class WeightAssignment:
                 )
 
 
-@dataclass(frozen=True)
-class ExponentRow:
+class ExponentRow(_Value):
     """The power of t scaling one field entry or extension term."""
 
-    kind: str
-    target: int
-    source: int
-    name: str
-    exponent: int
+    __slots__ = ("kind", "target", "source", "name", "exponent")
+
+    def __init__(self, kind: str, target: int, source: int, name: str, exponent: int):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "exponent", exponent)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.kind, self.target, self.source, self.name, self.exponent) == (
+                other.kind, other.target, other.source, other.name, other.exponent
+            )
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.kind, self.target, self.source, self.name, self.exponent))
 
 
-@dataclass(frozen=True)
-class ExponentTable:
+class ExponentTable(_Value):
     """The exponent of every field entry and extension term under one weight vector."""
 
-    rows: tuple[ExponentRow, ...]
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: tuple[ExponentRow, ...]):
+        object.__setattr__(self, "rows", rows)
 
     @property
     def all_nonnegative(self) -> bool:
@@ -94,17 +111,28 @@ class ExponentTable:
         }
 
 
-@dataclass(frozen=True)
-class LimitResult:
+class LimitResult(_Value):
     """A graded limit: whether it exists, its exponents, and the limit object."""
 
-    exists: bool
-    direction: str
-    weights: WeightAssignment
-    table: ExponentTable
-    limit: GradedHiggsBundle | None
-    source: GradedHiggsBundle
-    limit_stability: StabilityVerdict | None = None
+    __slots__ = ("exists", "direction", "weights", "table", "limit", "source", "limit_stability")
+
+    def __init__(
+        self,
+        exists: bool,
+        direction: str,
+        weights: WeightAssignment,
+        table: ExponentTable,
+        limit: GradedHiggsBundle | None,
+        source: GradedHiggsBundle,
+        limit_stability: StabilityVerdict | None = None,
+    ):
+        object.__setattr__(self, "exists", exists)
+        object.__setattr__(self, "direction", direction)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "limit", limit)
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "limit_stability", limit_stability)
 
     def to_dict(self) -> dict:
         out: dict = {
@@ -181,15 +209,17 @@ DEFORMED_SO35_RETRACTION = WeightAssignment((2, 0, -2, 3, 1, -1, -3, 0))
 DEFORMED_SO35_STABLE_BRANCH = WeightAssignment((2, 0, -2, 0, 1, -1, 0, 0))
 
 
-@dataclass(frozen=True)
-class NDescriptor:
+class NDescriptor(_Value):
     """Destabilizing line datum for the deformed signature-(3,5) object:
     a line subbundle of the rank-2 part, of positive degree matching the
     parity of the component label, with its upper connecting section
     alpha necessarily nonzero."""
 
-    degree: int
-    alpha_nonzero: bool = True
+    __slots__ = ("degree", "alpha_nonzero")
+
+    def __init__(self, degree: int, alpha_nonzero: bool = True):
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "alpha_nonzero", alpha_nonzero)
 
 
 def limit_destabilized_branch(

@@ -18,25 +18,32 @@ The searches over sums of classes are in ``f2cohomology``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, _Value
 
 
-@dataclass(frozen=True)
-class F2Class:
+class F2Class(_Value):
     """An element of H^1(S; F_2) = F_2^(2g): bit i of ``value`` is
     coordinate i of the interleaved basis a_1, b_1, ..., a_g, b_g."""
 
-    genus: int
-    value: int
+    __slots__ = ("genus", "value")
 
-    def __post_init__(self):
-        if self.genus < 2:
+    def __init__(self, genus: int, value: int):
+        if genus < 2:
             raise ValueError("genus must be at least 2")
-        if not 0 <= self.value < 1 << (2 * self.genus):
-            raise ValueError(f"class value {self.value} is outside [0, 4^{self.genus})")
+        if not 0 <= value < 1 << (2 * genus):
+            raise ValueError(f"class value {value} is outside [0, 4^{genus})")
+        object.__setattr__(self, "genus", genus)
+        object.__setattr__(self, "value", value)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.genus, self.value) == (other.genus, other.value)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.genus, self.value))
 
     def __add__(self, other: "F2Class") -> "F2Class":
         _check_same_genus(self, other)
@@ -120,16 +127,24 @@ def _whitney(a1: int, a2: int, b1: int, b2: int, even: int) -> tuple[int, int]:
     return a1 ^ b1, a2 ^ b2 ^ _cup_int(a1, b1, even)
 
 
-@dataclass(frozen=True)
-class SWPair:
+class SWPair(_Value):
     """(sw_1, sw_2) of an orthogonal bundle; sw_2 is a single bit."""
 
-    sw1: F2Class
-    sw2: int
+    __slots__ = ("sw1", "sw2")
 
-    def __post_init__(self):
-        if self.sw2 not in (0, 1):
+    def __init__(self, sw1: F2Class, sw2: int):
+        if sw2 not in (0, 1):
             raise ValueError("sw2 must be a bit")
+        object.__setattr__(self, "sw1", sw1)
+        object.__setattr__(self, "sw2", sw2)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.sw1, self.sw2) == (other.sw1, other.sw2)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.sw1, self.sw2))
 
     def __add__(self, other: "SWPair") -> "SWPair":
         """The label of the orthogonal direct sum (Whitney sum formula;

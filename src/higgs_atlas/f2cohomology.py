@@ -7,18 +7,16 @@ classifies.  The classes and their arithmetic are in ``f2classes``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, _Value
 from .f2classes import F2Class, SWPair, _check_genus, _even_bits, _whitney, all_classes
 
 if TYPE_CHECKING:  # annotations only, so the sw searches load no curve code
     from .curve import Curve
 
 
-@dataclass(frozen=True)
-class SurjectivityReport:
+class SurjectivityReport(_Value):
     """Reachability of every (sw_1, sw_2) value by n-term sums.
 
     ``witnesses`` lists, for each reachable pair, the lexicographically
@@ -27,10 +25,19 @@ class SurjectivityReport:
     every one of the 2^(2g+1) values is hit.
     """
 
-    genus: int
-    n: int
-    witnesses: tuple[tuple[SWPair, tuple[F2Class, ...]], ...]
-    missing: tuple[SWPair, ...]
+    __slots__ = ("genus", "n", "witnesses", "missing")
+
+    def __init__(
+        self,
+        genus: int,
+        n: int,
+        witnesses: tuple[tuple[SWPair, tuple[F2Class, ...]], ...],
+        missing: tuple[SWPair, ...],
+    ):
+        object.__setattr__(self, "genus", genus)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "witnesses", witnesses)
+        object.__setattr__(self, "missing", missing)
 
     @property
     def complete(self) -> bool:
@@ -134,17 +141,17 @@ def minimal_realizing_n(genus: int, n_max: int = 3) -> dict[SWPair, int | None]:
 
 # -- double covers ---------------------------------------------------------
 
-@dataclass(frozen=True)
-class DoubleCover:
+class DoubleCover(_Value):
     """Unramified double cover of the base classified by a nonzero sw_1."""
 
-    base: Curve
-    sw1: F2Class
+    __slots__ = ("base", "sw1")
 
-    def __post_init__(self):
-        _check_genus(self.sw1, self.base.genus)
-        if self.sw1.is_zero():
+    def __init__(self, base: Curve, sw1: F2Class):
+        _check_genus(sw1, base.genus)
+        if sw1.is_zero():
             raise ValueError("a connected double cover needs a nonzero class")
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "sw1", sw1)
 
     @property
     def cover_genus(self) -> int:

@@ -8,32 +8,38 @@ facts, so they live apart from any of them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .errors import BoundError, ParseError, UnsupportedGroupError, _read_int
+from .errors import BoundError, ParseError, UnsupportedGroupError, _Value, _read_int
 
 _FAMILIES = ("sl", "psl", "sp", "so", "so0", "slc")
 
 
-@dataclass(frozen=True)
-class GroupTag:
+class GroupTag(_Value):
     """A group family and its parameters: a rank, or a signature pair."""
 
-    family: str
-    params: tuple[int, ...]
+    __slots__ = ("family", "params")
 
-    def __post_init__(self):
-        if self.family not in _FAMILIES:
-            raise ValueError(f"unknown group family {self.family!r}")
-        if not self.params or any(p < 1 for p in self.params):
+    def __init__(self, family: str, params: tuple[int, ...]):
+        if family not in _FAMILIES:
+            raise ValueError(f"unknown group family {family!r}")
+        if not params or any(p < 1 for p in params):
             raise ValueError("group parameters must be positive integers")
-        if self.family in ("sl", "psl", "slc", "sp"):
-            if len(self.params) != 1 or self.params[0] < 2:
-                raise ValueError(f"{self.family} takes one parameter >= 2")
-            if self.family == "sp" and self.params[0] % 2:
+        if family in ("sl", "psl", "slc", "sp"):
+            if len(params) != 1 or params[0] < 2:
+                raise ValueError(f"{family} takes one parameter >= 2")
+            if family == "sp" and params[0] % 2:
                 raise ValueError("symplectic rank parameter must be even")
-        elif len(self.params) != 2:
-            raise ValueError(f"{self.family} takes a signature pair")
+        elif len(params) != 2:
+            raise ValueError(f"{family} takes a signature pair")
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "params", params)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.family, self.params) == (other.family, other.params)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.family, self.params))
 
     def __str__(self) -> str:
         return f"{self.family}:{','.join(str(p) for p in self.params)}"

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .curve import Curve
-from .errors import ModelInvariantError, ParseError
+from .errors import ModelInvariantError, ParseError, _Value
 from .f2classes import F2Class, SWPair, _check_genus
 from .groups import GroupTag
 from .linebundle import (
@@ -54,21 +54,31 @@ FORM_ORTHOGONAL = "orthogonal"
 FORM_SYMPLECTIC = "symplectic"
 
 
-@dataclass(frozen=True)
-class SectionSymbol:
+class SectionSymbol(_Value):
     """A section known only by name and vanishing behaviour."""
 
-    name: str
-    kind: str
-    vanishing: str
+    __slots__ = ("name", "kind", "vanishing")
 
-    def __post_init__(self):
-        if self.kind not in (KIND_UNIT, KIND_NAMED):
-            raise ValueError(f"bad section kind {self.kind!r}")
-        if self.vanishing not in (VANISH_GENERIC, VANISH_NOWHERE):
-            raise ValueError(f"bad vanishing tag {self.vanishing!r}")
-        if self.kind == KIND_UNIT and self.vanishing != VANISH_NOWHERE:
+    def __init__(self, name: str, kind: str, vanishing: str):
+        if kind not in (KIND_UNIT, KIND_NAMED):
+            raise ValueError(f"bad section kind {kind!r}")
+        if vanishing not in (VANISH_GENERIC, VANISH_NOWHERE):
+            raise ValueError(f"bad vanishing tag {vanishing!r}")
+        if kind == KIND_UNIT and vanishing != VANISH_NOWHERE:
             raise ValueError("a unit section vanishes nowhere")
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "vanishing", vanishing)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.name, self.kind, self.vanishing) == (
+                other.name, other.kind, other.vanishing
+            )
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.name, self.kind, self.vanishing))
 
 
 _UNIT_SECTION = SectionSymbol("1", KIND_UNIT, VANISH_NOWHERE)
@@ -83,40 +93,67 @@ def named_section(name: str, vanishing: str = VANISH_GENERIC) -> SectionSymbol:
     return SectionSymbol(name, KIND_NAMED, vanishing)
 
 
-@dataclass(frozen=True)
-class Summand:
+class Summand(_Value):
     """One summand on the V or W side: a line bundle, or an opaque block with its SW pair."""
 
-    side: str
-    bundle: LineBundleExpr
-    rank: int = 1
-    sw: SWPair | None = None
+    __slots__ = ("side", "bundle", "rank", "sw")
 
-    def __post_init__(self):
-        if self.side not in (SIDE_V, SIDE_W):
-            raise ValueError(f"bad side {self.side!r}")
-        if self.rank < 1:
+    def __init__(self, side: str, bundle: LineBundleExpr, rank: int = 1, sw: SWPair | None = None):
+        if side not in (SIDE_V, SIDE_W):
+            raise ValueError(f"bad side {side!r}")
+        if rank < 1:
             raise ValueError("rank must be positive")
+        object.__setattr__(self, "side", side)
+        object.__setattr__(self, "bundle", bundle)
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "sw", sw)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.side, self.bundle, self.rank, self.sw) == (
+                other.side, other.bundle, other.rank, other.sw
+            )
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.side, self.bundle, self.rank, self.sw))
 
 
-@dataclass(frozen=True)
-class HiggsEntry:
+class HiggsEntry(_Value):
     """A nonzero field entry: ``symbol`` is a section of Hom(L_source, L_target (x) K)."""
 
-    target: int
-    source: int
-    symbol: SectionSymbol
+    __slots__ = ("target", "source", "symbol")
+
+    def __init__(self, target: int, source: int, symbol: SectionSymbol):
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "symbol", symbol)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.target, self.source, self.symbol) == (
+                other.target, other.source, other.symbol
+            )
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.target, self.source, self.symbol))
 
 
-@dataclass(frozen=True)
-class DolbeaultTerm:
+class DolbeaultTerm(_Value):
     """An extension term gluing summand ``source`` to summand ``target``."""
 
-    target: int
-    source: int
-    name: str
+    __slots__ = ("target", "source", "name")
+
+    def __init__(self, target: int, source: int, name: str):
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "name", name)
 
 
+# The package's one dataclass, and so the reason a verb that loads this
+# module imports `dataclasses`: the builders, the limits and the benchmark
+# derive variants of an object with `dataclasses.replace`.
 @dataclass(frozen=True)
 class GradedHiggsBundle:
     """An object: summands, pairing, field entries, extension terms and symbol data."""

@@ -29,10 +29,9 @@ kind first).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .errors import ParseError, UnresolvedDegreeError
+from .errors import ParseError, UnresolvedDegreeError, _Value
 
 KIND_VARIABLE = "variable"
 KIND_TORSION = "torsion"
@@ -43,15 +42,34 @@ _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z_0-9]*$")
 _RESERVED = ("K", "O")
 
 
-@dataclass(frozen=True)
-class LineBundleExpr:
+class LineBundleExpr(_Value):
     """A formal line bundle in normal form: K^k times named spin, torsion and degree factors."""
 
-    k_power: int = 0
-    spins: tuple[str, ...] = ()
-    torsions: tuple[str, ...] = ()
-    variables: tuple[tuple[str, int], ...] = ()
-    divisors: tuple[tuple[str, int], ...] = ()
+    __slots__ = ("k_power", "spins", "torsions", "variables", "divisors")
+
+    def __init__(
+        self,
+        k_power: int = 0,
+        spins: tuple[str, ...] = (),
+        torsions: tuple[str, ...] = (),
+        variables: tuple[tuple[str, int], ...] = (),
+        divisors: tuple[tuple[str, int], ...] = (),
+    ):
+        object.__setattr__(self, "k_power", k_power)
+        object.__setattr__(self, "spins", spins)
+        object.__setattr__(self, "torsions", torsions)
+        object.__setattr__(self, "variables", variables)
+        object.__setattr__(self, "divisors", divisors)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (
+                self.k_power, self.spins, self.torsions, self.variables, self.divisors
+            ) == (other.k_power, other.spins, other.torsions, other.variables, other.divisors)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.k_power, self.spins, self.torsions, self.variables, self.divisors))
 
     # -- algebra ---------------------------------------------------------
 

@@ -23,13 +23,13 @@ puts the verdict back together exactly (see its docstring).
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 
 from .errors import (
     BudgetError,
     ModelInvariantError,
     ParseError,
     UnrecognizedShapeError,
+    _Value,
     _read_int,
 )
 from .higgsmodel import GradedHiggsBundle
@@ -51,26 +51,36 @@ def subset_budget() -> int:
     return budget
 
 
-@dataclass(frozen=True)
-class InvariantSubobject:
+class InvariantSubobject(_Value):
     """An arrow-closed set of summand indices and its total degree."""
 
-    indices: tuple[int, ...]
-    degree: int
+    __slots__ = ("indices", "degree")
+
+    def __init__(self, indices: tuple[int, ...], degree: int):
+        object.__setattr__(self, "indices", indices)
+        object.__setattr__(self, "degree", degree)
 
     @property
     def size(self) -> int:
         return len(self.indices)
 
 
-@dataclass(frozen=True)
-class StabilityVerdict:
+class StabilityVerdict(_Value):
     """A polystability status, with a destabilizing witness or a stable decomposition."""
 
-    status: str
-    witness: InvariantSubobject | None = None
-    decomposition: tuple[tuple[int, ...], ...] | None = None
-    note: str = ""
+    __slots__ = ("status", "witness", "decomposition", "note")
+
+    def __init__(
+        self,
+        status: str,
+        witness: InvariantSubobject | None = None,
+        decomposition: tuple[tuple[int, ...], ...] | None = None,
+        note: str = "",
+    ):
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "decomposition", decomposition)
+        object.__setattr__(self, "note", note)
 
     @property
     def is_polystable(self) -> bool:

@@ -13,19 +13,20 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from typing import Callable
 
-from .errors import HiggsAtlasError
+from .errors import HiggsAtlasError, _Value
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(_Value):
     """The outcome of one named consistency check."""
 
-    name: str
-    passed: bool
-    detail: str
+    __slots__ = ("name", "passed", "detail")
+
+    def __init__(self, name: str, passed: bool, detail: str):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "detail", detail)
 
     def to_dict(self) -> dict:
         return {"name": self.name, "passed": self.passed, "detail": self.detail}

@@ -20,34 +20,43 @@ kind's exponents in one pass: every factor becomes an atom and is
 tensored on with that merge and reduction.
 The builder oracle writes the maximal signature-(2, 3) object out summand
 by summand, with no chain or M-pair helper, so a fault in those helpers
-cannot show on both sides of a comparison.
+cannot show on both sides of a comparison.  The value-type oracle is each
+value type as the frozen dataclass it was, checks included, and ``as_old``
+rebuilds any answer with those twins.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import replace
+from dataclasses import dataclass, fields, replace
 from typing import Iterable, Sequence
 
 from higgs_atlas import (
+    ComponentDescriptor,
     Curve,
+    ExponentRow,
+    ExponentTable,
     F2Class,
     GradedHiggsBundle,
     HiggsEntry,
+    InvariantSubobject,
     KIND_DIVISOR,
     KIND_SPIN,
     KIND_TORSION,
     K_power,
     ModelInvariantError,
+    Parameterization,
     ParseError,
     PrymW0,
     SectionSymbol,
     SplitW0,
+    StabilityVerdict,
     Summand,
     SurjectivityReport,
     SWPair,
     TrivialW0,
+    WeightAssignment,
     append_trivial_w,
     associated_sl,
     build_degree_zero_chain,
@@ -74,8 +83,14 @@ from higgs_atlas import (
     unit_section,
     variable,
 )
+from higgs_atlas.curve import EXACT, GENERIC
+from higgs_atlas.errors import _Value
+from higgs_atlas.f2classes import _check_genus
+from higgs_atlas.groups import _FAMILIES
 from higgs_atlas.higgsmodel import (
     FORM_ORTHOGONAL,
+    KIND_NAMED,
+    KIND_UNIT,
     SIDE_V,
     SIDE_W,
     VANISH_GENERIC,
@@ -675,3 +690,281 @@ def _repeat_entry(h: GradedHiggsBundle, rng: random.Random) -> GradedHiggsBundle
     higgs = sorted(h.higgs + (HiggsEntry(e.target, e.source, sym),),
                    key=lambda f: (f.target, f.source))
     return replace(h, higgs=tuple(higgs))
+
+
+# -- value-type oracle -------------------------------------------------------
+#
+# Each value type as the frozen dataclass it was before it became a slots
+# class, checks and defaults included.  ``_old`` gives the dataclass the
+# package type's name, so the two reprs can be compared byte for byte.
+
+OLD_VALUE_TYPES: dict[str, type] = {}
+
+
+def _old(cls):
+    cls.__qualname__ = cls.__name__ = cls.__name__.removeprefix("Old")
+    OLD_VALUE_TYPES[cls.__name__] = dataclass(frozen=True)(cls)
+    return cls
+
+
+@_old
+class OldF2Class:
+    genus: int
+    value: int
+
+    def __post_init__(self):
+        if self.genus < 2:
+            raise ValueError("genus must be at least 2")
+        if not 0 <= self.value < 1 << (2 * self.genus):
+            raise ValueError(f"class value {self.value} is outside [0, 4^{self.genus})")
+
+    # read by the checks of PrymW0, DoubleCover and f2classes._check_genus
+    def is_zero(self) -> bool:
+        return not self.value
+
+    def bits(self) -> str:
+        return format(self.value, f"0{2 * self.genus}b")[::-1]
+
+
+@_old
+class OldSWPair:
+    sw1: F2Class
+    sw2: int
+
+    def __post_init__(self):
+        if self.sw2 not in (0, 1):
+            raise ValueError("sw2 must be a bit")
+
+
+@_old
+class OldGroupTag:
+    family: str
+    params: tuple[int, ...]
+
+    def __post_init__(self):
+        if self.family not in _FAMILIES:
+            raise ValueError(f"unknown group family {self.family!r}")
+        if not self.params or any(p < 1 for p in self.params):
+            raise ValueError("group parameters must be positive integers")
+        if self.family in ("sl", "psl", "slc", "sp"):
+            if len(self.params) != 1 or self.params[0] < 2:
+                raise ValueError(f"{self.family} takes one parameter >= 2")
+            if self.family == "sp" and self.params[0] % 2:
+                raise ValueError("symplectic rank parameter must be even")
+        elif len(self.params) != 2:
+            raise ValueError(f"{self.family} takes a signature pair")
+
+
+@_old
+class OldCurve:
+    genus: int
+
+    def __post_init__(self):
+        if not isinstance(self.genus, int) or self.genus < 2:
+            raise ValueError(f"genus must be an integer >= 2, got {self.genus!r}")
+
+
+@_old
+class OldSectionCount:
+    value: int
+    exactness: str
+
+    def __post_init__(self):
+        if self.exactness not in (EXACT, GENERIC):
+            raise ValueError(f"bad exactness tag {self.exactness!r}")
+        if self.value < 0:
+            raise ValueError("section count cannot be negative")
+
+
+@_old
+class OldLineBundleExpr:
+    k_power: int = 0
+    spins: tuple[str, ...] = ()
+    torsions: tuple[str, ...] = ()
+    variables: tuple[tuple[str, int], ...] = ()
+    divisors: tuple[tuple[str, int], ...] = ()
+
+
+@_old
+class OldSurjectivityReport:
+    genus: int
+    n: int
+    witnesses: tuple[tuple[SWPair, tuple[F2Class, ...]], ...]
+    missing: tuple[SWPair, ...]
+
+
+@_old
+class OldDoubleCover:
+    base: Curve
+    sw1: F2Class
+
+    def __post_init__(self):
+        _check_genus(self.sw1, self.base.genus)
+        if self.sw1.is_zero():
+            raise ValueError("a connected double cover needs a nonzero class")
+
+
+@_old
+class OldSectionSymbol:
+    name: str
+    kind: str
+    vanishing: str
+
+    def __post_init__(self):
+        if self.kind not in (KIND_UNIT, KIND_NAMED):
+            raise ValueError(f"bad section kind {self.kind!r}")
+        if self.vanishing not in (VANISH_GENERIC, VANISH_NOWHERE):
+            raise ValueError(f"bad vanishing tag {self.vanishing!r}")
+        if self.kind == KIND_UNIT and self.vanishing != VANISH_NOWHERE:
+            raise ValueError("a unit section vanishes nowhere")
+
+
+@_old
+class OldSummand:
+    side: str
+    bundle: LineBundleExpr
+    rank: int = 1
+    sw: SWPair | None = None
+
+    def __post_init__(self):
+        if self.side not in (SIDE_V, SIDE_W):
+            raise ValueError(f"bad side {self.side!r}")
+        if self.rank < 1:
+            raise ValueError("rank must be positive")
+
+
+@_old
+class OldHiggsEntry:
+    target: int
+    source: int
+    symbol: SectionSymbol
+
+
+@_old
+class OldDolbeaultTerm:
+    target: int
+    source: int
+    name: str
+
+
+@_old
+class OldSplitW0:
+    degree: int
+    mu: bool = True
+    nu: bool = True
+
+
+@_old
+class OldPrymW0:
+    sw1: F2Class
+    sw2: int
+
+    def __post_init__(self):
+        if self.sw1.is_zero():
+            raise ValueError("an indecomposable flat O(2) bundle has sw1 != 0")
+
+
+@_old
+class OldTrivialW0:
+    pass
+
+
+@_old
+class OldInvariantSubobject:
+    indices: tuple[int, ...]
+    degree: int
+
+
+@_old
+class OldStabilityVerdict:
+    status: str
+    witness: InvariantSubobject | None = None
+    decomposition: tuple[tuple[int, ...], ...] | None = None
+    note: str = ""
+
+
+@_old
+class OldWeightAssignment:
+    weights: tuple[int, ...]
+    higgs_scale: int = 1
+
+
+@_old
+class OldExponentRow:
+    kind: str
+    target: int
+    source: int
+    name: str
+    exponent: int
+
+
+@_old
+class OldExponentTable:
+    rows: tuple[ExponentRow, ...]
+
+
+@_old
+class OldLimitResult:
+    exists: bool
+    direction: str
+    weights: WeightAssignment
+    table: ExponentTable
+    limit: GradedHiggsBundle | None
+    source: GradedHiggsBundle
+    limit_stability: StabilityVerdict | None = None
+
+
+@_old
+class OldNDescriptor:
+    degree: int
+    alpha_nonzero: bool = True
+
+
+@_old
+class OldParameterization:
+    fiber_rank: int
+    base_exponent: int
+    extra_factor_dim: int
+
+
+@_old
+class OldComponentDescriptor:
+    group: GroupTag
+    label: str
+    dimension: int
+    parameterization: Parameterization | None = None
+    retraction: str | None = None
+    cover_multiplicity: int | None = None
+    hitchin: bool = False
+    remark_level: bool = False
+
+
+@_old
+class OldCensus:
+    group: GroupTag
+    genus: int
+    sector: str
+    components: tuple[ComponentDescriptor, ...]
+    complete: bool
+    note: str = ""
+
+
+@_old
+class OldCheckResult:
+    name: str
+    passed: bool
+    detail: str
+
+
+def as_old(value):
+    """``value`` with every package value object in it, at any depth, rebuilt
+    as its dataclass twin (through the twin's checks); a graded object keeps
+    its type and gets twins for its fields."""
+    if isinstance(value, _Value):
+        twin = OLD_VALUE_TYPES[type(value).__name__]
+        return twin(*(as_old(getattr(value, f.name)) for f in fields(twin)))
+    if isinstance(value, tuple):
+        return tuple(as_old(v) for v in value)
+    if isinstance(value, GradedHiggsBundle):
+        return replace(value, **{f.name: as_old(getattr(value, f.name)) for f in fields(value)})
+    return value

@@ -30,6 +30,7 @@ from higgs_atlas import (
     GroupTag,
     HiggsAtlasError,
     NDescriptor,
+    ParseError,
     PreconditionError,
     PrymW0,
     SplitW0,
@@ -178,7 +179,7 @@ FAMILY_BUILDERS = {
     "exotic-so": (build_exotic_so, lambda p: (p[0],)),
 }
 # sha256 over every grid command, its exit code and its stdout
-BUILD_GRID_DIGEST = "8163949e5dbe20015965db8d0141e04a1d4c9247967e9ba82d4226467ac3b08b"
+BUILD_GRID_DIGEST = "238902d60e0767ad8dc60c0dfebf84d6f40986f7acda17f107460c80c40fbf17"
 
 
 def _build_grid() -> list:
@@ -801,8 +802,8 @@ def test_parser_choices_match_the_module_constants():
         assert args.sector == catalog.SECTOR_ALL
 
 
-# Runs one CLI invocation in a fresh interpreter and prints its exit code
-# and the package modules it loaded.
+# Runs one CLI invocation in a fresh interpreter and prints its exit code,
+# the package modules it loaded and whether `dataclasses` was imported.
 _PROBE = """
 import contextlib, io, json, sys
 from higgs_atlas import cli
@@ -812,7 +813,7 @@ with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.St
     except SystemExit as exc:
         code = exc.code
 loaded = sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("higgs_atlas."))
-print(json.dumps([code, loaded]))
+print(json.dumps([code, loaded, "dataclasses" in sys.modules]))
 """
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -876,9 +877,13 @@ def test_each_verb_loads_only_its_modules(argv, expected_code, expected, tmp_pat
         [sys.executable, "-c", _PROBE, *argv],
         env=_src_env(), capture_output=True, text=True, timeout=120, check=True,
     )
-    code, loaded = json.loads(proc.stdout)
+    code, loaded, dataclasses = json.loads(proc.stdout)
     assert code == expected_code
     assert set(loaded) == expected | {"cli"}
+    # only GradedHiggsBundle is a dataclass; every other value type is a plain
+    # slots class, so a verb that never loads the object model never imports
+    # `dataclasses`
+    assert dataclasses == ("higgsmodel" in expected)
 
 
 def test_main_leaves_the_callers_collector_as_it_found_it(capsys):
@@ -975,6 +980,7 @@ MISTAKES = {
               r"([\w ]+: )?the class [01]+ has genus \d+, the curve genus \d+"),
     "label": (BoundError, r"label -?\d+ of \S+ is outside -?\d+\.\.\d+ at genus \d+"),
     "label-degree": (PreconditionError, r"the component label d = -?\d+ is not deg M = -?\d+"),
+    "empty": (ParseError, r"no [\w -]+ given"),
 }
 _ERRORS = {cls.code: cls for cls in HiggsAtlasError.__subclasses__()}
 
@@ -1101,6 +1107,17 @@ REFUSAL_CELLS = [
      _lib(lambda: limit_destabilized_branch(
          bundle_from_dict(_edited(FUZZ_BASES[2], _edit_label(3))), NDescriptor(1))),
      "the component label d = 3 is not deg M = 1"),
+    # an empty class list or W0 descriptor, on every builder that reads one
+    ("empty", "cli-build-classes",
+     _cli("build", "--group", "sp:4", "--genus", "2", "--classes", ""), "no classes given"),
+    ("empty", "cli-build-classes-commas",
+     _cli("build", "--group", "sp:4", "--genus", "2", "--classes", " , "), "no classes given"),
+    ("empty", "cli-build-w0-so23",
+     _cli("build", "--group", "so0:2,3", "--genus", "2", "--maximal", "--w0", ""),
+     "no rank-2 complement descriptor given"),
+    ("empty", "cli-build-w0-so2n",
+     _cli("build", "--group", "so0:2,4", "--genus", "2", "--maximal", "--w0", ""),
+     "no rank-2 complement descriptor given"),
 ]
 
 

@@ -198,7 +198,9 @@ def test_nonzero_total_degree_is_refused():
     # the per-component verdict rests on a total degree of zero, which
     # validate guarantees; an object built around validate is refused
     h = build_hitchin_sl(C2, 3)
-    h = replace(h, summands=(replace(h.summands[0], bundle=K_power(3)),) + h.summands[1:])
+    first = h.summands[0]
+    first = Summand(first.side, K_power(3), first.rank, first.sw)
+    h = replace(h, summands=(first,) + h.summands[1:])
     with pytest.raises(ModelInvariantError, match="total degree must vanish"):
         check_polystability(h)
 
