@@ -114,7 +114,10 @@ def _summand_key(h: GradedHiggsBundle, i: int) -> tuple:
     return (s.side, s.rank, s.bundle.serialize(), sw)
 
 
-_PERM_CAP = 40320  # 8!; exceeded by so0:2,n with trivial W0 once n >= 9 (n trivial W summands)
+# 8!; exceeded by so0:2,n with trivial W0 once n >= 9 (n trivial W summands).
+# `structurally_equal` and `gauge_equivalent` read it only for a pair whose
+# permutation invariants agree, so above it they still answer "not equal".
+_PERM_CAP = 40320
 
 
 def _permutation_orbit(h: GradedHiggsBundle):
@@ -159,6 +162,11 @@ def canonical_key(h: GradedHiggsBundle) -> str:
     return min(canonical_json(p) for p in orderings)
 
 
+def _least_json(h: GradedHiggsBundle) -> str:
+    """``canonical_key`` of an ``h`` already validated: only the cap is checked."""
+    return min(canonical_json(p) for p in _permutation_orbit(h))
+
+
 def gauge_orbit_key(h: GradedHiggsBundle) -> str:
     """Canonical key under reordering plus the switching move when present.
     ``switched`` validates the other presentation, so its orderings are
@@ -167,17 +175,70 @@ def gauge_orbit_key(h: GradedHiggsBundle) -> str:
     key = canonical_key(h)
     if not switchable(h):
         return key
-    return min(key, min(canonical_json(p) for p in _permutation_orbit(switched(h))))
+    return min(key, _least_json(switched(h)))
+
+
+def _invariant(h: GradedHiggsBundle) -> tuple:
+    """What ``canonical_json`` writes of a valid ``h`` that no ordering of
+    its summands changes: form, meta, the sorted summand rows, and the
+    pairing, Higgs entries and extension terms with each end replaced by
+    its row.  Orderings with equal JSON have equal invariants, so objects
+    whose invariants differ have different canonical keys.  The symbol
+    table is left out: a declared name no summand uses never reaches it."""
+    rows = [
+        (s.side, s.bundle.serialize(), degree, s.rank,
+         () if s.sw is None else (s.sw.sw1.bits(), s.sw.sw2))
+        for s, degree in zip(h.summands, h.degrees())
+    ]
+    return (
+        h.form,
+        dict(h.meta),
+        sorted(rows),
+        sorted((rows[i], rows[j]) for i, j in enumerate(h.sigma)),
+        sorted((rows[e.target], rows[e.source], e.symbol.name, e.symbol.vanishing)
+               for e in h.higgs),
+        sorted((rows[t.target], rows[t.source], t.name) for t in h.dolbeault),
+    )
+
+
+def _presentations(h: GradedHiggsBundle) -> list[GradedHiggsBundle]:
+    """``h`` and, when it has a switching move, its switched presentation,
+    each validated once."""
+    validate(h)
+    return [h, switched(h)] if switchable(h) else [h]
 
 
 def structurally_equal(a: GradedHiggsBundle, b: GradedHiggsBundle) -> bool:
-    """Equality up to summand reordering (groups and genus included)."""
-    return a.group == b.group and a.genus == b.genus and canonical_key(a) == canonical_key(b)
+    """Equality up to summand reordering (groups and genus included).
+
+    Group and genus are compared first; then each object is validated once
+    and their permutation invariants are compared, which makes no ordering.
+    Only a pair whose invariants agree goes on to the canonical keys, so
+    ``BudgetError`` arises only for such a pair above the 8! cap, and an
+    invalid object is refused as invalid whatever its orbit size."""
+    if a.group != b.group or a.genus != b.genus:
+        return False
+    validate(a)
+    validate(b)
+    return _invariant(a) == _invariant(b) and _least_json(a) == _least_json(b)
 
 
 def gauge_equivalent(a: GradedHiggsBundle, b: GradedHiggsBundle) -> bool:
-    """Equality up to summand reordering and the switching move."""
-    return a.group == b.group and a.genus == b.genus and gauge_orbit_key(a) == gauge_orbit_key(b)
+    """Equality up to summand reordering and the switching move.
+
+    Group and genus are compared first; then each presentation (``a``,
+    ``b`` and their switched forms) is validated once, and the pair is
+    unequal when ``b``'s permutation invariant is neither ``a``'s nor that
+    of switched ``a``, with no ordering made.  Only the other pairs go on
+    to the gauge orbit keys, so ``BudgetError`` arises only for such a
+    pair above the 8! cap, and an invalid object is refused as invalid
+    whatever its orbit size."""
+    if a.group != b.group or a.genus != b.genus:
+        return False
+    ours, theirs = _presentations(a), _presentations(b)
+    if _invariant(b) not in [_invariant(p) for p in ours]:
+        return False
+    return min(map(_least_json, ours)) == min(map(_least_json, theirs))
 
 
 __all__ = [

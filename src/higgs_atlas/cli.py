@@ -302,7 +302,7 @@ def _cmd_sw(args) -> dict:
             "n_max": args.n,
             "minimal": {pair.label(): n for pair, n in table.items()},
         }
-    if not args.classes:
+    if args.classes is None:
         raise PreconditionError("need --classes, --surjectivity, or --minimal-n")
     from .f2classes import total_sw_of_sum
 
@@ -449,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sw", help="Stiefel-Whitney arithmetic")
     p.add_argument("--genus", type=_COUNT, required=True)
-    p.add_argument("--classes", default="")
+    p.add_argument("--classes", default=None)
     p.add_argument("--surjectivity", action="store_true")
     p.add_argument("--minimal-n", action="store_true")
     p.add_argument("--n", type=_COUNT, default=3)

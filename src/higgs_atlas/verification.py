@@ -439,7 +439,7 @@ def _check_limit_validity() -> str:
 @_register("switch-is-involutive")
 def _check_switch() -> str:
     from .builders import build_maximal_so23, build_so12
-    from .canonical import canonical_key, switchable, switched
+    from .canonical import canonical_key, gauge_orbit_key, switchable, switched
     from .curve import Curve
 
     curve = Curve(2)
@@ -448,6 +448,8 @@ def _check_switch() -> str:
             raise AssertionError("expected a switchable object")
         if canonical_key(switched(switched(h))) != canonical_key(h):
             raise AssertionError("switching twice is not the identity")
+        if gauge_orbit_key(switched(h)) != gauge_orbit_key(h):
+            raise AssertionError("the two presentations name different gauge orbits")
     return "the switching move is an involution"
 
 

@@ -22,7 +22,9 @@ The builder oracle writes the maximal signature-(2, 3) object out summand
 by summand, with no chain or M-pair helper, so a fault in those helpers
 cannot show on both sides of a comparison.  The value-type oracle is each
 value type as the frozen dataclass it was, checks included, and ``as_old``
-rebuilds any answer with those twins.
+rebuilds any answer with those twins.  The comparison oracle is the
+key-only ``structurally_equal`` and ``gauge_equivalent`` the package ran
+before it compared permutation invariants first.
 """
 
 from __future__ import annotations
@@ -71,10 +73,12 @@ from higgs_atlas import (
     build_maximal_so2n,
     build_so12,
     build_twisted_fuchsian_sp,
+    canonical_key,
     cup,
     divisor_twist,
     embed_so23_to_so2n,
     embed_so23_to_so33,
+    gauge_orbit_key,
     named_section,
     spin,
     switched,
@@ -536,13 +540,14 @@ def _expression_group_shape(h: GradedHiggsBundle) -> None:
         raise ModelInvariantError("symplectic groups need a symplectic pairing")
 
 
-def outcome(check, h: GradedHiggsBundle) -> tuple[str, str]:
-    """("ok", "") or the exception type name and message ``check`` raised."""
+def outcome(check, *args) -> tuple[str, str]:
+    """("ok", the repr of the answer, or "" for None), or the exception
+    type name and message ``check`` raised."""
     try:
-        check(h)
+        answer = check(*args)
     except Exception as exc:  # the outcome itself is what gets compared
         return type(exc).__name__, str(exc)
-    return "ok", ""
+    return "ok", "" if answer is None else repr(answer)
 
 
 def every_builder_output(curve: Curve) -> list[GradedHiggsBundle]:
@@ -690,6 +695,39 @@ def _repeat_entry(h: GradedHiggsBundle, rng: random.Random) -> GradedHiggsBundle
     higgs = sorted(h.higgs + (HiggsEntry(e.target, e.source, sym),),
                    key=lambda f: (f.target, f.source))
     return replace(h, higgs=tuple(higgs))
+
+
+# -- comparison oracle -------------------------------------------------------
+
+def key_only_structurally_equal(a: GradedHiggsBundle, b: GradedHiggsBundle) -> bool:
+    """Equality up to summand reordering, decided by the canonical keys alone."""
+    return a.group == b.group and a.genus == b.genus and canonical_key(a) == canonical_key(b)
+
+
+def key_only_gauge_equivalent(a: GradedHiggsBundle, b: GradedHiggsBundle) -> bool:
+    """Equality up to reordering and switching, decided by the orbit keys alone."""
+    return a.group == b.group and a.genus == b.genus and gauge_orbit_key(a) == gauge_orbit_key(b)
+
+
+def near_misses(h: GradedHiggsBundle) -> list[GradedHiggsBundle]:
+    """Validated copies of ``h``, one per transpose pair of named entries,
+    with that pair's section renamed, as the benchmark's gauge-orbit
+    workload makes its negative partners."""
+    out = []
+    for pick in h.higgs:
+        mirror = (h.sigma[pick.source], h.sigma[pick.target])
+        if pick.symbol.kind != KIND_NAMED or mirror < (pick.target, pick.source):
+            continue
+        new = SectionSymbol(pick.symbol.name + "x", pick.symbol.kind, pick.symbol.vanishing)
+        higgs = tuple(
+            HiggsEntry(e.target, e.source, new)
+            if (e.target, e.source) in ((pick.target, pick.source), mirror) else e
+            for e in h.higgs
+        )
+        m = replace(h, higgs=higgs)
+        validate(m)
+        out.append(m)
+    return out
 
 
 # -- value-type oracle -------------------------------------------------------

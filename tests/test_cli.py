@@ -360,7 +360,7 @@ def sw_documents(genus):
 
 # sha256 of sw_documents(genus), one entry per line
 SW_DIGESTS = {
-    2: "6db6d181dfd27419dcf282ed228c563fba622173f0b2ff6c0db6bc6d2c9580ea",
+    2: "a54059f467975746c5dcb8c8f5298627430e61440ab37b858ed7279845368abb",
     3: "e1f725f551ec8c7ab9ce5cfa428f61c4f81ed3803ac8bc3ec2e4652c46087923",
     4: "e274aed5c3e47d92a0b5fc27f672c834e5d46bf77b1094f0332a98e3f1beb282",
 }
@@ -1107,11 +1107,12 @@ REFUSAL_CELLS = [
      _lib(lambda: limit_destabilized_branch(
          bundle_from_dict(_edited(FUZZ_BASES[2], _edit_label(3))), NDescriptor(1))),
      "the component label d = 3 is not deg M = 1"),
-    # an empty class list or W0 descriptor, on every builder that reads one
+    # an empty class list or W0 descriptor, on every verb and builder that reads one
     ("empty", "cli-build-classes",
      _cli("build", "--group", "sp:4", "--genus", "2", "--classes", ""), "no classes given"),
     ("empty", "cli-build-classes-commas",
      _cli("build", "--group", "sp:4", "--genus", "2", "--classes", " , "), "no classes given"),
+    ("empty", "cli-sw-classes", _cli("sw", "--genus", "2", "--classes", ""), "no classes given"),
     ("empty", "cli-build-w0-so23",
      _cli("build", "--group", "so0:2,3", "--genus", "2", "--maximal", "--w0", ""),
      "no rank-2 complement descriptor given"),

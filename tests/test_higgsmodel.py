@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -62,7 +64,16 @@ from higgs_atlas import (
     variable,
 )
 from higgs_atlas import canonical
-from helpers import builder_corpus, every_builder_output, oracle_maximal_so23
+from helpers import (
+    builder_corpus,
+    every_builder_output,
+    key_only_gauge_equivalent,
+    key_only_structurally_equal,
+    mutated_copies,
+    near_misses,
+    oracle_maximal_so23,
+    outcome,
+)
 
 C2 = Curve(2)
 C3 = Curve(3)
@@ -463,6 +474,84 @@ def test_canonicalization_refusal_carries_orbit_size_and_cap():
     with pytest.raises(BudgetError) as exc:
         canonical_key(build_maximal_so2n(C2, 9, TrivialW0()))
     assert exc.value.payload == {"size": 362880, "cap": 40320}
+
+
+def _comparison_pairs(genus):
+    """Pairs of builder outputs, their seeded permutations and switched
+    presentations, one-section near misses and mutated copies, and random
+    pairs of all these."""
+    rng = random.Random(5100 + genus)
+    outs = every_builder_output(Curve(genus))
+    pairs, pool = [], list(outs)
+    for h in outs:
+        order = list(range(len(h.summands)))
+        rng.shuffle(order)
+        p = permute_summands(h, order)
+        pairs += [(h, h), (h, p), (p, h)]
+        if switchable(h):
+            pairs += [(h, switched(p)), (switched(p), h)]
+        misses = near_misses(h)
+        for m in rng.sample(misses, min(2, len(misses))):
+            pairs += [(h, m), (m, p)]
+            pool.append(m)
+        for m in mutated_copies(h, rng, 2):
+            pairs += [(h, m), (m, h)]
+    pairs += [(rng.choice(pool), rng.choice(pool)) for _ in range(300)]
+    return pairs
+
+
+@pytest.mark.parametrize("genus", [2, 3])
+def test_comparisons_agree_with_the_key_only_oracle(genus):
+    seen = Counter()
+    for a, b in _comparison_pairs(genus):
+        for new, old in ((structurally_equal, key_only_structurally_equal),
+                         (gauge_equivalent, key_only_gauge_equivalent)):
+            got = outcome(new, a, b)
+            assert got == outcome(old, a, b), (new.__name__, a, b)
+            seen[got if got[0] == "ok" else got[0]] += 1
+    # both answers and both kinds of refusal are reached
+    assert set(seen) == {("ok", "True"), ("ok", "False"), "ModelInvariantError",
+                         "UnresolvedDegreeError"}, seen
+    assert min(seen.values()) >= 50, seen
+
+
+def _above_cap_pair():
+    # Twelve trivial summands of W: 12! orderings; the partner drops beta0.
+    return (build_maximal_so2n(C2, 12, TrivialW0()),
+            build_maximal_so2n(C2, 12, TrivialW0(), beta0=False))
+
+
+def test_a_pair_above_the_cap_is_decided_by_its_invariant():
+    a, b = _above_cap_pair()
+    for compare in (structurally_equal, gauge_equivalent):
+        assert compare(a, b) is False
+        assert compare(b, a) is False
+        with pytest.raises(BudgetError) as exc:
+            compare(a, a)
+        assert exc.value.payload == {"size": 479001600, "cap": 40320}
+
+
+def test_an_invalid_object_above_the_cap_is_refused_as_invalid():
+    a, b = _above_cap_pair()
+    broken = replace(a, sigma=a.sigma[1:])
+    with pytest.raises(BudgetError):
+        canonical_key(broken)
+    for compare in (structurally_equal, gauge_equivalent):
+        for pair in ((broken, b), (b, broken)):
+            with pytest.raises(ModelInvariantError, match="pairing involution has the wrong length"):
+                compare(*pair)
+
+
+def test_a_rejected_pair_makes_no_ordering(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("an ordering was made for a rejected pair")
+
+    monkeypatch.setattr(canonical, "_permutation_orbit", refuse)
+    monkeypatch.setattr(canonical, "canonical_json", refuse)
+    h = build_maximal_so23(C2, 2)
+    for a, b in (_above_cap_pair(), (h, near_misses(h)[0]), (h, switched(near_misses(h)[0]))):
+        assert not structurally_equal(a, b)
+        assert not gauge_equivalent(a, b)
 
 
 # -- derived objects -----------------------------------------------------------
