@@ -12,13 +12,14 @@ import itertools
 from dataclasses import replace
 from typing import Sequence
 
-from .errors import BudgetError, WrongGroupError, _read_int
+from .errors import BudgetError, PreconditionError, WrongGroupError, _read_int
 from .higgsmodel import (
     DolbeaultTerm,
     GradedHiggsBundle,
     HiggsEntry,
     SectionSymbol,
     Summand,
+    _switch_sections,
     canonical_json,
     validate,
 )
@@ -63,49 +64,57 @@ def switchable(h: GradedHiggsBundle) -> bool:
 
 def switched(h: GradedHiggsBundle) -> GradedHiggsBundle:
     """The other presentation of a family with a decomposed rank-2 part:
-    replace M by its dual and exchange the two connecting sections."""
+    replace M by its dual and exchange the two connecting sections.  The
+    move is an automorphism of the structure ``validate`` checks, so the
+    result is checked only to refuse an invalid ``h`` as before."""
+    out = _switch(h)
+    validate(out)
+    return out
+
+
+def _switch(h: GradedHiggsBundle) -> GradedHiggsBundle:
+    """``switched`` without its closing check, rebuilding only the summands
+    that carry M and the entries whose section is renamed.  Negating M in
+    every bundle and in the declared degrees keeps duals, sides, ambient K
+    powers and resolved degrees (e * d = (-e)(-d)), and renaming two sections
+    everywhere keeps transpose names, so the result is valid exactly when
+    ``h`` is.  It is an involution and commutes with ``_relabel``."""
     meta = h.meta_map
     if not switchable(h):
         raise WrongGroupError("object has no declared switching move")
+    first, second = _switch_sections(meta, PreconditionError)
     var = str(meta["switch_variable"])
-    first, second = str(meta["switch_sections"]).split(",")
     rename = {first: second, second: first}
 
-    def flip(expr: LineBundleExpr) -> LineBundleExpr:
-        vars_ = {n: (-e if n == var else e) for n, e in expr.variables}
-        out = LineBundleExpr(
-            k_power=expr.k_power,
-            spins=expr.spins,
-            torsions=expr.torsions,
-            variables=tuple(sorted((n, e) for n, e in vars_.items() if e)),
-            divisors=expr.divisors,
+    def flip(s: Summand) -> Summand:
+        e = s.bundle
+        if all(n != var for n, _ in e.variables):
+            return s
+        bundle = LineBundleExpr(
+            e.k_power, e.spins, e.torsions,
+            tuple((n, -x if n == var else x) for n, x in e.variables), e.divisors,
         )
-        return out
+        return Summand(s.side, bundle, s.rank, s.sw)
 
-    declared = dict(h.declared_map)
+    def swap(e: HiggsEntry) -> HiggsEntry:
+        sym = e.symbol
+        if sym.name not in rename:
+            return e
+        return HiggsEntry(e.target, e.source,
+                          SectionSymbol(rename[sym.name], sym.kind, sym.vanishing))
+
+    declared = dict(h.declared)
     if var in declared:
         declared[var] = -declared[var]
-    new_meta = dict(meta)
-    if "d" in new_meta and (d := _read_int(str(new_meta["d"]), signed=True)) is not None:
-        new_meta["d"] = -d
-    out = replace(
+    if "d" in meta and (d := _read_int(str(meta["d"]), signed=True)) is not None:
+        meta["d"] = -d
+    return replace(
         h,
-        summands=tuple(
-            Summand(s.side, flip(s.bundle), s.rank, s.sw) for s in h.summands
-        ),
-        higgs=tuple(
-            HiggsEntry(
-                e.target,
-                e.source,
-                SectionSymbol(rename.get(e.symbol.name, e.symbol.name), e.symbol.kind, e.symbol.vanishing),
-            )
-            for e in h.higgs
-        ),
+        summands=tuple(map(flip, h.summands)),
+        higgs=tuple(map(swap, h.higgs)),
         declared=tuple(sorted(declared.items())),
-        meta=tuple(sorted(new_meta.items())),
+        meta=tuple(sorted(meta.items())),
     )
-    validate(out)
-    return out
 
 
 def _summand_key(h: GradedHiggsBundle, i: int) -> tuple:
@@ -169,13 +178,15 @@ def _least_json(h: GradedHiggsBundle) -> str:
 
 def gauge_orbit_key(h: GradedHiggsBundle) -> str:
     """Canonical key under reordering plus the switching move when present.
-    ``switched`` validates the other presentation, so its orderings are
-    read without a second check; they have the cap ``h`` already passed,
-    since switching renames bundles one to one."""
+    ``canonical_key`` validates ``h``, and ``_switch`` is an automorphism of
+    what it checks, so the switched orderings are read without a second
+    check; they have the cap ``h`` already passed, since switching renames
+    bundles one to one.  The switch is an involution commuting with every
+    reordering, so the key is the least of the two presentations' keys."""
     key = canonical_key(h)
     if not switchable(h):
         return key
-    return min(key, _least_json(switched(h)))
+    return min(key, _least_json(_switch(h)))
 
 
 def _invariant(h: GradedHiggsBundle) -> tuple:
@@ -202,10 +213,11 @@ def _invariant(h: GradedHiggsBundle) -> tuple:
 
 
 def _presentations(h: GradedHiggsBundle) -> list[GradedHiggsBundle]:
-    """``h`` and, when it has a switching move, its switched presentation,
-    each validated once."""
+    """``h`` and, when it has a switching move, its switched presentation.
+    Only ``h`` is validated: the switch is an automorphism of what
+    ``validate`` checks, so the other presentation is valid with it."""
     validate(h)
-    return [h, switched(h)] if switchable(h) else [h]
+    return [h, _switch(h)] if switchable(h) else [h]
 
 
 def structurally_equal(a: GradedHiggsBundle, b: GradedHiggsBundle) -> bool:
@@ -226,19 +238,24 @@ def structurally_equal(a: GradedHiggsBundle, b: GradedHiggsBundle) -> bool:
 def gauge_equivalent(a: GradedHiggsBundle, b: GradedHiggsBundle) -> bool:
     """Equality up to summand reordering and the switching move.
 
-    Group and genus are compared first; then each presentation (``a``,
-    ``b`` and their switched forms) is validated once, and the pair is
-    unequal when ``b``'s permutation invariant is neither ``a``'s nor that
-    of switched ``a``, with no ordering made.  Only the other pairs go on
-    to the gauge orbit keys, so ``BudgetError`` arises only for such a
-    pair above the 8! cap, and an invalid object is refused as invalid
-    whatever its orbit size."""
+    Group and genus are compared first; then ``a`` and ``b`` are validated
+    once each, and only ``a``'s switched presentation is built.  The pair
+    is unequal when ``b``'s permutation invariant is neither ``a``'s nor
+    that of switched ``a``, with no ordering made; otherwise it is equal
+    when ``b``'s key is the key of a presentation of ``a`` whose invariant
+    matches.  That is the orbit-key comparison: the switch is an involution
+    commuting with reordering, so each orbit key is the least of a class of
+    at most two keys, and two such classes are equal or disjoint.  Matching
+    invariants mean the same groups of identical summands, so
+    ``BudgetError`` arises only for such a pair above the 8! cap, and an
+    invalid object is refused as invalid whatever its orbit size."""
     if a.group != b.group or a.genus != b.genus:
         return False
-    ours, theirs = _presentations(a), _presentations(b)
-    if _invariant(b) not in [_invariant(p) for p in ours]:
-        return False
-    return min(map(_least_json, ours)) == min(map(_least_json, theirs))
+    ours = _presentations(a)
+    validate(b)
+    theirs = _invariant(b)
+    matching = [p for p in ours if _invariant(p) == theirs]
+    return bool(matching) and _least_json(b) in map(_least_json, matching)
 
 
 __all__ = [

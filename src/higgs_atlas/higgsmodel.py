@@ -447,12 +447,27 @@ def _json_str(value, what: str) -> str:
     return value
 
 
+def _switch_sections(meta: Mapping, error: type = ParseError) -> tuple[str, str]:
+    """The two sections a switching move exchanges: the meta's
+    ``switch_sections`` must be two non-empty comma-separated names."""
+    names = str(meta.get("switch_sections", "")).split(",")
+    if len(names) != 2 or not all(names):
+        raise error(
+            "a switch_variable needs switch_sections of two comma-separated names, "
+            f"got {meta.get('switch_sections')!r}"
+        )
+    return tuple(names)
+
+
 def _json_meta(meta: Mapping) -> Mapping:
     """The meta object; each value must be a string or an integer, which is
-    all any builder writes."""
+    all any builder writes, and a ``switch_variable`` needs the two
+    ``switch_sections`` its move exchanges."""
     for key, value in meta.items():
         if type(value) not in (str, int):
             raise ParseError(f"meta value {key!r} must be a string or an integer, got {value!r}")
+    if "switch_variable" in meta:
+        _switch_sections(meta)
     return meta
 
 

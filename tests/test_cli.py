@@ -565,6 +565,23 @@ def test_defective_document_is_a_parse_error(defect, message, monkeypatch, capsy
     assert (res["status"], res["code"], res["message"]) == ("error", "parse", message)
 
 
+@pytest.mark.parametrize("value", ["mu", "", "mu,nu,xi", None])
+def test_malformed_switch_meta_is_a_parse_error(value, monkeypatch, capsys):
+    doc = bundle_to_dict(build_so12(Curve(2), 1))
+    if value is None:
+        del doc["meta"]["switch_sections"]
+    else:
+        doc["meta"]["switch_sections"] = value
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+    code, res = run_json(capsys, "stability", "--input", "-")
+    assert code == 1
+    assert (res["status"], res["code"]) == ("error", "parse")
+    assert res["message"] == (
+        "a switch_variable needs switch_sections of two comma-separated names, "
+        f"got {value!r}"
+    )
+
+
 FUZZ_BASES = [
     bundle_to_dict(h) for h in (
         build_maximal_so23(Curve(2), 2),

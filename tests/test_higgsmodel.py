@@ -455,8 +455,8 @@ def test_canonical_key_validates_once(monkeypatch):
     assert canonical_key(p) == key
 
 
-def test_gauge_orbit_key_validates_each_presentation_once(monkeypatch):
-    # h and its switched presentation, for each side of the comparison
+def test_gauge_equivalent_validates_each_object_once(monkeypatch):
+    # a and b once each; the switched presentation of a is valid with a
     calls = []
 
     def counting_validate(h):
@@ -466,7 +466,82 @@ def test_gauge_orbit_key_validates_each_presentation_once(monkeypatch):
     h = build_maximal_so23(C2, 2)
     monkeypatch.setattr(canonical, "validate", counting_validate)
     assert gauge_equivalent(h, h)
-    assert len(calls) == 4
+    assert len(calls) == 2
+
+
+def test_gauge_equivalent_keys_only_the_matching_presentations(monkeypatch):
+    # switched a has meta d = -2, so only a's key is made, next to b's
+    calls = []
+
+    def counting_json(h):
+        calls.append(h)
+        return canonical_json(h)
+
+    h = build_maximal_so23(C2, 2)
+    p = permute_summands(h, [4, 3, 2, 1, 0])
+    monkeypatch.setattr(canonical, "canonical_json", counting_json)
+    assert gauge_equivalent(h, p)
+    assert len(calls) == 2
+
+
+def _switchable_outputs():
+    return [h for genus in (2, 3) for h in every_builder_output(Curve(genus)) if switchable(h)]
+
+
+def test_the_switch_is_an_unchecked_automorphism():
+    rng = random.Random(2300)
+    outs = _switchable_outputs()
+    assert len(outs) == 80
+    copies = [m for h in outs for m in mutated_copies(h, rng, 4)]
+    assert len(copies) == 320
+    for h in outs:
+        assert canonical._switch(h) == switched(h)
+    seen = Counter()
+    for h in outs + copies:
+        s = canonical._switch(h)
+        assert canonical._switch(s) == h
+        order = list(range(len(h.summands)))
+        rng.shuffle(order)
+        assert canonical._switch(canonical._relabel(h, order)) == canonical._relabel(s, order)
+        assert outcome(validate, h)[0] == outcome(validate, s)[0], h
+        seen[outcome(validate, h)[0]] += 1
+        # only summands carrying M and entries naming a switched section are rebuilt
+        for old, new in zip(h.summands, s.summands):
+            assert (old is new) == all(n != "M" for n, _ in old.bundle.variables)
+        for old, new in zip(h.higgs, s.higgs):
+            assert (old is new) == (old.symbol.name not in ("mu", "nu"))
+    # valid copies and both kinds of refusal are reached
+    assert set(seen) == {"ok", "ModelInvariantError", "UnresolvedDegreeError"}, seen
+
+
+MALFORMED_SWITCH_META = {"one name": "mu", "empty": "", "three names": "mu,nu,xi", "deleted": None}
+
+
+def _with_switch_sections(h, value):
+    meta = dict(h.meta)
+    if value is None:
+        del meta["switch_sections"]
+    else:
+        meta["switch_sections"] = value
+    return replace(h, meta=tuple(sorted(meta.items())))
+
+
+@pytest.mark.parametrize("value", MALFORMED_SWITCH_META.values(), ids=MALFORMED_SWITCH_META)
+def test_malformed_switch_meta_is_refused(value):
+    h = build_so12(C2, 1)
+    doc = bundle_to_dict(h)
+    bad = _with_switch_sections(h, value)
+    if value is None:
+        del doc["meta"]["switch_sections"]
+    else:
+        doc["meta"]["switch_sections"] = value
+    with pytest.raises(ParseError, match="switch_sections"):
+        bundle_from_dict(doc)
+    for call in (switched, gauge_orbit_key, lambda x: gauge_equivalent(x, x)):
+        with pytest.raises(PreconditionError, match="switch_sections"):
+            call(bad)
+    # the other side's switched presentation is not built: it is compared
+    assert gauge_equivalent(h, bad) is False
 
 
 def test_canonicalization_refusal_carries_orbit_size_and_cap():
