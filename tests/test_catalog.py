@@ -24,6 +24,7 @@ from higgs_atlas import (
     parameterization,
     resolve_extra_factor_reading,
 )
+from higgs_atlas.catalog import _twist_rank
 
 
 def tag(text):
@@ -262,3 +263,75 @@ def test_census_and_dimension_documents_are_frozen(text):
     lines = census_documents(text)
     assert len(lines) == 12
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == CENSUS_DIGESTS[text]
+
+
+# The tags on either side of each family rule, beyond FROZEN_GROUPS.
+KIND_BOUNDARY_GROUPS = (
+    "sl:5", "slc:3", "sp:10", "so0:1,1", "so0:1,3", "so0:2,1", "so0:2,2", "so0:2,9",
+    "so0:3,5", "so0:3,6", "so0:5,6",
+)
+
+
+def _answer(ask) -> str:
+    """The canonical JSON of ``ask()``, or the refusal's class and message."""
+    try:
+        return json.dumps(ask(), sort_keys=True)
+    except HiggsAtlasError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def label_documents(text):
+    """One line per question: the bound at genus 2-4, the twist rank, and the
+    parameterization at genus 2-3 for every d from -1 to bound + 1 (to 2
+    where no bound is recorded)."""
+    group = tag(text)
+    lines = [_answer(lambda: milnor_wood_bound(group, g)) for g in (2, 3, 4)]
+    lines.append(_answer(lambda: _twist_rank(group)))
+    for genus in (2, 3):
+        try:
+            top = milnor_wood_bound(group, genus) + 1
+        except UnsupportedGroupError:
+            top = 2
+        lines += [_answer(lambda: parameterization(group, d, genus).to_dict())
+                  for d in range(-1, top + 1)]
+    return lines
+
+
+# sha256 of label_documents(group), one answer per line
+LABEL_DIGESTS = {
+    "sl:2": "e7958a7be1899f78af6e1eb3514d03284fa4e625d5c9e03cf8baa01c77e0063a",
+    "sl:3": "a2e108c4bcb0889ef75824edeb477743e3f31bd7c37ce31e5595d3cfd55e627b",
+    "sl:4": "f992ce5dded7b419bbad2864a0b0a84a4b1904847dacc1b4c6dd0f76393b8582",
+    "psl:2": "120622680e0751cb20708ae3be28445c1b382967f020ad669184f137c9d4abf8",
+    "psl:3": "9426446f96d342df2be6f2bb1abdd78277588d6b66c246975c2c106bcf6e7b5e",
+    "sp:2": "73f601f04fffc209e53e22469a6c19c45c37729a84991ca90a723915d5c44425",
+    "sp:4": "6d2762a3cc9a884612342cc80be4df37fee49702afdf7d937c3b436cdcf190b9",
+    "sp:6": "8a8a7542c6288b2933f959344f8cd34562e5fb220b5fc4277094346f0acf57f8",
+    "sp:8": "c06f35c0b887d265ce22d41ad2c6ff812219242249fb105029d34aa694dcfdd1",
+    "so:1,2": "095c4ee68e7478a03823ceabd1f46a15fdd4e365f203913d79cee2c2cf82da8c",
+    "so:2,3": "0f2b537a163c349b10295307ad904e074e0b4babf4aed538498508faa18cbf38",
+    "so0:1,2": "b7f9733fdbc2c93646453b00be810643ca215c6cab71f72e6161f0df85fea920",
+    "so0:2,3": "95361aa54995ef6929b15a9dcb3d5e43bcf4a5dcfd5733f02281134ec09bb073",
+    "so0:2,4": "a11369eebf8a7cf4b95235301b29874aeae920f1fb587fd0557bdc7941c59189",
+    "so0:2,5": "69751b9ef6cbc44424853cdb326dd24fe813651ac6c9a3286a2731f2378c77ef",
+    "so0:3,3": "f98dbfc6495dc24331791f1d7950c16ea9ae3851c6a3d5281eaa327383694b12",
+    "so0:3,4": "7501e79c6f61be6c80d58cf9ec8023ea6eaa95b273c78dd76f9c135c09f7c2a0",
+    "so0:4,5": "26828f077cd35bdd266ed60506dbc2d8bcdf41778b57f4febaff479664d6dc0f",
+    "sl:5": "427a9ea2133f36be91cd61d2020cdc590338027fa111f03f821a7b270fa6e13a",
+    "slc:3": "26954eaadb874ab6945b576950a0cd718affa83036cff15a2f7a3bdf9bc96430",
+    "sp:10": "75e7413333bb852cae457a05377977ab63814427483ff73bd48636ab9a66d415",
+    "so0:1,1": "978c27dd81972e86e2150ad6529bcdf9e2ce87e67ed0094e64e7b377b8f046d8",
+    "so0:1,3": "38191f724045e330c10d52abb5d02d428a45ee6b0306ef63efb97a22d4cc5eb4",
+    "so0:2,1": "c05b69295ce2f537b84722fa499fecbee0537063801302f3835b789ba664e23a",
+    "so0:2,2": "cf02ef6d065ddd29f50ae6c77cdad65d2b46355dc6188d6387c9b84acc4ce7e6",
+    "so0:2,9": "a1edbee8dccd656b0de121032c7501eb9b01eee5e7a59c14fbd6397f89b8e4a3",
+    "so0:3,5": "a8f7cc49decaa1641be9703e5a96ec21be1998019f21cd617e5f673fc43fc0b8",
+    "so0:3,6": "2ee19902bf38c2d0550bbd61026029e8e7a9f7ee81fbf5116797c9240149266e",
+    "so0:5,6": "3a58e99b409d1fc6b48c10c1648400798054065e0b28120f9b9e33c06da147f8",
+}
+
+
+@pytest.mark.parametrize("text", FROZEN_GROUPS + KIND_BOUNDARY_GROUPS)
+def test_label_ranges_and_parameterizations_are_frozen(text):
+    lines = label_documents(text)
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == LABEL_DIGESTS[text]

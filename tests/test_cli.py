@@ -217,6 +217,28 @@ def test_build_passes_on_only_the_flags_it_was_given():
     assert digest.hexdigest() == BUILD_GRID_DIGEST
 
 
+# the tags on either side of each family rule the build dispatch reads, with
+# the flag sets that choose among its routes
+BOUNDARY_BUILD_GROUPS = ["sl:5", "slc:3", "sp:10", "so0:1,1", "so0:1,3", "so0:2,1", "so0:2,2",
+                         "so0:2,9", "so0:3,5", "so0:3,6", "so0:5,6", "so0:1,2", "psl:2"]
+BOUNDARY_BUILD_FLAGS = [(), ("--d", "1"), ("--d", "0"), ("--d", "5"), ("--maximal",),
+                        ("--maximal", "--w0", "trivial"), ("--deformed", "--d", "1")]
+# sha256 over every boundary command, its exit code and its stdout
+BOUNDARY_BUILD_DIGEST = "f7afdc68921309a69d4660bce9b9af5d978459e75e366cf14d53936a2328307f"
+
+
+def test_build_routes_at_the_family_boundaries_are_frozen():
+    digest = hashlib.sha256()
+    for group in BOUNDARY_BUILD_GROUPS:
+        for flags in BOUNDARY_BUILD_FLAGS:
+            argv = ["build", "--group", group, "--genus", "2", *flags]
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = cli.main(argv)
+            digest.update(json.dumps([argv, code, out.getvalue()]).encode())
+    assert digest.hexdigest() == BOUNDARY_BUILD_DIGEST
+
+
 def test_stability_round_trip(tmp_path, capsys):
     code, doc = run_json(capsys, "build", "--group", "so:1,2", "--genus", "2", "--d", "0",
                          "--mu", "--no-nu")
