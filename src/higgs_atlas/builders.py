@@ -310,8 +310,8 @@ def build_exotic_so(
     0 < d <= n(2g-2); the degree-0 shape is available separately through
     ``build_degree_zero_chain``.
     """
-    if n < 1:
-        raise BoundError(f"signature ({n}, {n + 1}) has no label range")
+    if n < 2:
+        raise BoundError("need n >= 2")
     _check_label(GroupTag("so0", (n, n + 1)), curve.genus, d, positive=True)
     if not mu:
         raise PreconditionError("the family needs a nonzero section mu")

@@ -32,15 +32,14 @@ PIC_ZERO_RETRACTION = "Pic^0(X)/Z_2"
 
 
 def group_dim(group: GroupTag) -> int:
-    fam, params = group.family, group.params
-    if fam in ("sl", "psl", "slc"):
-        (n,) = params
+    if group.family in ("sl", "psl", "slc"):
+        (n,) = group.params
         return n * n - 1
-    if fam == "sp":
-        (two_n,) = params
+    if group.family == "sp":
+        (two_n,) = group.params
         return (two_n // 2) * (two_n + 1)
     # so and so0; ``GroupTag`` admits no other family
-    m = sum(params)
+    m = sum(group.params)
     return m * (m - 1) // 2
 
 
@@ -90,11 +89,8 @@ class Parameterization(_Value):
 
 
 def _twist_rank(group: GroupTag) -> int:
-    fam, params = group.family, group.params
-    if fam == "so" and params == (1, 2):
-        return 1
-    if fam == "so0" and len(params) == 2 and params[1] == params[0] + 1:
-        return params[0]
+    if group.kind in ("so:1,2", "so0:1,2", "so0:2,3", "split"):
+        return group.params[0]
     raise UnsupportedGroupError(
         f"no integer-labelled parameterization recorded for {group}"
     )
@@ -279,13 +275,12 @@ def _labelled_rows(
 def census(group: GroupTag, genus: int, sector: str = SECTOR_ALL) -> Census:
     Curve(genus)
     dim = half_dimension(group, genus)
-    fam, params = group.family, group.params
-
     if sector not in (SECTOR_ALL, SECTOR_MAXIMAL):
         raise UnsupportedGroupError(f"unknown sector {sector!r}")
+    key = (group.kind, sector)
 
-    if fam == "sl" and params[0] >= 3 and sector == SECTOR_ALL:
-        (n,) = params
+    if key == ("sl", SECTOR_ALL):
+        (n,) = group.params
         comps = []
         if n % 2:
             for sw2 in (0, 1):
@@ -301,17 +296,15 @@ def census(group: GroupTag, genus: int, sector: str = SECTOR_ALL) -> Census:
                 )
         return Census(group, genus, sector, tuple(comps), complete=True)
 
-    if (fam, params) in (("psl", (2,)), ("so0", (1, 2))) and sector == SECTOR_ALL:
+    if key in (("psl:2", SECTOR_ALL), ("so0:1,2", SECTOR_ALL)):
         bound = milnor_wood_bound(group, genus)
         comps = tuple(
-            ComponentDescriptor(
-                group, f"e={e}", dim, hitchin=(e == bound)
-            )
+            ComponentDescriptor(group, f"e={e}", dim, hitchin=(e == bound))
             for e in range(-bound, bound + 1)
         )
         return Census(group, genus, sector, comps, complete=True)
 
-    if fam in ("sl", "sp") and params == (2,) and sector == SECTOR_ALL:
+    if key in (("sl:2", SECTOR_ALL), ("sp:2", SECTOR_ALL)):
         bound = milnor_wood_bound(group, genus)
         comps = tuple(
             ComponentDescriptor(group, f"d={e}", dim, hitchin=(abs(e) == bound))
@@ -319,73 +312,39 @@ def census(group: GroupTag, genus: int, sector: str = SECTOR_ALL) -> Census:
         )
         return Census(group, genus, sector, comps, complete=True)
 
-    if fam == "sp" and params[0] >= 6 and params[0] % 2 == 0 and sector == SECTOR_MAXIMAL:
-        comps = []
-        for cls in all_classes(genus):
-            for tag in ("a", "b", "c"):
-                comps.append(
-                    ComponentDescriptor(group, f"spin={cls.bits()}:{tag}", dim)
-                )
-        return Census(
-            group,
-            genus,
-            sector,
-            tuple(comps),
-            complete=True,
-            note="maximal sector only; three components per spin choice",
+    if key == ("sp", SECTOR_MAXIMAL):
+        comps = tuple(
+            ComponentDescriptor(group, f"spin={cls.bits()}:{tag}", dim)
+            for cls in all_classes(genus) for tag in ("a", "b", "c")
         )
+        return Census(group, genus, sector, comps, complete=True,
+                      note="maximal sector only; three components per spin choice")
 
-    if (fam, params, sector) in (("so", (1, 2), SECTOR_ALL), ("so0", (2, 3), SECTOR_MAXIMAL)):
-        comps = _labelled_rows(group, genus, dim, cover=fam == "so")
+    if key in (("so:1,2", SECTOR_ALL), ("so0:2,3", SECTOR_MAXIMAL)):
+        comps = _labelled_rows(group, genus, dim, cover=group.family == "so")
         for pair in _sw_labels(genus, nonzero_only=True):
             comps.append(
                 ComponentDescriptor(group, pair.label(), dim, retraction="Prym locus")
             )
-        return Census(
-            group,
-            genus,
-            sector,
-            tuple(comps),
-            complete=True,
-            note="maximal sector only" if sector == SECTOR_MAXIMAL else "",
-        )
+        return Census(group, genus, sector, tuple(comps), complete=True,
+                      note="maximal sector only" if sector == SECTOR_MAXIMAL else "")
 
-    if fam == "so0" and params[0] == 2 and params[1] >= 4 and sector == SECTOR_MAXIMAL:
+    if key == ("hermitian", SECTOR_MAXIMAL):
         comps = tuple(
             ComponentDescriptor(group, pair.label(), dim)
             for pair in _sw_labels(genus, nonzero_only=False)
         )
-        return Census(
-            group,
-            genus,
-            sector,
-            comps,
-            complete=True,
-            note="maximal sector only; labels are the invariants of the "
-            "rank-(n-1) orthogonal complement",
-        )
+        return Census(group, genus, sector, comps, complete=True,
+                      note="maximal sector only; labels are the invariants of the "
+                      "rank-(n-1) orthogonal complement")
 
-    if (
-        fam == "so0"
-        and len(params) == 2
-        and params[1] == params[0] + 1
-        and params[0] >= 2
-        and sector == SECTOR_ALL
-    ):
+    if key in (("split", SECTOR_ALL), ("so0:2,3", SECTOR_ALL)):
         comps = _labelled_rows(group, genus, dim, remark_level=True)
-        return Census(
-            group,
-            genus,
-            sector,
-            tuple(comps),
-            complete=False,
-            note=f"{len(comps) - 1} labelled components plus the degree-zero slot; "
-            "the remaining components are not enumerated here",
-        )
+        return Census(group, genus, sector, tuple(comps), complete=False,
+                      note=f"{len(comps) - 1} labelled components plus the degree-zero "
+                      "slot; the remaining components are not enumerated here")
 
-    raise UnsupportedGroupError(
-        f"no census recorded for {group} in sector {sector!r}"
-    )
+    raise UnsupportedGroupError(f"no census recorded for {group} in sector {sector!r}")
 
 
 def dimension_consistency(group: GroupTag, genus: int, sector: str = SECTOR_ALL) -> dict:

@@ -188,42 +188,42 @@ def _cmd_build(args) -> dict:
     from .higgsmodel import bundle_to_dict
 
     curve = Curve(args.genus)
-    fam, params = group.family, group.params
+    kind, n = group.kind, group.params[0]
 
-    if fam == "sl":
-        h = build_hitchin_sl(curve, params[0], **_given(args, group, "q_on", "spin_name"))
-    elif fam == "sp" and args.classes is not None:
+    if group.family == "sl":
+        h = build_hitchin_sl(curve, n, **_given(args, group, "q_on", "spin_name"))
+    elif group.family == "sp" and args.classes is not None:
         given = _given(args, group, "classes", "spin_name", "q2")
-        if 2 * len(given["classes"]) != params[0]:
-            raise ParseError(f"{len(given['classes'])} classes do not fill rank {params[0]}")
+        if 2 * len(given["classes"]) != n:
+            raise ParseError(f"{len(given['classes'])} classes do not fill rank {n}")
         h = build_twisted_fuchsian_sp(curve, **given)
-    elif fam == "sp":
-        h = build_hitchin_sp(curve, params[0] // 2, **_given(args, group, "q_on", "spin_name"))
-    elif fam == "so" and params == (1, 2):
+    elif group.family == "sp":
+        h = build_hitchin_sp(curve, n // 2, **_given(args, group, "q_on", "spin_name"))
+    elif kind == "so:1,2":
         h = build_so12(curve, **_given(args, group, "d", "mu", "nu", needs="d"))
-    elif fam == "so0" and len(params) == 2 and params[0] == params[1]:
-        h = build_hitchin_so_nn(curve, params[0], **_given(args, group, "q_on", "pfaffian"))
-    elif fam == "so0" and params == (3, 5) and args.deformed:
+    elif kind == "so0:n,n":
+        h = build_hitchin_so_nn(curve, n, **_given(args, group, "q_on", "pfaffian"))
+    elif kind == "so0:3,5" and args.deformed:
         h = build_extension_deformed_so35(
             curve, **_given(args, group, "d", "mu", needs="d", by="deformed")
         )
-    elif fam == "so0" and params == (2, 3) and args.maximal and args.w0 is not None:
+    elif kind == "so0:2,3" and args.maximal and args.w0 is not None:
         h = build_maximal_so2n(curve, 3, **_given(args, group, "w0", "q2", by="maximal"))
-    elif fam == "so0" and params == (2, 3) and args.maximal:
+    elif kind == "so0:2,3" and args.maximal:
         h = build_maximal_so23(
             curve, **_given(args, group, "d", "mu", "nu", "q2", needs="d", by="maximal")
         )
-    elif fam == "so0" and params[0] == 2 and params[1] >= 4 and args.maximal:
+    elif kind == "hermitian" and args.maximal:
         h = build_maximal_so2n(
-            curve, params[1], **_given(args, group, "w0", "q2", needs="w0", by="maximal")
+            curve, group.params[1], **_given(args, group, "w0", "q2", needs="w0", by="maximal")
         )
-    elif fam == "so0" and len(params) == 2 and params[1] == params[0] + 1:
+    elif kind in ("split", "so0:2,3", "so0:1,2"):
         if args.d is None:
-            h = build_hitchin_so(curve, params[0], **_given(args, group, "q_on"))
+            h = build_hitchin_so(curve, n, **_given(args, group, "q_on"))
         elif args.d == 0:
-            h = build_degree_zero_chain(curve, params[0], **_given(args, group, by="d"))
+            h = build_degree_zero_chain(curve, n, **_given(args, group, by="d"))
         else:
-            h = build_exotic_so(curve, params[0], **_given(args, group, "d", "mu", "nu", "q_on"))
+            h = build_exotic_so(curve, n, **_given(args, group, "d", "mu", "nu", "q_on"))
     else:
         raise UnsupportedGroupError(f"no builder for {group} with these flags")
     return bundle_to_dict(h)

@@ -345,7 +345,7 @@ def _ambient_k_power(source: LineBundleExpr, target: LineBundleExpr) -> int | No
 def _check_group_shape(h: GradedHiggsBundle) -> list[int]:
     """Check ranks and degrees against the group; return every summand's
     degree, by summand index, resolving the V side before the W side."""
-    fam, params = h.group.family, h.group.params
+    fam = h.group.family
     v_idx, w_idx = h.side_indices(SIDE_V), h.side_indices(SIDE_W)
     declared = h.declared_map
     degrees = [0] * len(h.summands)
@@ -356,7 +356,7 @@ def _check_group_shape(h: GradedHiggsBundle) -> list[int]:
     rank_v = sum(h.summands[i].rank for i in v_idx)
     rank_w = sum(h.summands[i].rank for i in w_idx)
     if fam in ("so", "so0"):
-        if (rank_v, rank_w) != params:
+        if (rank_v, rank_w) != h.group.params:
             raise ModelInvariantError(
                 f"rank mismatch for {h.group}: got ({rank_v},{rank_w})"
             )
@@ -365,7 +365,7 @@ def _check_group_shape(h: GradedHiggsBundle) -> list[int]:
             raise ModelInvariantError(
                 f"determinant condition fails for {h.group}: degrees {sum(v)},{sum(w)}"
             )
-    elif h.total_rank != params[0] or (fam == "sp" and rank_v != params[0] // 2):
+    elif h.total_rank != h.group.params[0] or (fam == "sp" and rank_v != h.group.params[0] // 2):
         raise ModelInvariantError(f"rank mismatch for {h.group}")
     if sum(degrees) != 0:
         raise ModelInvariantError("total degree must vanish")

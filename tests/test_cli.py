@@ -224,7 +224,7 @@ BOUNDARY_BUILD_GROUPS = ["sl:5", "slc:3", "sp:10", "so0:1,1", "so0:1,3", "so0:2,
 BOUNDARY_BUILD_FLAGS = [(), ("--d", "1"), ("--d", "0"), ("--d", "5"), ("--maximal",),
                         ("--maximal", "--w0", "trivial"), ("--deformed", "--d", "1")]
 # sha256 over every boundary command, its exit code and its stdout
-BOUNDARY_BUILD_DIGEST = "f7afdc68921309a69d4660bce9b9af5d978459e75e366cf14d53936a2328307f"
+BOUNDARY_BUILD_DIGEST = "968b683331e69b539b42ccc9d5ca6147a98e5215ad7bfcea65d4fd309e3faa65"
 
 
 def test_build_routes_at_the_family_boundaries_are_frozen():
@@ -1020,6 +1020,7 @@ MISTAKES = {
     "label": (BoundError, r"label -?\d+ of \S+ is outside -?\d+\.\.\d+ at genus \d+"),
     "label-degree": (PreconditionError, r"the component label d = -?\d+ is not deg M = -?\d+"),
     "empty": (ParseError, r"no [\w -]+ given"),
+    "chain-rank": (BoundError, r"need n >= 2"),
 }
 _ERRORS = {cls.code: cls for cls in HiggsAtlasError.__subclasses__()}
 
@@ -1158,6 +1159,15 @@ REFUSAL_CELLS = [
     ("empty", "cli-build-w0-so2n",
      _cli("build", "--group", "so0:2,4", "--genus", "2", "--maximal", "--w0", ""),
      "no rank-2 complement descriptor given"),
+    # a twisted chain in signature (1, 2), refused for its rank before its label
+    ("chain-rank", "cli-build-exotic",
+     _cli("build", "--group", "so0:1,2", "--genus", "2", "--d", "1"), "need n >= 2"),
+    ("chain-rank", "cli-build-exotic-label-outside",
+     _cli("build", "--group", "so0:1,2", "--genus", "2", "--d", "5"), "need n >= 2"),
+    ("chain-rank", "cli-build-degree-zero",
+     _cli("build", "--group", "so0:1,2", "--genus", "2", "--d", "0"), "need n >= 2"),
+    ("chain-rank", "library-exotic", _lib(lambda: build_exotic_so(Curve(2), 1, 5)),
+     "need n >= 2"),
 ]
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import importlib
+import inspect
 import json
 import os
 import re
@@ -151,3 +152,72 @@ def test_the_object_model_still_reads_out_its_group_tags():
     assert (GroupTag, HiggsEntry, SectionSymbol) == (
         higgs_atlas.GroupTag, higgs_atlas.HiggsEntry, higgs_atlas.SectionSymbol
     )
+
+
+# -- a tag's kind is decided in groups alone -------------------------------------
+
+def _reads(node: ast.AST, names: set[str]) -> bool:
+    """Whether ``node`` reads a ``.params`` attribute or one of ``names``."""
+    return any(
+        isinstance(n, ast.Attribute) and n.attr == "params"
+        or isinstance(n, ast.Name) and n.id in names
+        for n in ast.walk(node)
+    )
+
+
+def _is_constant(node: ast.AST) -> bool:
+    try:
+        ast.literal_eval(node)
+    except ValueError:
+        return False
+    return True
+
+
+def _parameter_tests(path: Path) -> list[str]:
+    """Each comparison in ``path`` that tests a tag's parameters, or a local
+    bound from them, against a constant or against another parameter."""
+    found = []
+    for scope in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(scope, ast.FunctionDef):
+            continue
+        bound: set[str] = set()
+        for node in ast.walk(scope):
+            for target in node.targets if isinstance(node, ast.Assign) else ():
+                pairs = [(target, node.value)]
+                if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple):
+                    pairs = list(zip(target.elts, node.value.elts))
+                bound |= {n.id for t, v in pairs if _reads(v, set())
+                          for n in ast.walk(t) if isinstance(n, ast.Name)}
+        for node in ast.walk(scope):
+            if not isinstance(node, ast.Compare):
+                continue
+            operands = [node.left, *node.comparators]
+            reading = [op for op in operands if _reads(op, bound)]
+            others = [op for op in operands if not _reads(op, bound)]
+            if reading and (len(reading) > 1 or any(map(_is_constant, others))):
+                found.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+    return found
+
+
+def test_no_family_rule_is_written_outside_groups():
+    package = SRC / "higgs_atlas"
+    tests = [line for name in ("catalog.py", "cli.py")
+             for line in _parameter_tests(package / name)]
+    assert tests == []
+    unpacked = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py")) if path.name != "groups.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Tuple)
+        and {"family", "params"} <= {e.attr for e in node.value.elts
+                                      if isinstance(e, ast.Attribute)}
+    ]
+    assert unpacked == []
+
+
+def test_the_family_rules_read_the_tag_kind():
+    from higgs_atlas import catalog, cli, groups
+
+    for fn in (groups.milnor_wood_bound, catalog._twist_rank, catalog.census, cli._cmd_build):
+        tree = ast.parse(inspect.getsource(fn))
+        assert any(isinstance(n, ast.Attribute) and n.attr == "kind" for n in ast.walk(tree))
