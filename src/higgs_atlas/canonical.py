@@ -19,6 +19,7 @@ from .higgsmodel import (
     HiggsEntry,
     SectionSymbol,
     Summand,
+    _mark,
     _switch_sections,
     canonical_json,
     validate,
@@ -27,7 +28,9 @@ from .linebundle import LineBundleExpr
 
 
 def permute_summands(h: GradedHiggsBundle, order: Sequence[int]) -> GradedHiggsBundle:
-    """Reindex summands; ``order[k]`` is the old index placed at slot k."""
+    """Reindex summands; ``order[k]`` is the old index placed at slot k.
+    The result of a marked ``h`` is marked, so its check returns at once;
+    that of an unmarked ``h`` is checked in full, in the new indices."""
     if sorted(order) != list(range(len(h.summands))):
         raise ValueError("not a permutation of the summand indices")
     out = _relabel(h, order)
@@ -37,9 +40,10 @@ def permute_summands(h: GradedHiggsBundle, order: Sequence[int]) -> GradedHiggsB
 
 def _relabel(h: GradedHiggsBundle, order: Sequence[int]) -> GradedHiggsBundle:
     """``permute_summands`` without its checks: ``order`` must be a
-    permutation, and the result is valid exactly when ``h`` is."""
+    permutation, and the result is valid exactly when ``h`` is, so a
+    marked ``h`` passes its mark on, with the degrees reordered."""
     inv = {old: new for new, old in enumerate(order)}
-    return replace(
+    out = replace(
         h,
         summands=tuple(h.summands[old] for old in order),
         sigma=tuple(inv[h.sigma[old]] for old in order),
@@ -56,6 +60,9 @@ def _relabel(h: GradedHiggsBundle, order: Sequence[int]) -> GradedHiggsBundle:
             )
         ),
     )
+    if h._degrees is not None:
+        _mark(out, tuple(h._degrees[old] for old in order))
+    return out
 
 
 def switchable(h: GradedHiggsBundle) -> bool:
@@ -65,8 +72,9 @@ def switchable(h: GradedHiggsBundle) -> bool:
 def switched(h: GradedHiggsBundle) -> GradedHiggsBundle:
     """The other presentation of a family with a decomposed rank-2 part:
     replace M by its dual and exchange the two connecting sections.  The
-    move is an automorphism of the structure ``validate`` checks, so the
-    result is checked only to refuse an invalid ``h`` as before."""
+    move is an automorphism of the structure ``validate`` checks, so a
+    marked ``h`` passes its mark on and the result's check returns at once;
+    an unmarked ``h`` is checked through its result, to refuse it if invalid."""
     out = _switch(h)
     validate(out)
     return out
@@ -78,7 +86,8 @@ def _switch(h: GradedHiggsBundle) -> GradedHiggsBundle:
     every bundle and in the declared degrees keeps duals, sides, ambient K
     powers and resolved degrees (e * d = (-e)(-d)), and renaming two sections
     everywhere keeps transpose names, so the result is valid exactly when
-    ``h`` is.  It is an involution and commutes with ``_relabel``."""
+    ``h`` is, and a marked ``h`` passes its mark on, with the same degrees.
+    It is an involution and commutes with ``_relabel``."""
     meta = h.meta_map
     if not switchable(h):
         raise WrongGroupError("object has no declared switching move")
@@ -108,13 +117,16 @@ def _switch(h: GradedHiggsBundle) -> GradedHiggsBundle:
         declared[var] = -declared[var]
     if "d" in meta and (d := _read_int(str(meta["d"]), signed=True)) is not None:
         meta["d"] = -d
-    return replace(
+    out = replace(
         h,
         summands=tuple(map(flip, h.summands)),
         higgs=tuple(map(swap, h.higgs)),
         declared=tuple(sorted(declared.items())),
         meta=tuple(sorted(meta.items())),
     )
+    if h._degrees is not None:
+        _mark(out, h._degrees)
+    return out
 
 
 def _summand_key(h: GradedHiggsBundle, i: int) -> tuple:
@@ -212,22 +224,15 @@ def _invariant(h: GradedHiggsBundle) -> tuple:
     )
 
 
-def _presentations(h: GradedHiggsBundle) -> list[GradedHiggsBundle]:
-    """``h`` and, when it has a switching move, its switched presentation.
-    Only ``h`` is validated: the switch is an automorphism of what
-    ``validate`` checks, so the other presentation is valid with it."""
-    validate(h)
-    return [h, _switch(h)] if switchable(h) else [h]
-
-
 def structurally_equal(a: GradedHiggsBundle, b: GradedHiggsBundle) -> bool:
     """Equality up to summand reordering (groups and genus included).
 
-    Group and genus are compared first; then each object is validated once
-    and their permutation invariants are compared, which makes no ordering.
-    Only a pair whose invariants agree goes on to the canonical keys, so
-    ``BudgetError`` arises only for such a pair above the 8! cap, and an
-    invalid object is refused as invalid whatever its orbit size."""
+    Group and genus are compared first; then each object is validated (at
+    once, when marked) and their permutation invariants are compared, which
+    makes no ordering.  Only a pair whose invariants agree goes on to the
+    canonical keys, so ``BudgetError`` arises only for such a pair above the
+    8! cap, and an invalid object is refused as invalid whatever its orbit
+    size."""
     if a.group != b.group or a.genus != b.genus:
         return False
     validate(a)
@@ -239,11 +244,11 @@ def gauge_equivalent(a: GradedHiggsBundle, b: GradedHiggsBundle) -> bool:
     """Equality up to summand reordering and the switching move.
 
     Group and genus are compared first; then ``a`` and ``b`` are validated
-    once each, and only ``a``'s switched presentation is built.  The pair
-    is unequal when ``b``'s permutation invariant is neither ``a``'s nor
-    that of switched ``a``, with no ordering made; otherwise it is equal
-    when ``b``'s key is the key of a presentation of ``a`` whose invariant
-    matches.  That is the orbit-key comparison: the switch is an involution
+    (at once, when marked), and only ``a``'s switched presentation is built.
+    The pair is unequal when ``b``'s permutation invariant is neither
+    ``a``'s nor that of switched ``a``, with no ordering made; otherwise it
+    is equal when ``b``'s key is the key of a presentation of ``a`` whose
+    invariant matches.  That is the orbit-key comparison: the switch is an involution
     commuting with reordering, so each orbit key is the least of a class of
     at most two keys, and two such classes are equal or disjoint.  Matching
     invariants mean the same groups of identical summands, so
@@ -251,7 +256,8 @@ def gauge_equivalent(a: GradedHiggsBundle, b: GradedHiggsBundle) -> bool:
     invalid object is refused as invalid whatever its orbit size."""
     if a.group != b.group or a.genus != b.genus:
         return False
-    ours = _presentations(a)
+    validate(a)
+    ours = [a, _switch(a)] if switchable(a) else [a]
     validate(b)
     theirs = _invariant(b)
     matching = [p for p in ours if _invariant(p) == theirs]

@@ -89,6 +89,10 @@ class Parameterization(_Value):
 
 
 def _twist_rank(group: GroupTag) -> int:
+    # PSL(2,R) is SO0(1,2): its label e has so0:1,2's bound and twist rank,
+    # Hitchin's rank g - 1 + e bundle over Sym^(2g-2-e)(X).
+    if group.kind == "psl:2":
+        return 1
     if group.kind in ("so:1,2", "so0:1,2", "so0:2,3", "split"):
         return group.params[0]
     raise UnsupportedGroupError(

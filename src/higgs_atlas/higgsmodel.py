@@ -154,6 +154,13 @@ class DolbeaultTerm(_Value):
 # The package's one dataclass, and so the reason a verb that loads this
 # module imports `dataclasses`: the builders, the limits and the benchmark
 # derive variants of an object with `dataclasses.replace`.
+#
+# A successful `validate` marks the object by storing the summand degrees it
+# resolved in `_degrees`, which is not a field, so `==`, `hash`, `repr` and
+# `bundle_to_dict` never see it; `degrees` and `degree_of` read it, and
+# `validate` returns at once for a marked object.  `canonical`'s relabelling
+# and switch copy the mark to their output; a `replace` copy, a constructor
+# call or any other new object is unmarked and gets the full check.
 @dataclass(frozen=True)
 class GradedHiggsBundle:
     """An object: summands, pairing, field entries, extension terms and symbol data."""
@@ -169,6 +176,8 @@ class GradedHiggsBundle:
     torsion_classes: tuple[tuple[str, F2Class], ...] = ()
     meta: tuple[tuple[str, object], ...] = ()
 
+    _degrees = None  # the mark: every summand degree, once `validate` has passed
+
     @property
     def declared_map(self) -> dict[str, int]:
         return dict(self.declared)
@@ -182,9 +191,13 @@ class GradedHiggsBundle:
         return sum(s.rank for s in self.summands)
 
     def degree_of(self, i: int) -> int:
+        if self._degrees is not None:
+            return self._degrees[i]
         return self.summands[i].bundle.resolved_degree(self.genus, self.declared_map)
 
     def degrees(self) -> tuple[int, ...]:
+        if self._degrees is not None:
+            return self._degrees
         declared = self.declared_map
         return tuple(s.bundle.resolved_degree(self.genus, declared) for s in self.summands)
 
@@ -239,6 +252,12 @@ def validate(h: GradedHiggsBundle) -> None:
     """Check the structural invariants; raise ModelInvariantError on failure,
     or DimensionMismatchError for a mod-2 class of another genus.
 
+    A check that passes marks ``h`` with the degrees it resolved, and a
+    marked object is not checked again: ``make_bundle`` (so every builder and
+    ``bundle_from_dict``) leaves its output marked, and ``permute_summands``
+    and ``switched`` pass the mark on.  A ``dataclasses.replace`` copy is
+    unmarked, so it is checked in full.
+
     In order: every mod-2 class (a torsion symbol's, a block's sw_1) is of
     the object's genus; sigma is an involution of the summands pairing each
     line with its dual (blocks are self-paired of degree 0), orthogonal
@@ -258,6 +277,8 @@ def validate(h: GradedHiggsBundle) -> None:
     K^(k_t - k_s + 1); its degree is deg L_t - deg L_s + 2g - 2 from the
     degrees resolved once.
     """
+    if h._degrees is not None:
+        return
     for name, cls in h.torsion_classes:
         _check_genus(cls, h.genus, f"symbol {name}")
     for i, s in enumerate(h.summands):
@@ -327,6 +348,13 @@ def validate(h: GradedHiggsBundle) -> None:
             raise ModelInvariantError(
                 f"extension term ({t},{s}) has no matching transpose"
             )
+    _mark(h, tuple(degrees))
+
+
+def _mark(h: GradedHiggsBundle, degrees: tuple[int, ...]) -> None:
+    """Mark ``h`` as valid with its summand degrees, by index; only
+    ``validate`` and the moves that keep an object valid call this."""
+    object.__setattr__(h, "_degrees", degrees)
 
 
 def _ambient_k_power(source: LineBundleExpr, target: LineBundleExpr) -> int | None:

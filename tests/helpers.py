@@ -445,7 +445,9 @@ def oracle_dual(e: LineBundleExpr) -> LineBundleExpr:
 def expression_validate(h: GradedHiggsBundle) -> None:
     """The structural checks of ``higgsmodel.validate`` in the same order
     and with the same messages, reading every Higgs entry's ambient from the
-    expression Hom(L_s, L_t (x) K) built with the line-bundle algebra."""
+    expression Hom(L_s, L_t (x) K) built with the line-bundle algebra.  Every
+    degree is resolved here, never read from the degrees a validated object
+    keeps, so the oracle is at full strength on a marked object too."""
     n = len(h.summands)
     if len(h.sigma) != n:
         raise ModelInvariantError("pairing involution has the wrong length")
@@ -460,7 +462,7 @@ def expression_validate(h: GradedHiggsBundle) -> None:
         if si.rank > 1:
             if j != i:
                 raise ModelInvariantError("block summands must be self-paired")
-            if h.degree_of(i) != 0:
+            if _resolved_degree(h, i) != 0:
                 raise ModelInvariantError("a self-dual block must have degree 0")
             continue
         if sj.bundle != oracle_dual(si.bundle):
@@ -513,12 +515,16 @@ def expression_validate(h: GradedHiggsBundle) -> None:
             )
 
 
+def _resolved_degree(h: GradedHiggsBundle, i: int) -> int:
+    return h.summands[i].bundle.resolved_degree(h.genus, h.declared_map)
+
+
 def _expression_group_shape(h: GradedHiggsBundle) -> None:
     fam, params = h.group.family, h.group.params
     v_idx = [i for i, s in enumerate(h.summands) if s.side == "V"]
     w_idx = [i for i, s in enumerate(h.summands) if s.side == "W"]
-    v = [h.degree_of(i) for i in v_idx]
-    w = [h.degree_of(i) for i in w_idx]
+    v = [_resolved_degree(h, i) for i in v_idx]
+    w = [_resolved_degree(h, i) for i in w_idx]
     rank_v = sum(h.summands[i].rank for i in v_idx)
     rank_w = sum(h.summands[i].rank for i in w_idx)
     if fam in ("so0", "so") and (rank_v, rank_w) != params:

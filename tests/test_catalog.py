@@ -302,7 +302,8 @@ LABEL_DIGESTS = {
     "sl:2": "e7958a7be1899f78af6e1eb3514d03284fa4e625d5c9e03cf8baa01c77e0063a",
     "sl:3": "a2e108c4bcb0889ef75824edeb477743e3f31bd7c37ce31e5595d3cfd55e627b",
     "sl:4": "f992ce5dded7b419bbad2864a0b0a84a4b1904847dacc1b4c6dd0f76393b8582",
-    "psl:2": "120622680e0751cb20708ae3be28445c1b382967f020ad669184f137c9d4abf8",
+    # psl:2 answers as so0:1,2 with the tag renamed (was 120622680e07..., refused)
+    "psl:2": "b95873f804a7936a619fddaeffbe51b5e2cddcb042d93a34468347411043e6d7",
     "psl:3": "9426446f96d342df2be6f2bb1abdd78277588d6b66c246975c2c106bcf6e7b5e",
     "sp:2": "73f601f04fffc209e53e22469a6c19c45c37729a84991ca90a723915d5c44425",
     "sp:4": "6d2762a3cc9a884612342cc80be4df37fee49702afdf7d937c3b436cdcf190b9",

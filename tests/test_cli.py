@@ -430,6 +430,22 @@ def test_param_degree_zero_reports_retraction(capsys):
     assert doc["retraction"] == "Pic^0(X)/Z_2"
 
 
+@pytest.mark.parametrize("genus", [2, 3, 4])
+def test_param_answers_psl2_as_so012(capsys, genus):
+    # PSL(2,R) is SO0(1,2): the same labels, twist rank and answers, with
+    # only the tag's name changed, refusals included
+    for d in range(-1, 4 * genus - 2):
+        argv = ["--genus", str(genus), "--d", str(d)]
+        psl = run(capsys, "param", "--group", "psl:2", *argv)
+        so = run(capsys, "param", "--group", "so0:1,2", *argv)
+        assert (psl[0], psl[1].replace("psl:2", "so0:1,2")) == so, d
+        if 0 < d <= 2 * genus - 2:
+            assert psl[0] == 0
+            doc = json.loads(psl[1])
+            assert doc["parameterization"]["fiber_rank"] == genus - 1 + d
+            assert doc["parameterization"]["base"] == f"Sym^{2 * genus - 2 - d}"
+
+
 def test_dim_verb(capsys):
     code, doc = run_json(capsys, "dim", "--group", "so0:2,3", "--genus", "2")
     assert code == 0

@@ -98,7 +98,7 @@ def test_limit_keeps_exactly_exponent_zero_entries():
     res = graded_limit(h, WeightAssignment((0, 1, -1)))
     assert res.exists
     assert entry_pairs(res.limit) == {(0, 1), (2, 0)}
-    validate(res.limit)
+    validate(replace(res.limit))
 
 
 def test_limit_with_stability_verdict():
@@ -143,7 +143,7 @@ def test_destabilized_branch_limit():
     assert limit.declared_map["N"] == 2
     names = {e.symbol.name for e in limit.higgs}
     assert names == {"1", "alpha"}
-    validate(limit)
+    validate(replace(limit))
 
 
 def test_destabilized_branch_enforces_parity():
@@ -202,7 +202,7 @@ def test_limits_of_chain_objects_stay_valid():
     h = build_hitchin_sl(C2, 3)
     for w, res in search_admissible_weights(h, 2):
         assert res.exists
-        validate(res.limit)
+        validate(replace(res.limit))
 
 
 def branch_documents(genus):

@@ -3,11 +3,13 @@ JSON round trip."""
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import itertools
+import pickle
 import random
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -67,6 +69,7 @@ from higgs_atlas import canonical
 from helpers import (
     builder_corpus,
     every_builder_output,
+    expression_validate,
     key_only_gauge_equivalent,
     key_only_structurally_equal,
     mutated_copies,
@@ -285,7 +288,7 @@ def _simple(sigma=(0, 2, 1), entries=(), declared=None):
 
 
 def test_validate_accepts_simple_object():
-    validate(_simple())
+    validate(replace(_simple()))
 
 
 def test_validate_rejects_non_involution():
@@ -382,7 +385,7 @@ def test_permutation_is_relabelling():
     assert canonical_key(h) == canonical_key(p)
     assert summand_degree_multiset(h) == summand_degree_multiset(p)
     assert arrow_pattern(h) == arrow_pattern(p)
-    validate(p)
+    validate(replace(p))
 
 
 def test_permutation_rejects_non_permutation():
@@ -398,7 +401,7 @@ def test_switch_is_an_involution():
     assert dict(s.meta)["d"] == -3
     assert switched(s) == h
     assert gauge_orbit_key(h) == gauge_orbit_key(s)
-    validate(s)
+    validate(replace(s))
 
 
 @pytest.mark.parametrize("label, switched_label", [
@@ -503,8 +506,9 @@ def test_the_switch_is_an_unchecked_automorphism():
         order = list(range(len(h.summands)))
         rng.shuffle(order)
         assert canonical._switch(canonical._relabel(h, order)) == canonical._relabel(s, order)
-        assert outcome(validate, h)[0] == outcome(validate, s)[0], h
-        seen[outcome(validate, h)[0]] += 1
+        # unmarked copies, so a marked h and its switch are checked in full
+        assert outcome(validate, replace(h))[0] == outcome(validate, replace(s))[0], h
+        seen[outcome(validate, replace(h))[0]] += 1
         # only summands carrying M and entries naming a switched section are rebuilt
         for old, new in zip(h.summands, s.summands):
             assert (old is new) == all(n != "M" for n, _ in old.bundle.variables)
@@ -629,6 +633,146 @@ def test_a_rejected_pair_makes_no_ordering(monkeypatch):
         assert not gauge_equivalent(a, b)
 
 
+# -- the validity mark ---------------------------------------------------------
+#
+# A passing `validate` keeps the object's summand degrees in `_degrees`;
+# `canonical._relabel` and `canonical._switch` pass them on.  These tests
+# read the private attribute, since its presence is the mark.
+
+def _marked(h):
+    return h._degrees is not None
+
+
+def _fresh_degrees(h):
+    return tuple(s.bundle.resolved_degree(h.genus, h.declared_map) for s in h.summands)
+
+
+def _mark_corpus():
+    """Every builder's output at genus 2 and 3, the randomized corpus, and
+    three mutated copies of each (unvalidated, so unmarked)."""
+    rng = random.Random(2500)
+    outs = every_builder_output(C2) + every_builder_output(C3) + builder_corpus(2501, 40)
+    mutants = [m for h in outs for m in mutated_copies(h, rng, 3)]
+    return outs, mutants, rng
+
+
+def test_a_mark_appears_only_after_a_passing_check():
+    outs, mutants, rng = _mark_corpus()
+    assert len(mutants) >= 200
+    seen = Counter()
+    for m in [replace(h) for h in outs] + mutants:
+        assert not _marked(m)
+        # reading degrees, serializing, relabelling or switching an unmarked
+        # object marks nothing
+        outcome(m.degrees)
+        outcome(canonical_json, m)
+        order = list(range(len(m.summands)))
+        rng.shuffle(order)
+        assert not _marked(canonical._relabel(m, order))
+        if switchable(m):
+            assert not _marked(canonical._switch(m))
+        assert not _marked(m)
+        got = outcome(validate, m)[0]
+        assert _marked(m) == (got == "ok"), m
+        assert got == outcome(expression_validate, replace(m))[0], m
+        seen[got] += 1
+    assert set(seen) == {"ok", "ModelInvariantError", "UnresolvedDegreeError"}, seen
+    assert min(seen.values()) >= 20, seen
+
+
+def _marks_of(h, rng):
+    """``h`` validated, and the objects its moves give: relabellings (by the
+    gauge move and by the unchecked one) and, when it has one, its switch."""
+    validate(h)
+    n = len(h.summands)
+    order = list(range(n))
+    rng.shuffle(order)
+    out = [h, permute_summands(h, order), canonical._relabel(h, list(reversed(range(n))))]
+    if switchable(h):
+        out += [switched(h), canonical._switch(out[1])]
+    return out
+
+
+def test_kept_degrees_equal_a_fresh_resolution():
+    outs, mutants, rng = _mark_corpus()
+    valid = [m for m in mutants if outcome(expression_validate, m)[0] == "ok"]
+    assert len(valid) >= 50
+    for h in outs + valid:
+        for p in _marks_of(h, rng):
+            assert _marked(p), p
+            fresh = _fresh_degrees(p)
+            assert p._degrees == fresh == p.degrees(), p
+            assert [p.degree_of(i) for i in range(len(p.summands))] == list(fresh)
+            # an unmarked copy of each move's output passes the full check
+            validate(replace(p))
+            assert expression_validate(replace(p)) is None
+    for h in outs:
+        back = bundle_from_dict(bundle_to_dict(h))
+        assert _marked(back) and back._degrees == _fresh_degrees(back)
+
+
+def test_the_mark_changes_no_comparison_and_survives_copies():
+    outs, _, rng = _mark_corpus()
+    for h in outs:
+        plain = replace(h)
+        text = canonical_json(plain)
+        for p in _marks_of(h, rng):
+            u = replace(p)
+            assert not _marked(u)
+            assert (p == u, hash(p) == hash(u), repr(p) == repr(u)) == (True, True, True)
+            assert canonical_json(p) == canonical_json(u)
+            assert bundle_to_dict(p) == bundle_to_dict(u)
+        assert canonical_json(h) == text and h == plain and hash(h) == hash(plain)
+        assert [f.name for f in fields(h)] == [f.name for f in fields(plain)]
+        assert len(fields(h)) == 10
+        for twin in (copy.copy(h), copy.deepcopy(h), pickle.loads(pickle.dumps(h))):
+            assert (twin == h, hash(twin) == hash(h), repr(twin) == repr(h)) == (True, True, True)
+            assert canonical_json(twin) == text
+            # a copy that keeps the mark keeps the right degrees
+            assert not _marked(twin) or twin._degrees == _fresh_degrees(twin)
+
+
+def test_a_marked_object_and_its_moves_are_not_checked_again(monkeypatch):
+    from higgs_atlas import higgsmodel
+
+    def refuse(h):
+        raise AssertionError("a marked object was checked again")
+
+    h = build_maximal_so2n(C2, 5, SplitW0(2))
+    p = permute_summands(h, list(reversed(range(len(h.summands)))))
+    monkeypatch.setattr(higgsmodel, "_check_group_shape", refuse)
+    validate(h)
+    s = switched(permute_summands(p, list(range(len(p.summands)))))
+    assert gauge_equivalent(h, s) and structurally_equal(h, p)
+    assert gauge_orbit_key(s) == gauge_orbit_key(h) and canonical_key(p) == canonical_key(h)
+    with pytest.raises(AssertionError, match="checked again"):
+        validate(replace(h))
+
+
+def test_an_invalid_copy_of_a_marked_object_is_refused():
+    outs, mutants, rng = _mark_corpus()
+    marked = [h for h in outs if outcome(validate, h)[0] == "ok"]
+    assert all(map(_marked, marked))
+    bad = [replace(h, sigma=h.sigma[1:]) for h in marked]
+    bad += [m for m in mutants if outcome(expression_validate, replace(m))[0] != "ok"]
+    assert len(bad) >= 200
+    by_source = {(h.group, h.genus): h for h in marked}
+    for m in bad:
+        want = outcome(expression_validate, replace(m))
+        assert want[0] != "ok"
+        assert outcome(validate, m) == want, m
+        h = by_source[(m.group, m.genus)]
+        for compare in (gauge_equivalent, structurally_equal):
+            assert outcome(compare, m, h) == want, m
+            assert outcome(compare, h, m) == want, m
+        order = list(range(len(m.summands)))
+        rng.shuffle(order)
+        assert outcome(permute_summands, m, order)[0] != "ok"
+        if switchable(m):
+            assert outcome(switched, m)[0] == want[0], m
+        assert not _marked(m)
+
+
 # -- derived objects -----------------------------------------------------------
 
 def test_associated_special_linear_object():
@@ -647,7 +791,7 @@ def test_embedding_into_larger_even_signature():
     assert e.group == GroupTag("so0", (2, 5))
     assert len(e.summands) == len(h.summands) + 2
     assert e.higgs == h.higgs
-    validate(e)
+    validate(replace(e))
 
 
 def test_embedding_into_split_three_three():
@@ -656,14 +800,14 @@ def test_embedding_into_split_three_three():
     assert e.group == GroupTag("so0", (3, 3))
     assert exprs(e)[0] == "V:O"
     assert len(e.higgs) == len(h.higgs)
-    validate(e)
+    validate(replace(e))
 
 
 def test_append_trivial_summand():
     h = build_hitchin_so(C2, 2)
     e = append_trivial_w(h)
     assert e.group == GroupTag("so0", (2, 4))
-    validate(e)
+    validate(replace(e))
 
 
 def test_sw_label_requires_even_signature_pair():
