@@ -458,6 +458,43 @@ def test_canonical_key_validates_once(monkeypatch):
     assert canonical_key(p) == key
 
 
+def test_keys_and_comparisons_check_each_unmarked_object_once(monkeypatch):
+    # The work pin: a spy on the full check, which a marked object skips.
+    # An unmarked copy is checked once, whatever the question reads of it
+    # (720 orderings, a switched presentation, a second key), and a marked
+    # object not at all.
+    from higgs_atlas import higgsmodel
+
+    checked = []
+    full_check = higgsmodel._check_group_shape
+
+    def spy(h):
+        checked.append(h)
+        return full_check(h)
+
+    objects = [build_maximal_so2n(C2, 6, TrivialW0()), build_maximal_so2n(C2, 5, SplitW0(2))]
+    monkeypatch.setattr(higgsmodel, "_check_group_shape", spy)
+    for h in objects:
+        validate(h)
+        p = permute_summands(h, list(reversed(range(len(h.summands)))))
+        assert checked == []
+        for key in (canonical_key, gauge_orbit_key):
+            u = replace(h)
+            assert key(u) == key(h) and key(u) == key(p)
+            assert len(checked) == 1 and checked[0] is u
+            checked.clear()
+        for compare in (structurally_equal, gauge_equivalent):
+            a, b = replace(h), replace(p)
+            assert compare(a, b) and compare(b, a) and compare(a, a)
+            assert sorted(map(id, checked)) == sorted([id(a), id(b)])
+            checked.clear()
+            assert compare(h, p) and compare(p, h) and compare(h, h)
+            c = replace(p)
+            assert compare(h, c) and compare(c, p)
+            assert len(checked) == 1 and checked[0] is c
+            checked.clear()
+
+
 def test_gauge_equivalent_validates_each_object_once(monkeypatch):
     # a and b once each; the switched presentation of a is valid with a
     calls = []
