@@ -34,6 +34,7 @@ from .higgsmodel import (
     GradedHiggsBundle,
     SectionSymbol,
     Summand,
+    _replace_keeping_mark,
     make_bundle,
     named_section,
     unit_section,
@@ -236,7 +237,7 @@ def build_hitchin_sp(
 def build_fuchsian(curve: Curve, spin_name: str = "s", q2: bool = True) -> GradedHiggsBundle:
     """The uniformizing rank-2 object: a spin bundle and its dual."""
     h = build_hitchin_sp(curve, 1, (2,) if q2 else (), spin_name)
-    return replace(h, meta=tuple(sorted({"family": "fuchsian", "n": 1}.items())))
+    return _replace_keeping_mark(h, meta=(("family", "fuchsian"), ("n", 1)))
 
 
 def build_hitchin_so_nn(
@@ -366,7 +367,7 @@ def build_maximal_so23(
     h = build_maximal_so2n(curve, 3, SplitW0(d, mu, nu), q2)
     meta = {"family": "maximal-so23", "d": d,
             "switch_variable": "M", "switch_sections": "mu,nu"}
-    return replace(h, meta=tuple(sorted(meta.items())))
+    return _replace_keeping_mark(h, meta=tuple(sorted(meta.items())))
 
 
 def build_maximal_so2n(

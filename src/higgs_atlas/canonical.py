@@ -20,6 +20,7 @@ from .higgsmodel import (
     SectionSymbol,
     Summand,
     _mark,
+    _replace_keeping_mark,
     _switch_sections,
     canonical_json,
     validate,
@@ -71,23 +72,14 @@ def switchable(h: GradedHiggsBundle) -> bool:
 
 def switched(h: GradedHiggsBundle) -> GradedHiggsBundle:
     """The other presentation of a family with a decomposed rank-2 part:
-    replace M by its dual and exchange the two connecting sections.  The
-    move is an automorphism of the structure ``validate`` checks, so a
-    marked ``h`` passes its mark on and the result's check returns at once;
-    an unmarked ``h`` is checked through its result, to refuse it if invalid."""
-    out = _switch(h)
-    validate(out)
-    return out
-
-
-def _switch(h: GradedHiggsBundle) -> GradedHiggsBundle:
-    """``switched`` without its closing check, rebuilding only the summands
-    that carry M and the entries whose section is renamed.  Negating M in
-    every bundle and in the declared degrees keeps duals, sides, ambient K
-    powers and resolved degrees (e * d = (-e)(-d)), and renaming two sections
-    everywhere keeps transpose names, so the result is valid exactly when
-    ``h`` is, and a marked ``h`` passes its mark on, with the same degrees.
-    It is an involution and commutes with ``_relabel``."""
+    replace M by its dual and exchange the two connecting sections,
+    rebuilding only the summands that carry M and the entries whose section
+    is renamed.  Negating M in every bundle and in the declared degrees keeps
+    duals, sides, ambient K powers and resolved degrees (e * d = (-e)(-d)),
+    and renaming two sections everywhere keeps transpose names, so the result
+    is valid exactly when ``h`` is: it keeps a marked ``h``'s mark, and an
+    unmarked ``h`` is checked through it, to refuse it if invalid.  The move
+    is an involution and commutes with every relabelling."""
     meta = h.meta_map
     if not switchable(h):
         raise WrongGroupError("object has no declared switching move")
@@ -117,15 +109,14 @@ def _switch(h: GradedHiggsBundle) -> GradedHiggsBundle:
         declared[var] = -declared[var]
     if "d" in meta and (d := _read_int(str(meta["d"]), signed=True)) is not None:
         meta["d"] = -d
-    out = replace(
+    out = _replace_keeping_mark(
         h,
         summands=tuple(map(flip, h.summands)),
         higgs=tuple(map(swap, h.higgs)),
         declared=tuple(sorted(declared.items())),
         meta=tuple(sorted(meta.items())),
     )
-    if h._degrees is not None:
-        _mark(out, h._degrees)
+    validate(out)
     return out
 
 
@@ -135,7 +126,8 @@ def _summand_key(h: GradedHiggsBundle, i: int) -> tuple:
     return (s.side, s.rank, s.bundle.serialize(), sw)
 
 
-# 8!; exceeded by so0:2,n with trivial W0 once n >= 9 (n trivial W summands).
+# 8!; exceeded at genus 2 by so0:2,n with trivial W0 once n >= 9 (n trivial W
+# summands) and with split W0 once n >= 11 (n - 2 of them), 9! orderings each.
 # `structurally_equal` and `gauge_equivalent` read it only for a pair whose
 # permutation invariants agree, so above it they still answer "not equal".
 _PERM_CAP = 40320
@@ -173,32 +165,26 @@ def _permutation_orbit(h: GradedHiggsBundle):
 def canonical_key(h: GradedHiggsBundle) -> str:
     """Deterministic serialization invariant under summand reordering: the
     least canonical JSON over the orderings of identical summands.  ``h`` is
-    validated once, after the cap check, and no ordering is re-checked:
-    every check ``validate`` makes depends on the object's structure, not on
-    how its summands are numbered (the pairing, entries and extension terms
-    are renumbered with them), so a relabelling of a valid object is valid,
-    and an invalid ``h`` is refused in its own indices."""
-    orderings = _permutation_orbit(h)
+    validated once, before the cap check, so an invalid ``h`` is refused as
+    invalid whatever its orbit size, and no ordering is re-checked: every
+    check ``validate`` makes depends on the object's structure, not on how
+    its summands are numbered (the pairing, entries and extension terms are
+    renumbered with them), so a relabelling of a valid object is valid."""
     validate(h)
-    return min(canonical_json(p) for p in orderings)
-
-
-def _least_json(h: GradedHiggsBundle) -> str:
-    """``canonical_key`` of an ``h`` already validated: only the cap is checked."""
     return min(canonical_json(p) for p in _permutation_orbit(h))
 
 
 def gauge_orbit_key(h: GradedHiggsBundle) -> str:
     """Canonical key under reordering plus the switching move when present.
-    ``canonical_key`` validates ``h``, and ``_switch`` is an automorphism of
-    what it checks, so the switched orderings are read without a second
-    check; they have the cap ``h`` already passed, since switching renames
-    bundles one to one.  The switch is an involution commuting with every
-    reordering, so the key is the least of the two presentations' keys."""
+    ``canonical_key`` validates ``h``, so the switched presentation is marked
+    and its key checks nothing again; it has the cap ``h`` passed, since
+    switching renames bundles one to one.  The switch is an involution
+    commuting with every reordering, so the key is the least of the two
+    presentations' keys."""
     key = canonical_key(h)
     if not switchable(h):
         return key
-    return min(key, _least_json(_switch(h)))
+    return min(key, canonical_key(switched(h)))
 
 
 def _invariant(h: GradedHiggsBundle) -> tuple:
@@ -230,38 +216,38 @@ def structurally_equal(a: GradedHiggsBundle, b: GradedHiggsBundle) -> bool:
     Group and genus are compared first; then each object is validated (at
     once, when marked) and their permutation invariants are compared, which
     makes no ordering.  Only a pair whose invariants agree goes on to the
-    canonical keys, so ``BudgetError`` arises only for such a pair above the
-    8! cap, and an invalid object is refused as invalid whatever its orbit
-    size."""
+    canonical keys, whose checks return at once, so ``BudgetError`` arises
+    only for such a pair above the 8! cap, and an invalid object is refused
+    as invalid whatever its orbit size."""
     if a.group != b.group or a.genus != b.genus:
         return False
     validate(a)
     validate(b)
-    return _invariant(a) == _invariant(b) and _least_json(a) == _least_json(b)
+    return _invariant(a) == _invariant(b) and canonical_key(a) == canonical_key(b)
 
 
 def gauge_equivalent(a: GradedHiggsBundle, b: GradedHiggsBundle) -> bool:
     """Equality up to summand reordering and the switching move.
 
     Group and genus are compared first; then ``a`` and ``b`` are validated
-    (at once, when marked), and only ``a``'s switched presentation is built.
-    The pair is unequal when ``b``'s permutation invariant is neither
-    ``a``'s nor that of switched ``a``, with no ordering made; otherwise it
-    is equal when ``b``'s key is the key of a presentation of ``a`` whose
-    invariant matches.  That is the orbit-key comparison: the switch is an involution
-    commuting with reordering, so each orbit key is the least of a class of
-    at most two keys, and two such classes are equal or disjoint.  Matching
-    invariants mean the same groups of identical summands, so
-    ``BudgetError`` arises only for such a pair above the 8! cap, and an
-    invalid object is refused as invalid whatever its orbit size."""
+    (at once, when marked), and only ``a``'s switched presentation is built,
+    marked as ``a`` is.  The pair is unequal when ``b``'s permutation
+    invariant is neither ``a``'s nor that of switched ``a``, with no ordering
+    made; otherwise it is equal when ``b``'s key is the key of a presentation
+    of ``a`` whose invariant matches.  That is the orbit-key comparison: the
+    switch is an involution commuting with reordering, so each orbit key is
+    the least of a class of at most two keys, and two such classes are equal
+    or disjoint.  Matching invariants mean the same groups of identical
+    summands, so ``BudgetError`` arises only for such a pair above the 8!
+    cap, and an invalid object is refused as invalid whatever its orbit size."""
     if a.group != b.group or a.genus != b.genus:
         return False
     validate(a)
-    ours = [a, _switch(a)] if switchable(a) else [a]
+    ours = [a, switched(a)] if switchable(a) else [a]
     validate(b)
     theirs = _invariant(b)
     matching = [p for p in ours if _invariant(p) == theirs]
-    return bool(matching) and _least_json(b) in map(_least_json, matching)
+    return bool(matching) and canonical_key(b) in map(canonical_key, matching)
 
 
 __all__ = [

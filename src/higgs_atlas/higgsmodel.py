@@ -22,7 +22,7 @@ checks.  Gauge moves and canonical keys are in ``canonical``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Sequence
 
 from .curve import Curve
@@ -159,8 +159,9 @@ class DolbeaultTerm(_Value):
 # resolved in `_degrees`, which is not a field, so `==`, `hash`, `repr` and
 # `bundle_to_dict` never see it; `degrees` and `degree_of` read it, and
 # `validate` returns at once for a marked object.  `canonical`'s relabelling
-# and switch copy the mark to their output; a `replace` copy, a constructor
-# call or any other new object is unmarked and gets the full check.
+# and `_replace_keeping_mark` (the switch, the base-case builders) copy the
+# mark to their output; a `replace` copy, a constructor call or any other new
+# object is unmarked and gets the full check.
 @dataclass(frozen=True)
 class GradedHiggsBundle:
     """An object: summands, pairing, field entries, extension terms and symbol data."""
@@ -355,6 +356,16 @@ def _mark(h: GradedHiggsBundle, degrees: tuple[int, ...]) -> None:
     """Mark ``h`` as valid with its summand degrees, by index; only
     ``validate`` and the moves that keep an object valid call this."""
     object.__setattr__(h, "_degrees", degrees)
+
+
+def _replace_keeping_mark(h: GradedHiggsBundle, **changes) -> GradedHiggsBundle:
+    """``replace(h, **changes)`` for a change that keeps every summand degree
+    and ``h``'s validity (a new meta, which ``validate`` never reads, or the
+    switch), so a marked ``h`` passes its mark on."""
+    out = replace(h, **changes)
+    if h._degrees is not None:
+        _mark(out, h._degrees)
+    return out
 
 
 def _ambient_k_power(source: LineBundleExpr, target: LineBundleExpr) -> int | None:

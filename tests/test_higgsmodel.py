@@ -6,6 +6,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import itertools
+import math
 import pickle
 import random
 from collections import Counter
@@ -440,7 +441,9 @@ def test_structural_equality_distinguishes_degrees():
 
 def test_canonical_key_validates_once(monkeypatch):
     # Six trivial summands of W: 720 orderings, each a relabelling of an
-    # object validated once.
+    # object validated once.  A comparison validates each object, then asks
+    # each key, which validates it again at once; the work pin below counts
+    # the full checks.
     calls = []
 
     def counting_validate(h):
@@ -454,14 +457,14 @@ def test_canonical_key_validates_once(monkeypatch):
     calls.clear()
     p = permute_summands(h, list(reversed(range(len(h.summands)))))
     assert gauge_equivalent(h, p)
-    assert len(calls) == 3
+    assert len(calls) == 5
     assert canonical_key(p) == key
 
 
 def test_keys_and_comparisons_check_each_unmarked_object_once(monkeypatch):
     # The work pin: a spy on the full check, which a marked object skips.
     # An unmarked copy is checked once, whatever the question reads of it
-    # (720 orderings, a switched presentation, a second key), and a marked
+    # (120 orderings, a switched presentation, a second key), and a marked
     # object not at all.
     from higgs_atlas import higgsmodel
 
@@ -472,7 +475,7 @@ def test_keys_and_comparisons_check_each_unmarked_object_once(monkeypatch):
         checked.append(h)
         return full_check(h)
 
-    objects = [build_maximal_so2n(C2, 6, TrivialW0()), build_maximal_so2n(C2, 5, SplitW0(2))]
+    objects = [build_maximal_so2n(C2, 5, TrivialW0()), build_maximal_so2n(C2, 5, SplitW0(2))]
     monkeypatch.setattr(higgsmodel, "_check_group_shape", spy)
     for h in objects:
         validate(h)
@@ -480,7 +483,7 @@ def test_keys_and_comparisons_check_each_unmarked_object_once(monkeypatch):
         assert checked == []
         for key in (canonical_key, gauge_orbit_key):
             u = replace(h)
-            assert key(u) == key(h) and key(u) == key(p)
+            assert key(u) == key(p)
             assert len(checked) == 1 and checked[0] is u
             checked.clear()
         for compare in (structurally_equal, gauge_equivalent):
@@ -496,7 +499,9 @@ def test_keys_and_comparisons_check_each_unmarked_object_once(monkeypatch):
 
 
 def test_gauge_equivalent_validates_each_object_once(monkeypatch):
-    # a and b once each; the switched presentation of a is valid with a
+    # a and b once each, the switched presentation of a, marked with a, and
+    # each of the two keys, all at once on marked objects; the work pin above
+    # counts the full checks
     calls = []
 
     def counting_validate(h):
@@ -506,7 +511,7 @@ def test_gauge_equivalent_validates_each_object_once(monkeypatch):
     h = build_maximal_so23(C2, 2)
     monkeypatch.setattr(canonical, "validate", counting_validate)
     assert gauge_equivalent(h, h)
-    assert len(calls) == 2
+    assert len(calls) == 5
 
 
 def test_gauge_equivalent_keys_only_the_matching_presentations(monkeypatch):
@@ -528,31 +533,34 @@ def _switchable_outputs():
     return [h for genus in (2, 3) for h in every_builder_output(Curve(genus)) if switchable(h)]
 
 
-def test_the_switch_is_an_unchecked_automorphism():
+def test_the_switch_is_a_checked_automorphism():
     rng = random.Random(2300)
     outs = _switchable_outputs()
     assert len(outs) == 80
     copies = [m for h in outs for m in mutated_copies(h, rng, 4)]
     assert len(copies) == 320
-    for h in outs:
-        assert canonical._switch(h) == switched(h)
     seen = Counter()
-    for h in outs + copies:
-        s = canonical._switch(h)
-        assert canonical._switch(s) == h
+    valid = list(outs)
+    for m in copies:
+        # an unmarked copy is refused exactly when validate refuses it
+        got = outcome(validate, replace(m))[0]
+        assert outcome(switched, replace(m))[0] == got, m
+        seen[got] += 1
+        if got == "ok":
+            valid.append(m)
+    # valid copies and both kinds of refusal are reached
+    assert set(seen) == {"ok", "ModelInvariantError", "UnresolvedDegreeError"}, seen
+    for h in valid:
+        s = switched(h)
+        assert switched(s) == h
         order = list(range(len(h.summands)))
         rng.shuffle(order)
-        assert canonical._switch(canonical._relabel(h, order)) == canonical._relabel(s, order)
-        # unmarked copies, so a marked h and its switch are checked in full
-        assert outcome(validate, replace(h))[0] == outcome(validate, replace(s))[0], h
-        seen[outcome(validate, replace(h))[0]] += 1
+        assert switched(canonical._relabel(h, order)) == canonical._relabel(s, order)
         # only summands carrying M and entries naming a switched section are rebuilt
         for old, new in zip(h.summands, s.summands):
             assert (old is new) == all(n != "M" for n, _ in old.bundle.variables)
         for old, new in zip(h.higgs, s.higgs):
             assert (old is new) == (old.symbol.name not in ("mu", "nu"))
-    # valid copies and both kinds of refusal are reached
-    assert set(seen) == {"ok", "ModelInvariantError", "UnresolvedDegreeError"}, seen
 
 
 MALFORMED_SWITCH_META = {"one name": "mu", "empty": "", "three names": "mu,nu,xi", "deleted": None}
@@ -590,6 +598,32 @@ def test_canonicalization_refusal_carries_orbit_size_and_cap():
     with pytest.raises(BudgetError) as exc:
         canonical_key(build_maximal_so2n(C2, 9, TrivialW0()))
     assert exc.value.payload == {"size": 362880, "cap": 40320}
+
+
+def test_the_canonical_key_refusal_frontier_at_genus_2():
+    # The canonical_key column of the refusal frontier: the first refused
+    # size of each builder row, with answered cells asked of the cap check
+    # alone, which raises before it makes any ordering.
+    answered = [
+        *(build_hitchin_sl(C2, n, spin_name="s" if n % 2 == 0 else None) for n in range(2, 41)),
+        *(build_hitchin_sp(C2, n) for n in range(1, 21)),
+        *(build_hitchin_so(C2, n) for n in range(2, 21)),
+        *(build_exotic_so(C2, n, 1) for n in range(2, 21)),
+        *(build_hitchin_so_nn(C2, n) for n in range(2, 21)),
+    ]
+    # so0:2,n has n trivial W summands with trivial W0 and n - 2 with split
+    # W0 d = 1, so each row is first refused at 9! = 362880 orderings
+    for w0, fewer, first in ((TrivialW0(), 0, 9), (SplitW0(1), 2, 11)):
+        for n in range(3, 31):
+            h = build_maximal_so2n(C2, n, w0)
+            if n < first:
+                answered.append(h)
+                continue
+            with pytest.raises(BudgetError) as exc:
+                canonical_key(h)
+            assert exc.value.payload == {"size": math.factorial(n - fewer), "cap": 40320}
+    for h in answered:
+        canonical._permutation_orbit(h)
 
 
 def _comparison_pairs(genus):
@@ -650,8 +684,9 @@ def test_a_pair_above_the_cap_is_decided_by_its_invariant():
 def test_an_invalid_object_above_the_cap_is_refused_as_invalid():
     a, b = _above_cap_pair()
     broken = replace(a, sigma=a.sigma[1:])
-    with pytest.raises(BudgetError):
-        canonical_key(broken)
+    for key in (canonical_key, gauge_orbit_key):
+        with pytest.raises(ModelInvariantError, match="pairing involution has the wrong length"):
+            key(broken)
     for compare in (structurally_equal, gauge_equivalent):
         for pair in ((broken, b), (b, broken)):
             with pytest.raises(ModelInvariantError, match="pairing involution has the wrong length"):
@@ -673,7 +708,8 @@ def test_a_rejected_pair_makes_no_ordering(monkeypatch):
 # -- the validity mark ---------------------------------------------------------
 #
 # A passing `validate` keeps the object's summand degrees in `_degrees`;
-# `canonical._relabel` and `canonical._switch` pass them on.  These tests
+# `canonical._relabel`, `switched` and `higgsmodel._replace_keeping_mark`
+# pass them on, so every builder returns a marked object.  These tests
 # read the private attribute, since its presence is the mark.
 
 def _marked(h):
@@ -693,6 +729,12 @@ def _mark_corpus():
     return outs, mutants, rng
 
 
+@pytest.mark.parametrize("genus", [2, 3])
+def test_every_builder_output_is_marked(genus):
+    outs = every_builder_output(Curve(genus))
+    assert len(outs) == 90 and all(map(_marked, outs))
+
+
 def test_a_mark_appears_only_after_a_passing_check():
     outs, mutants, rng = _mark_corpus()
     assert len(mutants) >= 200
@@ -700,14 +742,14 @@ def test_a_mark_appears_only_after_a_passing_check():
     for m in [replace(h) for h in outs] + mutants:
         assert not _marked(m)
         # reading degrees, serializing, relabelling or switching an unmarked
-        # object marks nothing
+        # object marks nothing of it; a switch checks and marks only its output
         outcome(m.degrees)
         outcome(canonical_json, m)
         order = list(range(len(m.summands)))
         rng.shuffle(order)
         assert not _marked(canonical._relabel(m, order))
         if switchable(m):
-            assert not _marked(canonical._switch(m))
+            outcome(switched, m)
         assert not _marked(m)
         got = outcome(validate, m)[0]
         assert _marked(m) == (got == "ok"), m
@@ -719,14 +761,14 @@ def test_a_mark_appears_only_after_a_passing_check():
 
 def _marks_of(h, rng):
     """``h`` validated, and the objects its moves give: relabellings (by the
-    gauge move and by the unchecked one) and, when it has one, its switch."""
+    gauge move and by the unchecked one) and, when it has one, their switches."""
     validate(h)
     n = len(h.summands)
     order = list(range(n))
     rng.shuffle(order)
     out = [h, permute_summands(h, order), canonical._relabel(h, list(reversed(range(n))))]
     if switchable(h):
-        out += [switched(h), canonical._switch(out[1])]
+        out += [switched(h), switched(out[1])]
     return out
 
 
