@@ -80,22 +80,12 @@ def switched(h: GradedHiggsBundle) -> GradedHiggsBundle:
     is valid exactly when ``h`` is: it keeps a marked ``h``'s mark, and an
     unmarked ``h`` is checked through it, to refuse it if invalid.  The move
     is an involution and commutes with every relabelling."""
-    meta = h.meta_map
-    if not switchable(h):
-        raise WrongGroupError("object has no declared switching move")
-    first, second = _switch_sections(meta, PreconditionError)
-    var = str(meta["switch_variable"])
-    rename = {first: second, second: first}
+    var, rename, meta = _switch_move(h)
 
     def flip(s: Summand) -> Summand:
-        e = s.bundle
-        if all(n != var for n, _ in e.variables):
+        if all(n != var for n, _ in s.bundle.variables):
             return s
-        bundle = LineBundleExpr(
-            e.k_power, e.spins, e.torsions,
-            tuple((n, -x if n == var else x) for n, x in e.variables), e.divisors,
-        )
-        return Summand(s.side, bundle, s.rank, s.sw)
+        return Summand(s.side, _flip(s.bundle, var), s.rank, s.sw)
 
     def swap(e: HiggsEntry) -> HiggsEntry:
         sym = e.symbol
@@ -107,8 +97,6 @@ def switched(h: GradedHiggsBundle) -> GradedHiggsBundle:
     declared = dict(h.declared)
     if var in declared:
         declared[var] = -declared[var]
-    if "d" in meta and (d := _read_int(str(meta["d"]), signed=True)) is not None:
-        meta["d"] = -d
     out = _replace_keeping_mark(
         h,
         summands=tuple(map(flip, h.summands)),
@@ -118,6 +106,28 @@ def switched(h: GradedHiggsBundle) -> GradedHiggsBundle:
     )
     validate(out)
     return out
+
+
+def _switch_move(h: GradedHiggsBundle) -> tuple[str, dict[str, str], dict]:
+    """What the switch changes: the variable it negates, the renaming of
+    the two sections it exchanges, and the meta it leaves, with an integer
+    label ``d`` negated.  Refuses a non-switchable ``h``, or one whose meta
+    does not name two sections."""
+    meta = h.meta_map
+    if "switch_variable" not in meta:
+        raise WrongGroupError("object has no declared switching move")
+    first, second = _switch_sections(meta, PreconditionError)
+    if "d" in meta and (d := _read_int(str(meta["d"]), signed=True)) is not None:
+        meta["d"] = -d
+    return str(meta["switch_variable"]), {first: second, second: first}, meta
+
+
+def _flip(e: LineBundleExpr, var: str) -> LineBundleExpr:
+    """``e`` with the exponent of ``var`` negated."""
+    return LineBundleExpr(
+        e.k_power, e.spins, e.torsions,
+        tuple((n, -x if n == var else x) for n, x in e.variables), e.divisors,
+    )
 
 
 def _summand_key(h: GradedHiggsBundle, i: int) -> tuple:
@@ -194,18 +204,48 @@ def _invariant(h: GradedHiggsBundle) -> tuple:
     its row.  Orderings with equal JSON have equal invariants, so objects
     whose invariants differ have different canonical keys.  The symbol
     table is left out: a declared name no summand uses never reaches it."""
+    return _invariants(h, switch=False)[0]
+
+
+def _invariants(h: GradedHiggsBundle, switch: bool) -> tuple[tuple, tuple | None]:
+    """``_invariant(h)`` and, with ``switch``, ``_invariant(switched(h))``
+    (else None), read off ``h`` and its summand rows without building the switched
+    presentation: a row whose bundle carries the switch variable has that
+    exponent negated and keeps its degree (e * d = (-e)(-d)), the two switch
+    sections are exchanged in the entry rows, and meta ``d`` is negated.
+    A malformed switch meta is refused here as ``switched`` refuses it."""
     rows = [
         (s.side, s.bundle.serialize(), degree, s.rank,
          () if s.sw is None else (s.sw.sw1.bits(), s.sw.sw2))
         for s, degree in zip(h.summands, h.degrees())
     ]
+    own = _read_invariant(h, rows, dict(h.meta), None)
+    if not switch:
+        return own, None
+    var, rename, meta = _switch_move(h)
+    flipped = [
+        row if all(n != var for n, _ in s.bundle.variables)
+        else (row[0], _flip(s.bundle, var).serialize(), *row[2:])
+        for s, row in zip(h.summands, rows)
+    ]
+    return own, _read_invariant(h, flipped, meta, rename)
+
+
+def _read_invariant(h: GradedHiggsBundle, rows: list, meta: dict, rename: dict | None) -> tuple:
+    """The invariant of ``h`` read through the summand rows ``rows``, with
+    meta ``meta`` and each section name renamed by ``rename``."""
+    if rename is None:
+        entries = sorted((rows[e.target], rows[e.source], e.symbol.name, e.symbol.vanishing)
+                         for e in h.higgs)
+    else:
+        entries = sorted((rows[e.target], rows[e.source], rename.get(e.symbol.name, e.symbol.name),
+                          e.symbol.vanishing) for e in h.higgs)
     return (
         h.form,
-        dict(h.meta),
+        meta,
         sorted(rows),
         sorted((rows[i], rows[j]) for i, j in enumerate(h.sigma)),
-        sorted((rows[e.target], rows[e.source], e.symbol.name, e.symbol.vanishing)
-               for e in h.higgs),
+        entries,
         sorted((rows[t.target], rows[t.source], t.name) for t in h.dolbeault),
     )
 
@@ -230,11 +270,13 @@ def gauge_equivalent(a: GradedHiggsBundle, b: GradedHiggsBundle) -> bool:
     """Equality up to summand reordering and the switching move.
 
     Group and genus are compared first; then ``a`` and ``b`` are validated
-    (at once, when marked), and only ``a``'s switched presentation is built,
-    marked as ``a`` is.  The pair is unequal when ``b``'s permutation
-    invariant is neither ``a``'s nor that of switched ``a``, with no ordering
-    made; otherwise it is equal when ``b``'s key is the key of a presentation
-    of ``a`` whose invariant matches.  That is the orbit-key comparison: the
+    (at once, when marked).  The permutation invariants of ``a`` and, when
+    switchable, of switched ``a`` are read off ``a`` in one pass, with no
+    switched presentation built.  The pair is unequal when ``b``'s invariant
+    is neither, with no ordering made; otherwise it is equal when ``b``'s key
+    is the key of a presentation of ``a`` whose invariant matches, and
+    switched ``a``, marked as ``a`` is, is built only when its invariant
+    matches and ``a``'s key did not.  That is the orbit-key comparison: the
     switch is an involution commuting with reordering, so each orbit key is
     the least of a class of at most two keys, and two such classes are equal
     or disjoint.  Matching invariants mean the same groups of identical
@@ -243,11 +285,15 @@ def gauge_equivalent(a: GradedHiggsBundle, b: GradedHiggsBundle) -> bool:
     if a.group != b.group or a.genus != b.genus:
         return False
     validate(a)
-    ours = [a, switched(a)] if switchable(a) else [a]
+    own, other = _invariants(a, switch=switchable(a))
     validate(b)
     theirs = _invariant(b)
-    matching = [p for p in ours if _invariant(p) == theirs]
-    return bool(matching) and canonical_key(b) in map(canonical_key, matching)
+    own_match, other_match = own == theirs, other == theirs
+    if not (own_match or other_match):
+        return False
+    key = canonical_key(b)
+    return ((own_match and canonical_key(a) == key)
+            or (other_match and canonical_key(switched(a)) == key))
 
 
 __all__ = [

@@ -285,18 +285,22 @@ def search_admissible_weights(
 ) -> tuple[tuple[WeightAssignment, LimitResult], ...]:
     """All pairing-compatible weight vectors with entries in [-bound, bound]
     whose limit exists, one representative per distinct limit object (the
-    lexicographically smallest weight vector), sorted by weight vector."""
+    lexicographically smallest weight vector), sorted by weight vector.
+    An object of more than ten summands, or a search of more vectors than
+    the budget, is refused with BudgetError; both refusals report the
+    vector count (2 bound + 1)^(free pairing coordinates) as ``size``."""
     if bound < 0 or bound > 6:
         raise BoundError("the search bound must lie in [0, 6]")
     n = len(h.summands)
+    free = [i for i, j in enumerate(h.sigma) if i < j]
+    count = (2 * bound + 1) ** len(free)
     if n > _SEARCH_SUMMAND_CAP:
         raise BudgetError(
             f"weight search over {n} summands is not supported",
             n=n,
             cap=_SEARCH_SUMMAND_CAP,
+            size=count,
         )
-    free = [i for i, j in enumerate(h.sigma) if i < j]
-    count = (2 * bound + 1) ** len(free)
     budget = subset_budget()
     if count > budget:
         raise BudgetError(

@@ -520,7 +520,9 @@ def _refuse_repeats(keys: Iterable[tuple], what: str, error: type = ParseError) 
 
 def bundle_from_dict(data: Mapping) -> GradedHiggsBundle:
     """Load an object document.  Refused with ParseError, besides missing
-    keys, non-integer numbers, and a group or section name that is not a
+    keys (the four required ones, group, genus, summands and pairing, are
+    read before anything is parsed, so a document missing one is refused
+    at once), non-integer numbers, and a group or section name that is not a
     string: an unknown symbol kind, a meta value that is neither a string
     nor an integer, a Higgs entry or an extension term listed twice, and a
     recorded summand degree that differs from the degree its bundle
@@ -531,8 +533,9 @@ def bundle_from_dict(data: Mapping) -> GradedHiggsBundle:
     try:
         if data.get("schema", SCHEMA) != SCHEMA:
             raise ParseError(f"unknown schema {data.get('schema')!r}")
-        group = GroupTag.parse(_json_str(data["group"], "group"))
-        curve = Curve(_json_int(data["genus"], "genus"))
+        group, genus, rows, pairing = (data[k] for k in ("group", "genus", "summands", "pairing"))
+        group = GroupTag.parse(_json_str(group, "group"))
+        curve = Curve(_json_int(genus, "genus"))
         symbols = data.get("symbols", {})
         kinds = {name: info.get("kind", KIND_VARIABLE) for name, info in symbols.items()}
         for name, kind in kinds.items():
@@ -547,7 +550,7 @@ def bundle_from_dict(data: Mapping) -> GradedHiggsBundle:
                     for name, info in symbols.items() if "class" in info}
         summands = []
         recorded = []
-        for i, row in enumerate(data["summands"]):
+        for i, row in enumerate(rows):
             sw = None
             if "sw1" in row:
                 sw = SWPair(F2Class.from_bits(row["sw1"]), _json_int(row["sw2"], "sw2"))
@@ -574,7 +577,7 @@ def bundle_from_dict(data: Mapping) -> GradedHiggsBundle:
             group,
             curve,
             summands,
-            [_json_int(i, "pairing index", n) for i in data["pairing"]],
+            [_json_int(i, "pairing index", n) for i in pairing],
             data.get("form", FORM_ORTHOGONAL),
             entries,
             dolbeault=dol,

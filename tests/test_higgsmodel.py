@@ -21,6 +21,7 @@ from higgs_atlas import (
     DimensionMismatchError,
     F2Class,
     GroupTag,
+    HiggsEntry,
     MissingSpinError,
     ModelInvariantError,
     ParseError,
@@ -49,6 +50,7 @@ from higgs_atlas import (
     bundle_to_dict,
     canonical_json,
     canonical_key,
+    check_polystability,
     embed_so23_to_so2n,
     embed_so23_to_so33,
     gauge_equivalent,
@@ -56,6 +58,7 @@ from higgs_atlas import (
     make_bundle,
     named_section,
     permute_summands,
+    search_admissible_weights,
     so2n_sw_label,
     structurally_equal,
     summand_degree_multiset,
@@ -499,9 +502,9 @@ def test_keys_and_comparisons_check_each_unmarked_object_once(monkeypatch):
 
 
 def test_gauge_equivalent_validates_each_object_once(monkeypatch):
-    # a and b once each, the switched presentation of a, marked with a, and
-    # each of the two keys, all at once on marked objects; the work pin above
-    # counts the full checks
+    # a and b once each and each of the two keys, all at once on marked
+    # objects; a's own invariant and key match b's, so its switched
+    # presentation is not built; the work pin above counts the full checks
     calls = []
 
     def counting_validate(h):
@@ -511,7 +514,7 @@ def test_gauge_equivalent_validates_each_object_once(monkeypatch):
     h = build_maximal_so23(C2, 2)
     monkeypatch.setattr(canonical, "validate", counting_validate)
     assert gauge_equivalent(h, h)
-    assert len(calls) == 5
+    assert len(calls) == 4
 
 
 def test_gauge_equivalent_keys_only_the_matching_presentations(monkeypatch):
@@ -527,6 +530,35 @@ def test_gauge_equivalent_keys_only_the_matching_presentations(monkeypatch):
     monkeypatch.setattr(canonical, "canonical_json", counting_json)
     assert gauge_equivalent(h, p)
     assert len(calls) == 2
+
+
+def test_a_pair_with_matching_invariants_keys_only_the_matching_presentation(monkeypatch):
+    # Two of the four trivial W summands joined by one more transpose pair of
+    # sections: two isolated ones, or one of them the one q2 reaches.  The
+    # rows are alike, so the invariants agree and the keys differ; switched a
+    # has meta d = -1, so it is neither built nor keyed: 4! orderings per key
+    h = build_maximal_so2n(C2, 6, SplitW0(1))
+
+    def joined(i, j):
+        z = named_section("z")
+        higgs = sorted(h.higgs + (HiggsEntry(i, j, z), HiggsEntry(j, i, z)),
+                       key=lambda e: (e.target, e.source))
+        out = replace(h, higgs=tuple(higgs))
+        validate(out)
+        return out
+
+    a, b = joined(5, 6), joined(2, 5)
+    assert canonical._invariant(a) == canonical._invariant(b)
+    calls = []
+
+    def counting_json(h):
+        calls.append(h)
+        return canonical_json(h)
+
+    monkeypatch.setattr(canonical, "canonical_json", counting_json)
+    monkeypatch.setattr(canonical, "switched", _refuse_switch)
+    assert gauge_equivalent(a, b) is False
+    assert len(calls) == 2 * 24
 
 
 def _switchable_outputs():
@@ -561,6 +593,52 @@ def test_the_switch_is_a_checked_automorphism():
             assert (old is new) == all(n != "M" for n, _ in old.bundle.variables)
         for old, new in zip(h.higgs, s.higgs):
             assert (old is new) == (old.symbol.name not in ("mu", "nu"))
+
+
+def test_the_switched_invariant_is_read_off_the_object():
+    # the invariant gauge_equivalent reads off an object for its switched
+    # presentation is that presentation's own, on valid and unmarked copies too
+    rng = random.Random(2700)
+    outs = _switchable_outputs()
+    assert len(outs) == 80
+    copies = [m for h in outs for m in mutated_copies(h, rng, 4)]
+    valid = [m for m in copies if outcome(validate, replace(m))[0] == "ok"]
+    assert len(valid) >= 60
+    for h in outs + valid:
+        own, other = canonical._invariants(h, switch=True)
+        assert own == canonical._invariant(h)
+        assert other == canonical._invariant(switched(h)), h
+    assert canonical._invariants(build_maximal_so2n(C2, 5, TrivialW0()), switch=False)[1] is None
+
+
+def _refuse_switch(*args):
+    raise AssertionError("a switched presentation was built")
+
+
+def test_a_reordered_positive_pair_builds_no_switch(monkeypatch):
+    # a's own invariant and key match those of its reordering, so the
+    # switched presentation is never needed; a switched partner needs it once
+    rng = random.Random(2701)
+    pairs = []
+    for h in _switchable_outputs():
+        order = list(range(len(h.summands)))
+        rng.shuffle(order)
+        p = permute_summands(h, order)
+        pairs += [(h, p), (p, h), (h, h)]
+    built = []
+
+    def counting_switch(h):
+        built.append(h)
+        return switched(h)
+
+    h = build_maximal_so23(C2, 2)
+    s = switched(permute_summands(h, [4, 3, 2, 1, 0]))
+    monkeypatch.setattr(canonical, "switched", _refuse_switch)
+    for a, b in pairs:
+        assert gauge_equivalent(a, b) is True
+    monkeypatch.setattr(canonical, "switched", counting_switch)
+    assert gauge_equivalent(h, s) is True
+    assert built == [h]
 
 
 MALFORMED_SWITCH_META = {"one name": "mu", "empty": "", "three names": "mu,nu,xi", "deleted": None}
@@ -624,6 +702,73 @@ def test_the_canonical_key_refusal_frontier_at_genus_2():
             assert exc.value.payload == {"size": math.factorial(n - fewer), "cap": 40320}
     for h in answered:
         canonical._permutation_orbit(h)
+
+
+class _PastTheGuard(Exception):
+    """Raised by the first step after a size guard lets a question through."""
+
+
+def _past_the_guard(*args):
+    raise _PastTheGuard
+
+
+# The check_polystability and weight-search columns of the refusal frontier
+# at genus 2 and the default budget: per builder row, its sizes, the first
+# size each guard refuses, and the payloads that refusal carries.  The scan
+# reports the sum of 2^|C| over components C; the search, refused by its
+# summand cap, the (2 bound + 1)^(free pairing coordinates) vectors at bound 1.
+_FRONTIER = [
+    # builder, sizes, scan: first refused and size; search: first refused,
+    # summand count and free coordinates
+    (lambda n: build_hitchin_sl(C2, n, spin_name="s" if n % 2 == 0 else None), range(2, 41),
+     25, lambda n: 2 ** n, 11, lambda n: n, lambda n: n // 2),
+    (lambda n: build_hitchin_sp(C2, n), range(1, 21),
+     13, lambda n: 2 ** (2 * n), 6, lambda n: 2 * n, lambda n: n),
+    (lambda n: build_hitchin_so(C2, n), range(2, 21),
+     12, lambda n: 2 ** (2 * n + 1), 5, lambda n: 2 * n + 1, lambda n: n),
+    (lambda n: build_exotic_so(C2, n, 1), range(2, 21),
+     12, lambda n: 2 ** (2 * n + 1), 5, lambda n: 2 * n + 1, lambda n: n),
+    (lambda n: build_hitchin_so_nn(C2, n), range(2, 21),
+     13, lambda n: 2 ** (2 * n - 1) + 2, 6, lambda n: 2 * n, lambda n: n - 1),
+    (lambda n: build_maximal_so2n(C2, n, TrivialW0()), range(3, 31),
+     23, lambda n: 2 ** (n + 2), 9, lambda n: n + 2, lambda n: 1),
+    (lambda n: build_maximal_so2n(C2, n, SplitW0(1)), range(3, 31),
+     None, None, 9, lambda n: n + 2, lambda n: 2),
+]
+
+
+def test_the_scan_and_weight_search_refusal_frontier_at_genus_2(monkeypatch):
+    # A refused cell asks the public function; an answered cell asks it too,
+    # but the first step after the guards raises, so no answer is paid for.
+    from higgs_atlas import deformation, stability
+
+    monkeypatch.delenv("HIGGS_ATLAS_BUDGET", raising=False)
+    budget = 2 ** 24
+    refused = Counter()
+    for make, sizes, scan_first, scan_size, search_first, count, free in _FRONTIER:
+        for n in sizes:
+            h = make(n)
+            if scan_first is not None and n >= scan_first:
+                with pytest.raises(BudgetError) as exc:
+                    check_polystability(h)
+                assert exc.value.payload == {"n": count(n), "budget": budget, "size": scan_size(n)}
+                refused["scan"] += 1
+            if n >= search_first:
+                with pytest.raises(BudgetError) as exc:
+                    search_admissible_weights(h, 1)
+                assert exc.value.payload == {"n": count(n), "cap": 10, "size": 3 ** free(n)}
+                refused["search"] += 1
+            with monkeypatch.context() as m:
+                m.setattr(stability, "_closed_subsets", _past_the_guard)
+                m.setattr(deformation, "graded_limit", _past_the_guard)
+                if scan_first is None or n < scan_first:
+                    with pytest.raises(_PastTheGuard):
+                        check_polystability(h)
+                if n < search_first:
+                    with pytest.raises(_PastTheGuard):
+                        search_admissible_weights(h, 1)
+    assert refused == {"scan": 16 + 8 + 9 + 9 + 8 + 8,
+                       "search": 30 + 15 + 16 + 16 + 15 + 22 + 22}
 
 
 def _comparison_pairs(genus):
@@ -694,15 +839,20 @@ def test_an_invalid_object_above_the_cap_is_refused_as_invalid():
 
 
 def test_a_rejected_pair_makes_no_ordering(monkeypatch):
+    # nor a switched presentation: the invariant of switched a is read off a
     def refuse(*args):
         raise AssertionError("an ordering was made for a rejected pair")
 
+    h = build_maximal_so23(C2, 2)
+    pairs = (_above_cap_pair(), (h, near_misses(h)[0]), (h, switched(near_misses(h)[0])),
+             (h, build_maximal_so23(C2, 3)))
     monkeypatch.setattr(canonical, "_permutation_orbit", refuse)
     monkeypatch.setattr(canonical, "canonical_json", refuse)
-    h = build_maximal_so23(C2, 2)
-    for a, b in (_above_cap_pair(), (h, near_misses(h)[0]), (h, switched(near_misses(h)[0]))):
-        assert not structurally_equal(a, b)
-        assert not gauge_equivalent(a, b)
+    monkeypatch.setattr(canonical, "switched", _refuse_switch)
+    for a, b in pairs:
+        for x, y in ((a, b), (b, a)):
+            assert not structurally_equal(x, y)
+            assert not gauge_equivalent(x, y)
 
 
 # -- the validity mark ---------------------------------------------------------
@@ -1001,6 +1151,21 @@ def test_from_dict_requires_an_integer_genus(genus):
 def test_from_dict_rejects_missing_keys_and_bad_shapes(edit):
     with pytest.raises(ParseError):
         bundle_from_dict(_mutated(build_so12(C2, 0), edit))
+
+
+@pytest.mark.parametrize("key", ["group", "genus", "summands", "pairing"])
+def test_a_missing_required_key_is_refused_before_any_row_is_parsed(monkeypatch, key):
+    from higgs_atlas import higgsmodel
+
+    def refuse(*args):
+        raise AssertionError("a row was parsed")
+
+    doc = bundle_to_dict(build_maximal_so23(C3, 2))
+    del doc[key]
+    monkeypatch.setattr(higgsmodel, "parse_expr", refuse)
+    with pytest.raises(ParseError) as exc:
+        bundle_from_dict(doc)
+    assert str(exc.value) == f"malformed bundle document: {key!r}"
 
 
 @pytest.mark.parametrize("sw2", [1.9, 1.0, True, "1", None])
