@@ -130,10 +130,14 @@ def _flip(e: LineBundleExpr, var: str) -> LineBundleExpr:
     )
 
 
-def _summand_key(h: GradedHiggsBundle, i: int) -> tuple:
-    s = h.summands[i]
-    sw = s.sw.label() if s.sw else ""
-    return (s.side, s.rank, s.bundle.serialize(), sw)
+def _rows(h: GradedHiggsBundle) -> list[tuple]:
+    """One row per summand of a valid ``h``: side, rank, bundle text, SW
+    label (or ``""``) and degree.  Within one object the bundle fixes the
+    degree, so two rows agree exactly when the summands are identical."""
+    return [
+        (s.side, s.rank, s.bundle.serialize(), s.sw.label() if s.sw else "", degree)
+        for s, degree in zip(h.summands, h.degrees())
+    ]
 
 
 # 8!; exceeded at genus 2 by so0:2,n with trivial W0 once n >= 9 (n trivial W
@@ -147,11 +151,10 @@ def _permutation_orbit(h: GradedHiggsBundle):
     """Every ordering of ``h`` that permutes only within groups of identical
     summands, as relabellings, which check nothing.  The cap is checked
     when this is called, before any ordering is made."""
-    n = len(h.summands)
-    base = sorted(range(n), key=lambda i: _summand_key(h, i))
+    rows = _rows(h)
     groups: list[list[int]] = []
-    for i in base:
-        if groups and _summand_key(h, groups[-1][0]) == _summand_key(h, i):
+    for i in sorted(range(len(rows)), key=rows.__getitem__):
+        if groups and rows[groups[-1][0]] == rows[i]:
             groups[-1].append(i)
         else:
             groups.append([i])
@@ -197,103 +200,76 @@ def gauge_orbit_key(h: GradedHiggsBundle) -> str:
     return min(key, canonical_key(switched(h)))
 
 
-def _invariant(h: GradedHiggsBundle) -> tuple:
+def _invariant(h: GradedHiggsBundle, rows: list | None = None, move: tuple | None = None) -> tuple:
     """What ``canonical_json`` writes of a valid ``h`` that no ordering of
-    its summands changes: form, meta, the sorted summand rows, and the
-    pairing, Higgs entries and extension terms with each end replaced by
-    its row.  Orderings with equal JSON have equal invariants, so objects
-    whose invariants differ have different canonical keys.  The symbol
-    table is left out: a declared name no summand uses never reaches it."""
-    return _invariants(h, switch=False)[0]
-
-
-def _invariants(h: GradedHiggsBundle, switch: bool) -> tuple[tuple, tuple | None]:
-    """``_invariant(h)`` and, with ``switch``, ``_invariant(switched(h))``
-    (else None), read off ``h`` and its summand rows without building the switched
-    presentation: a row whose bundle carries the switch variable has that
-    exponent negated and keeps its degree (e * d = (-e)(-d)), the two switch
-    sections are exchanged in the entry rows, and meta ``d`` is negated.
-    A malformed switch meta is refused here as ``switched`` refuses it."""
-    rows = [
-        (s.side, s.bundle.serialize(), degree, s.rank,
-         () if s.sw is None else (s.sw.sw1.bits(), s.sw.sw2))
-        for s, degree in zip(h.summands, h.degrees())
-    ]
-    own = _read_invariant(h, rows, dict(h.meta), None)
-    if not switch:
-        return own, None
-    var, rename, meta = _switch_move(h)
-    flipped = [
-        row if all(n != var for n, _ in s.bundle.variables)
-        else (row[0], _flip(s.bundle, var).serialize(), *row[2:])
-        for s, row in zip(h.summands, rows)
-    ]
-    return own, _read_invariant(h, flipped, meta, rename)
-
-
-def _read_invariant(h: GradedHiggsBundle, rows: list, meta: dict, rename: dict | None) -> tuple:
-    """The invariant of ``h`` read through the summand rows ``rows``, with
-    meta ``meta`` and each section name renamed by ``rename``."""
-    if rename is None:
-        entries = sorted((rows[e.target], rows[e.source], e.symbol.name, e.symbol.vanishing)
-                         for e in h.higgs)
+    its summands changes: form, meta, the sorted ``rows`` (``_rows(h)``
+    unless given), and the pairing, Higgs entries and extension terms with
+    each end replaced by its row.  Objects whose invariants differ have
+    different canonical keys.  The symbol table is left out: a declared
+    name no summand uses never reaches it.  With ``move``, the
+    ``_switch_move(h)``, it is that of ``switched(h)``: the rows carrying the
+    switch variable are serialized again with its exponent negated, each
+    degree kept (e * d = (-e)(-d)), and the two switch sections exchanged."""
+    if rows is None:
+        rows = _rows(h)
+    if move is None:
+        meta, rename = dict(h.meta), {}
     else:
-        entries = sorted((rows[e.target], rows[e.source], rename.get(e.symbol.name, e.symbol.name),
-                          e.symbol.vanishing) for e in h.higgs)
+        var, rename, meta = move
+        rows = [
+            row if all(n != var for n, _ in s.bundle.variables)
+            else (*row[:2], _flip(s.bundle, var).serialize(), *row[3:])
+            for s, row in zip(h.summands, rows)
+        ]
     return (
         h.form,
         meta,
         sorted(rows),
         sorted((rows[i], rows[j]) for i, j in enumerate(h.sigma)),
-        entries,
+        sorted((rows[e.target], rows[e.source], rename.get(e.symbol.name, e.symbol.name),
+                e.symbol.vanishing) for e in h.higgs),
         sorted((rows[t.target], rows[t.source], t.name) for t in h.dolbeault),
     )
 
 
-def structurally_equal(a: GradedHiggsBundle, b: GradedHiggsBundle) -> bool:
-    """Equality up to summand reordering (groups and genus included).
-
-    Group and genus are compared first; then each object is validated (at
-    once, when marked) and their permutation invariants are compared, which
-    makes no ordering.  Only a pair whose invariants agree goes on to the
-    canonical keys, whose checks return at once, so ``BudgetError`` arises
-    only for such a pair above the 8! cap, and an invalid object is refused
-    as invalid whatever its orbit size."""
+def _equal(a: GradedHiggsBundle, b: GradedHiggsBundle, switch: bool) -> bool:
+    """Is ``b`` a reordering of ``a`` or, with ``switch``, of switched ``a``?
+    Group and genus first; then ``a`` is validated, its switch move read
+    (so a malformed switch meta is refused before ``b`` is checked) and
+    ``b`` validated, each at once when marked.  Invariants come before any
+    ordering, switched ``a``'s only when its meta is ``b``'s, and only a
+    presentation whose invariant matches is keyed; switched ``a`` is built
+    only when ``a``'s own key did not match.  The switch is an involution
+    commuting with reordering, so this is the orbit-key comparison."""
     if a.group != b.group or a.genus != b.genus:
         return False
     validate(a)
+    move = _switch_move(a) if switch and switchable(a) else None
     validate(b)
-    return _invariant(a) == _invariant(b) and canonical_key(a) == canonical_key(b)
+    rows, theirs = _rows(a), _invariant(b)
+    own = _invariant(a, rows) == theirs
+    other = move is not None and move[2] == b.meta_map and _invariant(a, rows, move) == theirs
+    if not (own or other):
+        return False
+    key = canonical_key(b)
+    return (own and canonical_key(a) == key) or (other and canonical_key(switched(a)) == key)
+
+
+def structurally_equal(a: GradedHiggsBundle, b: GradedHiggsBundle) -> bool:
+    """Equality up to summand reordering (group and genus included).  Each
+    object is validated once and permutation invariants are compared before
+    any ordering is made, so ``BudgetError`` (more than 8! orderings) arises
+    only for a pair whose invariants agree, and an invalid object is refused
+    as invalid whatever its orbit size."""
+    return _equal(a, b, switch=False)
 
 
 def gauge_equivalent(a: GradedHiggsBundle, b: GradedHiggsBundle) -> bool:
-    """Equality up to summand reordering and the switching move.
-
-    Group and genus are compared first; then ``a`` and ``b`` are validated
-    (at once, when marked).  The permutation invariants of ``a`` and, when
-    switchable, of switched ``a`` are read off ``a`` in one pass, with no
-    switched presentation built.  The pair is unequal when ``b``'s invariant
-    is neither, with no ordering made; otherwise it is equal when ``b``'s key
-    is the key of a presentation of ``a`` whose invariant matches, and
-    switched ``a``, marked as ``a`` is, is built only when its invariant
-    matches and ``a``'s key did not.  That is the orbit-key comparison: the
-    switch is an involution commuting with reordering, so each orbit key is
-    the least of a class of at most two keys, and two such classes are equal
-    or disjoint.  Matching invariants mean the same groups of identical
-    summands, so ``BudgetError`` arises only for such a pair above the 8!
-    cap, and an invalid object is refused as invalid whatever its orbit size."""
-    if a.group != b.group or a.genus != b.genus:
-        return False
-    validate(a)
-    own, other = _invariants(a, switch=switchable(a))
-    validate(b)
-    theirs = _invariant(b)
-    own_match, other_match = own == theirs, other == theirs
-    if not (own_match or other_match):
-        return False
-    key = canonical_key(b)
-    return ((own_match and canonical_key(a) == key)
-            or (other_match and canonical_key(switched(a)) == key))
+    """Equality up to summand reordering and the switching move, decided as
+    ``structurally_equal`` decides reordering.  The switched presentation of
+    ``a`` is built, marked, only when its invariant, read off ``a``, matches
+    ``b``'s and ``a``'s own key does not."""
+    return _equal(a, b, switch=True)
 
 
 __all__ = [

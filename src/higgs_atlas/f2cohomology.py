@@ -78,17 +78,20 @@ def _reachable(key: tuple[int, int], m: int) -> bool:
 
 def _smallest_witness(target: tuple[int, int], n: int, genus: int) -> list[int]:
     """The lexicographically smallest n classes whose sum has the integer
-    data ``target``, which must be reachable by n classes."""
+    data ``target``, which must be reachable by n classes.  The last class
+    leaves (0, 0), the only data zero classes reach, so it is the remaining
+    sw_1 itself."""
     even = _even_bits(genus)
     t1, t2 = target
     out = []
-    for left in range(n, 0, -1):
+    for left in range(n, 1, -1):
         for c in range(1 << (2 * genus)):
             rest = _whitney(t1, t2, c, 0, even)
             if _reachable(rest, left - 1):
                 break
         out.append(c)
         t1, t2 = rest
+    out.append(t1)
     return out
 
 

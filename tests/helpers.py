@@ -24,7 +24,11 @@ cannot show on both sides of a comparison.  The value-type oracle is each
 value type as the frozen dataclass it was, checks included, and ``as_old``
 rebuilds any answer with those twins.  The comparison oracle is the
 key-only ``structurally_equal`` and ``gauge_equivalent`` the package ran
-before it compared permutation invariants first.
+before it compared permutation invariants first.  The witness oracle is
+the greedy scan that chose every class of a smallest SW witness, the last
+one included, and the summand-key oracle is the grouping key orderings were
+sorted by before one summand row served both the orderings and the
+permutation invariant.
 """
 
 from __future__ import annotations
@@ -89,7 +93,8 @@ from higgs_atlas import (
 )
 from higgs_atlas.curve import EXACT, GENERIC
 from higgs_atlas.errors import _Value
-from higgs_atlas.f2classes import _check_genus
+from higgs_atlas.f2classes import _check_genus, _even_bits, _whitney
+from higgs_atlas.f2cohomology import _reachable
 from higgs_atlas.groups import _FAMILIES
 from higgs_atlas.higgsmodel import (
     FORM_ORTHOGONAL,
@@ -253,6 +258,23 @@ def brute_force_sw_witnesses(genus: int, n: int) -> SurjectivityReport:
             else:
                 missing.append(pair)
     return SurjectivityReport(genus, n, tuple(witnesses), tuple(missing))
+
+
+def scan_smallest_witness(target: tuple[int, int], n: int, genus: int) -> list[int]:
+    """The greedy smallest witness as it was before its last class was read
+    off the remainder: every one of the n classes, the last included, is the
+    first class c whose remainder the classes left after it reach."""
+    even = _even_bits(genus)
+    t1, t2 = target
+    out = []
+    for left in range(n, 0, -1):
+        for c in range(1 << (2 * genus)):
+            rest = _whitney(t1, t2, c, 0, even)
+            if _reachable(rest, left - 1):
+                break
+        out.append(c)
+        t1, t2 = rest
+    return out
 
 
 def reach_sets(genus: int, n: int) -> list[set[tuple[int, int]]]:
@@ -713,6 +735,24 @@ def key_only_structurally_equal(a: GradedHiggsBundle, b: GradedHiggsBundle) -> b
 def key_only_gauge_equivalent(a: GradedHiggsBundle, b: GradedHiggsBundle) -> bool:
     """Equality up to reordering and switching, decided by the orbit keys alone."""
     return a.group == b.group and a.genus == b.genus and gauge_orbit_key(a) == gauge_orbit_key(b)
+
+
+def summand_key(h: GradedHiggsBundle, i: int) -> tuple:
+    """The grouping key of summand ``i``: side, rank, bundle text, SW label."""
+    s = h.summands[i]
+    sw = s.sw.label() if s.sw else ""
+    return (s.side, s.rank, s.bundle.serialize(), sw)
+
+
+def summand_key_orderings(h: GradedHiggsBundle) -> list[tuple[int, ...]]:
+    """Every ordering of ``h`` within groups of summands with equal
+    ``summand_key``, the groups taken in sorted key order."""
+    base = sorted(range(len(h.summands)), key=lambda i: summand_key(h, i))
+    groups = [list(g) for _, g in itertools.groupby(base, key=lambda i: summand_key(h, i))]
+    return [
+        tuple(i for grp in combo for i in grp)
+        for combo in itertools.product(*(itertools.permutations(g) for g in groups))
+    ]
 
 
 def near_misses(h: GradedHiggsBundle) -> list[GradedHiggsBundle]:

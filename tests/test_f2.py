@@ -3,6 +3,8 @@ and double covers."""
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -24,6 +26,7 @@ from helpers import (
     brute_force_sw_witnesses,
     cup_coords,
     reach_sets,
+    scan_smallest_witness,
     sw_fold,
     sw_fold_explicit,
 )
@@ -184,6 +187,21 @@ def test_closed_form_reachability_matches_the_reach_sets(genus):
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_surjectivity_matches_the_brute_force(genus, n):
     assert sw_surjectivity_witnesses(genus, n) == brute_force_sw_witnesses(genus, n)
+
+
+@pytest.mark.parametrize("genus", [2, 3, 4, 5])
+def test_smallest_witness_matches_the_full_scan(genus):
+    # the last class is read off the remainder, not scanned for; past the
+    # searched genera the witness is still defined, so the two are compared
+    # on every reachable value through genus 4 and on a seeded sample at 5
+    keys = f2cohomology._keys(genus)
+    if genus == 5:
+        keys = random.Random(2800).sample(keys, 256)
+    for n in range(1, 6):
+        for key in keys:
+            if f2cohomology._reachable(key, n):
+                got = f2cohomology._smallest_witness(key, n, genus)
+                assert got == scan_smallest_witness(key, n, genus), (key, n)
 
 
 @pytest.mark.parametrize("genus", [2, 3])

@@ -56,6 +56,7 @@ from higgs_atlas import (
     gauge_equivalent,
     gauge_orbit_key,
     make_bundle,
+    minimal_realizing_n,
     named_section,
     permute_summands,
     search_admissible_weights,
@@ -63,6 +64,7 @@ from higgs_atlas import (
     structurally_equal,
     summand_degree_multiset,
     switchable,
+    sw_surjectivity_witnesses,
     switched,
     trivial,
     unit_section,
@@ -80,6 +82,7 @@ from helpers import (
     near_misses,
     oracle_maximal_so23,
     outcome,
+    summand_key_orderings,
 )
 
 C2 = Curve(2)
@@ -605,10 +608,36 @@ def test_the_switched_invariant_is_read_off_the_object():
     valid = [m for m in copies if outcome(validate, replace(m))[0] == "ok"]
     assert len(valid) >= 60
     for h in outs + valid:
-        own, other = canonical._invariants(h, switch=True)
-        assert own == canonical._invariant(h)
+        other = canonical._invariant(h, move=canonical._switch_move(h))
         assert other == canonical._invariant(switched(h)), h
-    assert canonical._invariants(build_maximal_so2n(C2, 5, TrivialW0()), switch=False)[1] is None
+
+
+def test_the_summand_rows_order_and_group_as_the_summand_key(monkeypatch):
+    # with each relabelling replaced by its order, the orbit is the sequence
+    # of orderings the old grouping key made: the same base order and groups
+    objects = [h for genus in (2, 3) for h in every_builder_output(Curve(genus))]
+    objects += builder_corpus(2800, 60)
+    monkeypatch.setattr(canonical, "_relabel", lambda h, order: tuple(order))
+    for h in objects:
+        assert list(canonical._permutation_orbit(h)) == summand_key_orderings(h), h
+
+
+def test_a_partner_without_the_switched_meta_reads_no_switched_row(monkeypatch):
+    # switched a's rows are read only when its meta is b's, so a rejected
+    # pair whose partner has another meta is answered with the flip refused
+    def refuse(*args):
+        raise AssertionError("a switched row was read")
+
+    pairs = [(build_maximal_so23(C2, 2), build_maximal_so23(C2, 3)),
+             (build_maximal_so23(C2, 3), build_maximal_so23(C2, 2))]
+    for h in _switchable_outputs():
+        for m in near_misses(h):
+            pairs += [(h, m), (m, h)]
+    pairs = [(a, b) for a, b in pairs if canonical._switch_move(a)[2] != b.meta_map]
+    assert len(pairs) >= 100
+    monkeypatch.setattr(canonical, "_flip", refuse)
+    for a, b in pairs:
+        assert gauge_equivalent(a, b) is False
 
 
 def _refuse_switch(*args):
@@ -769,6 +798,44 @@ def test_the_scan_and_weight_search_refusal_frontier_at_genus_2(monkeypatch):
                         search_admissible_weights(h, 1)
     assert refused == {"scan": 16 + 8 + 9 + 9 + 8 + 8,
                        "search": 30 + 15 + 16 + 16 + 15 + 22 + 22}
+
+
+def test_the_comparison_and_sw_refusal_frontier_at_genus_2(monkeypatch):
+    # so0:2,n against its reversal: refused by the cap from 9! orderings on,
+    # and past the guard below, where the first ordering raises.  A partner
+    # without beta0 (trivial W0) or nu (split W0) has another invariant, so
+    # it is answered at every size.
+    rows = (
+        (TrivialW0(), lambda n: build_maximal_so2n(C2, n, TrivialW0(), beta0=False), 0, 9),
+        (SplitW0(1), lambda n: build_maximal_so2n(C2, n, SplitW0(1, nu=False)), 2, 11),
+    )
+    refused = Counter()
+    for w0, partner, fewer, first in rows:
+        for n in range(3, 31):
+            h, q = build_maximal_so2n(C2, n, w0), partner(n)
+            p = permute_summands(h, list(reversed(range(len(h.summands)))))
+            for compare in (structurally_equal, gauge_equivalent):
+                assert compare(h, q) is False and compare(q, h) is False
+                if n >= first:
+                    with pytest.raises(BudgetError) as exc:
+                        compare(h, p)
+                    assert exc.value.payload == {"size": math.factorial(n - fewer), "cap": 40320}
+                    refused[compare.__name__] += 1
+                    continue
+                with monkeypatch.context() as m:
+                    m.setattr(canonical, "_relabel", _past_the_guard)
+                    with pytest.raises(_PastTheGuard):
+                        compare(h, p)
+    assert refused == {"structurally_equal": 22 + 20, "gauge_equivalent": 22 + 20}
+    # the sw row: answered at genus 2 and 3, refused from genus 4 on
+    for genus in range(2, 11):
+        if genus <= 3:
+            assert sw_surjectivity_witnesses(genus, 3).complete
+            assert len(minimal_realizing_n(genus, 3)) == 2 ** (2 * genus + 1)
+            continue
+        for ask in (sw_surjectivity_witnesses, minimal_realizing_n):
+            with pytest.raises(DimensionMismatchError):
+                ask(genus, 3)
 
 
 def _comparison_pairs(genus):
