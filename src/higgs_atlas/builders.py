@@ -10,7 +10,6 @@ checked by ``higgsmodel.validate`` before it is returned.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Iterable, Mapping, Sequence
 
 from .curve import Curve
@@ -31,10 +30,11 @@ from .higgsmodel import (
     SIDE_W,
     VANISH_GENERIC,
     VANISH_NOWHERE,
+    DolbeaultTerm,
     GradedHiggsBundle,
+    HiggsEntry,
     SectionSymbol,
     Summand,
-    _replace_keeping_mark,
     make_bundle,
     named_section,
     unit_section,
@@ -237,7 +237,7 @@ def build_hitchin_sp(
 def build_fuchsian(curve: Curve, spin_name: str = "s", q2: bool = True) -> GradedHiggsBundle:
     """The uniformizing rank-2 object: a spin bundle and its dual."""
     h = build_hitchin_sp(curve, 1, (2,) if q2 else (), spin_name)
-    return _replace_keeping_mark(h, meta=(("family", "fuchsian"), ("n", 1)))
+    return h._with(h._degrees, meta=(("family", "fuchsian"), ("n", 1)))
 
 
 def build_hitchin_so_nn(
@@ -367,7 +367,7 @@ def build_maximal_so23(
     h = build_maximal_so2n(curve, 3, SplitW0(d, mu, nu), q2)
     meta = {"family": "maximal-so23", "d": d,
             "switch_variable": "M", "switch_sections": "mu,nu"}
-    return _replace_keeping_mark(h, meta=tuple(sorted(meta.items())))
+    return h._with(h._degrees, meta=tuple(sorted(meta.items())))
 
 
 def build_maximal_so2n(
@@ -552,18 +552,43 @@ def build_extension_deformed_so35(curve: Curve, d: int, mu: bool = True) -> Grad
 
 # -- derived objects ---------------------------------------------------------
 
+def _stabilized(
+    h: GradedHiggsBundle,
+    group: GroupTag,
+    meta: Mapping[str, object] | None = None,
+    front_v: int = 0,
+    back_w: int = 0,
+) -> GradedHiggsBundle:
+    """``h`` as a checked object of ``group``, with ``front_v`` trivial V
+    summands before its own (so its indices move up by ``front_v``) and
+    ``back_w`` trivial W summands after them, each self-paired with a zero
+    field row, and with ``meta`` when given."""
+    k = front_v
+    summands, sigma = _with_trivial_w(
+        (Summand(SIDE_V, trivial()),) * k + h.summands,
+        (*range(k), *(j + k for j in h.sigma)),
+        back_w,
+    )
+    out = h._with(
+        group=group,
+        summands=summands,
+        sigma=sigma,
+        higgs=tuple(HiggsEntry(e.target + k, e.source + k, e.symbol) for e in h.higgs),
+        dolbeault=tuple(DolbeaultTerm(t.target + k, t.source + k, t.name) for t in h.dolbeault),
+        meta=h.meta if meta is None else tuple(sorted(meta.items())),
+    )
+    validate(out)
+    return out
+
+
 def associated_sl(h: GradedHiggsBundle) -> GradedHiggsBundle:
     """Forget the real structure: the same summands and field seen as an
     object for the special linear group of the total rank."""
     if h.group.family == "slc":
         raise WrongGroupError("already a special-linear object")
-    out = replace(
-        h,
-        group=GroupTag("slc", (h.total_rank,)),
-        meta=tuple(sorted({**h.meta_map, "associated_from": str(h.group)}.items())),
+    return _stabilized(
+        h, GroupTag("slc", (h.total_rank,)), {**h.meta_map, "associated_from": str(h.group)}
     )
-    validate(out)
-    return out
 
 
 def _integer_label(h: GradedHiggsBundle) -> int:
@@ -583,20 +608,11 @@ def embed_so23_to_so2n(h: GradedHiggsBundle, n: int) -> GradedHiggsBundle:
         raise WrongGroupError(f"expected a so0:2,3 object, got {h.group}")
     if n < 4:
         raise BoundError("the target signature needs n >= 4")
-    summands, sigma = _with_trivial_w(h.summands, h.sigma, n - 3)
     meta = {**h.meta_map, "family": "maximal-so2n", "n": n, "w0": "embedded"}
     if "sw1" not in meta:
         meta["sw1"] = F2Class.zero(h.genus).bits()
         meta["sw2"] = 0 if meta.get("d") is None else _integer_label(h) % 2
-    out = replace(
-        h,
-        group=GroupTag("so0", (2, n)),
-        summands=summands,
-        sigma=sigma,
-        meta=tuple(sorted(meta.items())),
-    )
-    validate(out)
-    return out
+    return _stabilized(h, GroupTag("so0", (2, n)), meta, back_w=n - 3)
 
 
 def embed_so23_to_so33(h: GradedHiggsBundle) -> GradedHiggsBundle:
@@ -604,21 +620,8 @@ def embed_so23_to_so33(h: GradedHiggsBundle) -> GradedHiggsBundle:
     prepending one trivial V summand with zero field row."""
     if h.group != GroupTag("so0", (2, 3)):
         raise WrongGroupError(f"expected a so0:2,3 object, got {h.group}")
-    summands = [Summand(SIDE_V, trivial())] + list(h.summands)
-    sigma = [0] + [j + 1 for j in h.sigma]
-    entries = [(e.target + 1, e.source + 1, e.symbol) for e in h.higgs]
-    dol = [(t.target + 1, t.source + 1, t.name) for t in h.dolbeault]
-    return make_bundle(
-        GroupTag("so0", (3, 3)),
-        Curve(h.genus),
-        summands,
-        sigma,
-        h.form,
-        entries,
-        dolbeault=dol,
-        declared=h.declared_map,
-        torsion_classes=dict(h.torsion_classes),
-        meta={**h.meta_map, "family": "embedded-so33"},
+    return _stabilized(
+        h, GroupTag("so0", (3, 3)), {**h.meta_map, "family": "embedded-so33"}, front_v=1
     )
 
 
@@ -627,10 +630,7 @@ def append_trivial_w(h: GradedHiggsBundle) -> GradedHiggsBundle:
     if h.group.family != "so0":
         raise WrongGroupError("only split orthogonal objects can be stabilized")
     p, q = h.group.params
-    summands, sigma = _with_trivial_w(h.summands, h.sigma, 1)
-    out = replace(h, group=GroupTag("so0", (p, q + 1)), summands=summands, sigma=sigma)
-    validate(out)
-    return out
+    return _stabilized(h, GroupTag("so0", (p, q + 1)), back_w=1)
 
 
 def so2n_sw_label(h: GradedHiggsBundle) -> SWPair:

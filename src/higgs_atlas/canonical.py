@@ -9,7 +9,6 @@ those choices, so two presentations can be compared.
 from __future__ import annotations
 
 import itertools
-from dataclasses import replace
 from typing import Sequence
 
 from .errors import BudgetError, PreconditionError, WrongGroupError, _read_int
@@ -19,8 +18,6 @@ from .higgsmodel import (
     HiggsEntry,
     SectionSymbol,
     Summand,
-    _mark,
-    _replace_keeping_mark,
     _switch_sections,
     canonical_json,
     validate,
@@ -44,8 +41,8 @@ def _relabel(h: GradedHiggsBundle, order: Sequence[int]) -> GradedHiggsBundle:
     permutation, and the result is valid exactly when ``h`` is, so a
     marked ``h`` passes its mark on, with the degrees reordered."""
     inv = {old: new for new, old in enumerate(order)}
-    out = replace(
-        h,
+    return h._with(
+        None if h._degrees is None else tuple(h._degrees[old] for old in order),
         summands=tuple(h.summands[old] for old in order),
         sigma=tuple(inv[h.sigma[old]] for old in order),
         higgs=tuple(
@@ -61,9 +58,6 @@ def _relabel(h: GradedHiggsBundle, order: Sequence[int]) -> GradedHiggsBundle:
             )
         ),
     )
-    if h._degrees is not None:
-        _mark(out, tuple(h._degrees[old] for old in order))
-    return out
 
 
 def switchable(h: GradedHiggsBundle) -> bool:
@@ -97,8 +91,8 @@ def switched(h: GradedHiggsBundle) -> GradedHiggsBundle:
     declared = dict(h.declared)
     if var in declared:
         declared[var] = -declared[var]
-    out = _replace_keeping_mark(
-        h,
+    out = h._with(
+        h._degrees,
         summands=tuple(map(flip, h.summands)),
         higgs=tuple(map(swap, h.higgs)),
         declared=tuple(sorted(declared.items())),
@@ -236,8 +230,10 @@ def _equal(a: GradedHiggsBundle, b: GradedHiggsBundle, switch: bool) -> bool:
     """Is ``b`` a reordering of ``a`` or, with ``switch``, of switched ``a``?
     Group and genus first; then ``a`` is validated, its switch move read
     (so a malformed switch meta is refused before ``b`` is checked) and
-    ``b`` validated, each at once when marked.  Invariants come before any
-    ordering, switched ``a``'s only when its meta is ``b``'s, and only a
+    ``b`` validated, each at once when marked.  A presentation of ``a``
+    (its own, or switched ``a``) is compared further only when its meta is
+    ``b``'s, since the invariant holds the meta: rows and invariants are
+    read only then, invariants come before any ordering, and only a
     presentation whose invariant matches is keyed; switched ``a`` is built
     only when ``a``'s own key did not match.  The switch is an involution
     commuting with reordering, so this is the orbit-key comparison."""
@@ -246,9 +242,13 @@ def _equal(a: GradedHiggsBundle, b: GradedHiggsBundle, switch: bool) -> bool:
     validate(a)
     move = _switch_move(a) if switch and switchable(a) else None
     validate(b)
-    rows, theirs = _rows(a), _invariant(b)
-    own = _invariant(a, rows) == theirs
-    other = move is not None and move[2] == b.meta_map and _invariant(a, rows, move) == theirs
+    meta = b.meta_map
+    own = a.meta_map == meta
+    other = move is not None and move[2] == meta
+    if own or other:
+        rows, theirs = _rows(a), _invariant(b)
+        own = own and _invariant(a, rows) == theirs
+        other = other and _invariant(a, rows, move) == theirs
     if not (own or other):
         return False
     key = canonical_key(b)

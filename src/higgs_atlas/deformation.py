@@ -18,7 +18,6 @@ split locus when the deformed object fails to be stable.
 from __future__ import annotations
 
 import itertools
-from dataclasses import replace
 
 from .curve import Curve
 from .errors import (
@@ -176,24 +175,17 @@ def graded_limit(
 
     The limit keeps exactly the exponent-zero entries; pairing symmetry of
     the weights makes the kept set transpose-closed, so the limit is again
-    a valid object of the same group.
+    a valid object of the same group, with the same summand degrees, exactly
+    when ``h`` is: a marked ``h`` passes its mark on.
     """
     table = exponent_table(h, w, direction)
     if not table.all_nonnegative:
         return LimitResult(False, direction, w, table, None, h)
-    kept = {
-        (r.kind, r.target, r.source)
-        for r in table.rows
-        if r.exponent == 0
-    }
-    limit = replace(
-        h,
-        higgs=tuple(
-            e for e in h.higgs if ("higgs", e.target, e.source) in kept
-        ),
-        dolbeault=tuple(
-            t for t in h.dolbeault if ("dolbeault", t.target, t.source) in kept
-        ),
+    rows = iter(table.rows)  # the Higgs entries' rows, then the extension terms'
+    limit = h._with(
+        h._degrees,
+        higgs=tuple(e for e, r in zip(h.higgs, rows) if r.exponent == 0),
+        dolbeault=tuple(t for t, r in zip(h.dolbeault, rows) if r.exponent == 0),
     )
     verdict = check_polystability(limit) if with_stability else None
     return LimitResult(True, direction, w, table, limit, h, verdict)

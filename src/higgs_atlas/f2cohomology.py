@@ -129,8 +129,10 @@ def minimal_realizing_n(genus: int, n_max: int = 3) -> dict[SWPair, int | None]:
 
     Pairs come in order of that number, then of (sw_1 encoding, sw_2);
     pairs that no sum of at most n_max classes reaches follow with None.
-    An n_max below 1 gives an empty table.
+    An n_max below 1 gives an empty table; a genus below 2 is refused first.
     """
+    if genus < 2:
+        raise ValueError("genus must be at least 2")
     if n_max < 1:
         return {}
     _check_search_genus(genus)

@@ -152,16 +152,15 @@ class DolbeaultTerm(_Value):
 
 
 # The package's one dataclass, and so the reason a verb that loads this
-# module imports `dataclasses`: the builders, the limits and the benchmark
-# derive variants of an object with `dataclasses.replace`.
+# module imports `dataclasses`: `_with`, the package's one
+# `dataclasses.replace` call, makes every derived object.
 #
 # A successful `validate` marks the object by storing the summand degrees it
 # resolved in `_degrees`, which is not a field, so `==`, `hash`, `repr` and
 # `bundle_to_dict` never see it; `degrees` and `degree_of` read it, and
-# `validate` returns at once for a marked object.  `canonical`'s relabelling
-# and `_replace_keeping_mark` (the switch, the base-case builders) copy the
-# mark to their output; a `replace` copy, a constructor call or any other new
-# object is unmarked and gets the full check.
+# `validate` returns at once for a marked object.  `_with` alone marks a
+# derived object, with the degrees its caller passes; without them, and for
+# a constructor call, the object is unmarked and gets the full check.
 @dataclass(frozen=True)
 class GradedHiggsBundle:
     """An object: summands, pairing, field entries, extension terms and symbol data."""
@@ -212,6 +211,15 @@ class GradedHiggsBundle:
     def side_indices(self, side: str) -> tuple[int, ...]:
         return tuple(i for i, s in enumerate(self.summands) if s.side == side)
 
+    def _with(self, degrees: tuple[int, ...] | None = None, **fields) -> GradedHiggsBundle:
+        """A copy with ``fields`` changed, marked with ``degrees`` (which
+        a caller passes only for a copy valid whenever ``self`` is, with those
+        summand degrees by index) or, without them, unmarked."""
+        out = replace(self, **fields)
+        if degrees is not None:
+            object.__setattr__(out, "_degrees", degrees)
+        return out
+
 
 def make_bundle(
     group: GroupTag,
@@ -255,9 +263,11 @@ def validate(h: GradedHiggsBundle) -> None:
 
     A check that passes marks ``h`` with the degrees it resolved, and a
     marked object is not checked again: ``make_bundle`` (so every builder and
-    ``bundle_from_dict``) leaves its output marked, and ``permute_summands``
-    and ``switched`` pass the mark on.  A ``dataclasses.replace`` copy is
-    unmarked, so it is checked in full.
+    ``bundle_from_dict``) leaves its output marked, and ``permute_summands``,
+    ``switched`` and ``graded_limit`` pass the mark on through
+    ``GradedHiggsBundle._with``.  A ``_with()`` copy without degrees, like a
+    constructor call or a ``dataclasses.replace`` copy, is unmarked, so it is
+    checked in full.
 
     In order: every mod-2 class (a torsion symbol's, a block's sw_1) is of
     the object's genus; sigma is an involution of the summands pairing each
@@ -349,23 +359,7 @@ def validate(h: GradedHiggsBundle) -> None:
             raise ModelInvariantError(
                 f"extension term ({t},{s}) has no matching transpose"
             )
-    _mark(h, tuple(degrees))
-
-
-def _mark(h: GradedHiggsBundle, degrees: tuple[int, ...]) -> None:
-    """Mark ``h`` as valid with its summand degrees, by index; only
-    ``validate`` and the moves that keep an object valid call this."""
-    object.__setattr__(h, "_degrees", degrees)
-
-
-def _replace_keeping_mark(h: GradedHiggsBundle, **changes) -> GradedHiggsBundle:
-    """``replace(h, **changes)`` for a change that keeps every summand degree
-    and ``h``'s validity (a new meta, which ``validate`` never reads, or the
-    switch), so a marked ``h`` passes its mark on."""
-    out = replace(h, **changes)
-    if h._degrees is not None:
-        _mark(out, h._degrees)
-    return out
+    object.__setattr__(h, "_degrees", tuple(degrees))
 
 
 def _ambient_k_power(source: LineBundleExpr, target: LineBundleExpr) -> int | None:

@@ -202,14 +202,12 @@ def _check_cover() -> str:
 
 @_register("builders-validate")
 def _check_builders() -> str:
-    from dataclasses import replace
-
     from .higgsmodel import validate
 
     count = 0
     for h in _sample_builders():
         # an unmarked copy: a builder's output is marked, and would pass at once
-        validate(replace(h))
+        validate(h._with())
         count += 1
     return f"{count} builder outputs pass structural validation"
 
@@ -423,8 +421,6 @@ def _check_zero_weights() -> str:
 
 @_register("limit-preserves-validity")
 def _check_limit_validity() -> str:
-    from dataclasses import replace
-
     from . import deformation
     from .builders import build_extension_deformed_so35
     from .curve import Curve
@@ -437,7 +433,7 @@ def _check_limit_validity() -> str:
             h, deformation.DEFORMED_SO35_STABLE_BRANCH, direction
         )
         if res.exists:
-            validate(replace(res.limit))
+            validate(res.limit._with())
     return "surviving limits revalidate as objects of the same group"
 
 

@@ -82,6 +82,7 @@ from higgs_atlas import (
     divisor_twist,
     embed_so23_to_so2n,
     embed_so23_to_so33,
+    exponent_table,
     gauge_orbit_key,
     named_section,
     spin,
@@ -566,6 +567,20 @@ def _expression_group_shape(h: GradedHiggsBundle) -> None:
         raise ModelInvariantError("total degree must vanish")
     if fam == "sp" and h.form != "symplectic":
         raise ModelInvariantError("symplectic groups need a symplectic pairing")
+
+
+def set_selected_limit(
+    h: GradedHiggsBundle, w: WeightAssignment, direction: str
+) -> tuple[tuple, tuple]:
+    """The Higgs entries and extension terms a graded limit keeps, selected
+    by the earlier rule: every exponent-zero row's (kind, target, source) in
+    a set, and each entry kept when its triple is in the set."""
+    kept = {(r.kind, r.target, r.source)
+            for r in exponent_table(h, w, direction).rows if r.exponent == 0}
+    return (
+        tuple(e for e in h.higgs if ("higgs", e.target, e.source) in kept),
+        tuple(t for t in h.dolbeault if ("dolbeault", t.target, t.source) in kept),
+    )
 
 
 def outcome(check, *args) -> tuple[str, str]:

@@ -323,6 +323,14 @@ def test_sw_surjectivity_and_minimal_table(capsys):
     assert doc["minimal"]["sw1=0001,sw2=1"] == 2
 
 
+@pytest.mark.parametrize("genus", ["0", "1"])
+@pytest.mark.parametrize("n_max", ["0", "2"])
+def test_sw_minimal_table_refuses_a_genus_below_2(capsys, genus, n_max):
+    code, doc = run_json(capsys, "sw", "--genus", genus, "--minimal-n", "--n", n_max)
+    assert code == 1
+    assert doc == {"code": "value", "message": "genus must be at least 2", "status": "error"}
+
+
 def _surjectivity_document(report):
     return {
         "genus": report.genus,

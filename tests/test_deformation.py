@@ -15,6 +15,8 @@ from higgs_atlas import (
     Curve,
     DEFORMED_SO35_RETRACTION,
     DEFORMED_SO35_STABLE_BRANCH,
+    DIRECTION_TO_INFINITY,
+    DIRECTION_TO_ZERO,
     DimensionMismatchError,
     HiggsAtlasError,
     NDescriptor,
@@ -35,6 +37,7 @@ from higgs_atlas import (
     validate,
     zero_weights,
 )
+from helpers import every_builder_output, expression_validate, set_selected_limit
 
 C2 = Curve(2)
 
@@ -203,6 +206,48 @@ def test_limits_of_chain_objects_stay_valid():
     for w, res in search_admissible_weights(h, 2):
         assert res.exists
         validate(replace(res.limit))
+
+
+def _limit_weights(h):
+    """The weight vectors to take limits of ``h`` under: zero weights at
+    scale 1 and 0, and the two fixed vectors where they fit the pairing."""
+    vectors = [zero_weights(h), zero_weights(h, 0)]
+    for w in (DEFORMED_SO35_RETRACTION, DEFORMED_SO35_STABLE_BRANCH):
+        if len(w.weights) == len(h.summands) and all(
+            w.weights[i] == -w.weights[j] for i, j in enumerate(h.sigma)
+        ):
+            vectors.append(w)
+    return vectors
+
+
+def test_a_limit_of_a_marked_object_is_marked_with_its_degrees():
+    objects = every_builder_output(Curve(2)) + every_builder_output(Curve(3))
+    seen = {"limits": 0, "with_terms": 0}
+    for h in objects:
+        assert h._degrees is not None
+        cases = []
+        for direction in (DIRECTION_TO_ZERO, DIRECTION_TO_INFINITY):
+            cases += [(w, direction) for w in _limit_weights(h)]
+            if len(h.summands) <= 10:
+                cases += [(w, direction) for w, _ in search_admissible_weights(h, 1, direction)]
+        for w, direction in cases:
+            res = graded_limit(h, w, direction)
+            if not res.exists:
+                continue
+            limit = res.limit
+            declared = limit.declared_map
+            fresh = tuple(s.bundle.resolved_degree(h.genus, declared) for s in limit.summands)
+            assert limit._degrees == fresh == h._degrees, (h, w)
+            assert (limit.higgs, limit.dolbeault) == set_selected_limit(h, w, direction), (h, w)
+            assert limit._with(higgs=h.higgs, dolbeault=h.dolbeault) == h
+            # the mark vouches for a limit the full check passes
+            assert expression_validate(limit._with()) is None, (h, w)
+            # an unmarked source gives an unmarked limit, with the same entries
+            plain = graded_limit(h._with(), w, direction).limit
+            assert plain == limit and plain._degrees is None
+            seen["limits"] += 1
+            seen["with_terms"] += bool(limit.dolbeault)
+    assert seen["limits"] >= 1000 and seen["with_terms"] >= 20, seen
 
 
 def branch_documents(genus):

@@ -215,6 +215,14 @@ def test_minimal_table_without_summands_is_empty_for_any_genus():
     assert minimal_realizing_n(7, 0) == {}
 
 
+@pytest.mark.parametrize("genus", [0, 1])
+@pytest.mark.parametrize("n_max", [0, 1, 3])
+def test_minimal_table_refuses_a_genus_below_2(genus, n_max):
+    # refused before the empty-table shortcut, as every class list is
+    with pytest.raises(ValueError, match="genus must be at least 2"):
+        minimal_realizing_n(genus, n_max)
+
+
 def test_minimal_realizing_n_table():
     table = minimal_realizing_n(2, 3)
     assert len(table) == 32

@@ -640,6 +640,30 @@ def test_a_partner_without_the_switched_meta_reads_no_switched_row(monkeypatch):
         assert gauge_equivalent(a, b) is False
 
 
+def test_a_pair_whose_metas_differ_reads_no_row(monkeypatch):
+    # the invariant holds the meta, so a presentation of a whose meta is not
+    # b's (nor, under the switch, switched a's) is rejected unread
+    outs = [h for genus in (2, 3) for h in every_builder_output(Curve(genus))]
+    same = [(a, b) for a in outs for b in outs if (a.group, a.genus) == (b.group, b.genus)]
+    plain = [(a, b) for a, b in same if a.meta_map != b.meta_map]
+    gauge = [(a, b) for a, b in plain
+             if not switchable(a) or canonical._switch_move(a)[2] != b.meta_map]
+    gauge += [(build_maximal_so23(C2, 2), build_maximal_so23(C2, 3)),
+              (build_maximal_so23(C2, 3), build_maximal_so23(C2, 2))]
+    assert len(gauge) >= 500 and len(plain) > len(gauge)
+    reads = []
+    rows = canonical._rows
+    monkeypatch.setattr(canonical, "_rows", lambda h: reads.append(h) or rows(h))
+    for a, b in plain:
+        assert structurally_equal(a, b) is False
+    for a, b in gauge:
+        assert gauge_equivalent(a, b) is False
+    assert reads == []
+    # a pair whose metas agree is still read
+    a = build_maximal_so23(C2, 2)
+    assert gauge_equivalent(a, switched(a)) and reads
+
+
 def _refuse_switch(*args):
     raise AssertionError("a switched presentation was built")
 
@@ -925,8 +949,9 @@ def test_a_rejected_pair_makes_no_ordering(monkeypatch):
 # -- the validity mark ---------------------------------------------------------
 #
 # A passing `validate` keeps the object's summand degrees in `_degrees`;
-# `canonical._relabel`, `switched` and `higgsmodel._replace_keeping_mark`
-# pass them on, so every builder returns a marked object.  These tests
+# `GradedHiggsBundle._with` passes them on when its caller gives them
+# (`canonical._relabel`, `switched`, the base-case builders), so every
+# builder returns a marked object.  These tests
 # read the private attribute, since its presence is the mark.
 
 def _marked(h):
@@ -1065,6 +1090,32 @@ def test_an_invalid_copy_of_a_marked_object_is_refused():
         assert outcome(permute_summands, m, order)[0] != "ok"
         if switchable(m):
             assert outcome(switched, m)[0] == want[0], m
+        assert not _marked(m)
+
+
+def test_with_marks_a_copy_exactly_when_given_degrees():
+    outs, mutants, rng = _mark_corpus()
+    for h in outs:
+        assert _marked(h)
+        plain = h._with()
+        assert not _marked(plain)
+        assert plain == h and hash(plain) == hash(h) and repr(plain) == repr(h)
+        assert canonical_json(plain) == canonical_json(h)
+        # the copy carries exactly the degrees its caller vouches for
+        given = tuple(rng.randrange(-9, 10) for _ in h.summands)
+        moved = h._with(given, meta=())
+        assert moved._degrees is given and moved.meta == () and moved.summands == h.summands
+        assert not _marked(h._with(None, meta=()))
+        validate(plain)
+        assert plain._degrees == h._degrees
+    # an unmarked copy is checked in full, so an invalid one is refused
+    bad = [h._with(sigma=h.sigma[1:]) for h in outs]
+    bad += [m._with() for m in mutants if outcome(expression_validate, m)[0] != "ok"]
+    assert len(bad) >= 200
+    for m in bad:
+        want = outcome(expression_validate, m)
+        assert want[0] != "ok"
+        assert outcome(validate, m) == want, m
         assert not _marked(m)
 
 

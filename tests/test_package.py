@@ -154,6 +154,24 @@ def test_the_object_model_still_reads_out_its_group_tags():
     )
 
 
+def test_only_the_object_model_imports_dataclasses():
+    # a derived object is made by GradedHiggsBundle._with, the one replace call
+    importers, replace_calls = set(), 0
+    for name in LIBRARY_MODULES:
+        tree = ast.parse((SRC / "higgs_atlas" / f"{name}.py").read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "dataclasses" or (
+                isinstance(node, ast.Import) and any(a.name == "dataclasses" for a in node.names)
+            ):
+                importers.add(name)
+            elif isinstance(node, ast.Call) and ast.unparse(node.func) in (
+                "replace", "dataclasses.replace"
+            ):
+                replace_calls += 1
+    assert importers == {"higgsmodel"}
+    assert replace_calls == 1
+
+
 # -- a tag's kind is decided in groups alone -------------------------------------
 
 def _reads(node: ast.AST, names: set[str]) -> bool:
