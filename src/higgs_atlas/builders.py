@@ -608,6 +608,7 @@ def embed_so23_to_so2n(h: GradedHiggsBundle, n: int) -> GradedHiggsBundle:
         raise WrongGroupError(f"expected a so0:2,3 object, got {h.group}")
     if n < 4:
         raise BoundError("the target signature needs n >= 4")
+    validate(h)
     meta = {**h.meta_map, "family": "maximal-so2n", "n": n, "w0": "embedded"}
     if "sw1" not in meta:
         meta["sw1"] = F2Class.zero(h.genus).bits()

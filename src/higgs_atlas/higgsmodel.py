@@ -269,9 +269,10 @@ def validate(h: GradedHiggsBundle) -> None:
     constructor call or a ``dataclasses.replace`` copy, is unmarked, so it is
     checked in full.
 
-    In order: every mod-2 class (a torsion symbol's, a block's sw_1) is of
-    the object's genus; sigma is an involution of the summands pairing each
-    line with its dual (blocks are self-paired of degree 0), orthogonal
+    In order: the genus is one ``Curve`` accepts (an integer >= 2); every
+    mod-2 class (a torsion symbol's, a block's sw_1) is of the object's
+    genus; sigma is an involution of the summands pairing each line with
+    its dual (blocks are self-paired of degree 0), orthogonal
     pairings keep sides and symplectic ones exchange them; the group's
     ranks, determinant conditions and total degree hold (every summand
     degree resolves, V side first, or UnresolvedDegreeError names the
@@ -290,6 +291,10 @@ def validate(h: GradedHiggsBundle) -> None:
     """
     if h._degrees is not None:
         return
+    try:
+        Curve(h.genus)
+    except ValueError as exc:
+        raise ModelInvariantError(str(exc)) from None
     for name, cls in h.torsion_classes:
         _check_genus(cls, h.genus, f"symbol {name}")
     for i, s in enumerate(h.summands):

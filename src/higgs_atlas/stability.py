@@ -18,6 +18,19 @@ closed subsets of an object are the unions of one closed subset per
 component.  ``check_polystability`` therefore scans each component on its
 own, at a cost of the sum of 2^|C| over components C instead of 2^n, and
 puts the verdict back together exactly (see its docstring).
+
+The entries are walked once, into a successor and a predecessor bitmask
+per summand; the components are read off those masks, and each component
+reads its arcs off its own members' successor masks.  The scan of a
+component keeps two running keys (-degree, size, indices), the least
+closed subset and the least proper nonempty closed subset of degree zero,
+and no object for any other closed subset: a verdict builds one
+``InvariantSubobject``, its witness.  The loop itself still tests every
+one of the 2^|C| masks against the arcs, as the definition reads.  An
+output-sensitive enumeration (ROADMAP item 3) waits for the benchmark to
+let each question go once it is checked: while every question of a run is
+kept, a much faster scan asks more of them and raises the run's peak
+memory past its bound.
 """
 
 from __future__ import annotations
@@ -32,7 +45,7 @@ from .errors import (
     _Value,
     _read_int,
 )
-from .higgsmodel import GradedHiggsBundle
+from .higgsmodel import GradedHiggsBundle, validate
 
 STATUS_STABLE = "stable"
 STATUS_POLYSTABLE = "polystable"
@@ -104,69 +117,68 @@ class StabilityVerdict(_Value):
         return out
 
 
-def _arrows(h: GradedHiggsBundle) -> list[tuple[int, int]]:
-    pairs = {(e.source, e.target) for e in h.higgs}
-    pairs |= {(t.source, t.target) for t in h.dolbeault}
-    return sorted(pairs)
+def _masks(h: GradedHiggsBundle) -> tuple[list[int], list[int]]:
+    """One walk of the entries into successor and predecessor masks: bit j
+    of ``succ[i]``, and bit i of ``pred[j]``, is set when an entry or an
+    extension term maps summand i to summand j."""
+    succ, pred = [0] * len(h.summands), [0] * len(h.summands)
+    for arrow in h.higgs + h.dolbeault:
+        succ[arrow.source] |= 1 << arrow.target
+        pred[arrow.target] |= 1 << arrow.source
+    return succ, pred
 
 
-def _is_closed(mask: int, arrows: list[tuple[int, int]]) -> bool:
-    for src, tgt in arrows:
-        if mask >> src & 1 and not mask >> tgt & 1:
-            return False
-    return True
-
-
-def _check_budget(n: int, size: int) -> None:
-    budget = subset_budget()
-    if size > budget:
-        raise BudgetError(
-            f"subset scan over {n} summands exceeds the budget {budget}",
-            n=n,
-            budget=budget,
-            size=size,
-        )
-
-
-def _closed_subsets(
-    members: tuple[int, ...], arrows: list[tuple[int, int]], degrees: tuple[int, ...]
-) -> list[InvariantSubobject]:
-    """Every arrow-closed subset of ``members``, a set of indices that no
-    arrow leaves, in mask order; the masks run over local positions."""
-    local = {g: i for i, g in enumerate(members)}
-    arcs = [(local[src], local[tgt]) for src, tgt in arrows if src in local]
+def _indices(mask: int) -> list[int]:
+    """The set bits of ``mask``, lowest first."""
     out = []
-    for mask in range(1 << len(members)):
-        if not _is_closed(mask, arcs):
-            continue
-        indices = tuple(g for i, g in enumerate(members) if mask >> i & 1)
-        out.append(InvariantSubobject(indices, sum(degrees[i] for i in indices)))
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
     return out
 
 
+def _closed_subsets(
+    members: tuple[int, ...], succ: list[int], degrees: tuple[int, ...]
+) -> tuple[tuple, tuple | None]:
+    """The least arrow-closed subset of ``members`` (one that no arrow
+    leaves) and the least proper nonempty one of degree zero (None when
+    there is none), each as its key (-degree, size, indices).  The masks
+    run over local positions, and only the two running least keys are kept."""
+    arcs = [(i, members.index(t)) for i, s in enumerate(members) for t in _indices(succ[s])]
+    top, zero = (0, 0, ()), None  # the empty set is closed
+    for mask in range(1, 1 << len(members)):
+        for src, tgt in arcs:
+            if mask >> src & 1 and not mask >> tgt & 1:
+                break
+        else:
+            indices = tuple([g for i, g in enumerate(members) if mask >> i & 1])
+            key = (-sum([degrees[g] for g in indices]), len(indices), indices)
+            top = min(top, key)
+            if key[0] == 0 and key[1] < len(members):
+                zero = min(zero or key, key)
+    return top, zero
+
+
+def _components(succ: list[int], pred: list[int]) -> tuple[tuple[int, ...], ...]:
+    parts, seen = [], 0
+    for i in range(len(succ)):
+        if not seen >> i & 1:
+            part, todo = 1 << i, [i]
+            while todo:
+                j = todo.pop()
+                grown = (succ[j] | pred[j]) & ~part
+                part |= grown
+                todo += _indices(grown)
+            seen |= part
+            parts.append(tuple(_indices(part)))
+    return tuple(parts)
+
+
 def components(h: GradedHiggsBundle) -> tuple[tuple[int, ...], ...]:
-    """Connected components of the summand graph, arrows taken undirected."""
-    n = len(h.summands)
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for src, tgt in _arrows(h):
-        ra, rb = find(src), find(tgt)
-        if ra != rb:
-            parent[rb] = ra
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    return tuple(sorted(tuple(sorted(g)) for g in groups.values()))
-
-
-def _best_witness(cands: list[InvariantSubobject]) -> InvariantSubobject:
-    return min(cands, key=lambda s: (-s.degree, s.size, s.indices))
+    """Connected components of the summand graph, arrows taken undirected,
+    each sorted, in order of their least index."""
+    return _components(*_masks(h))
 
 
 def check_polystability(
@@ -183,7 +195,13 @@ def check_polystability(
                  destabilizing subobject, so it is not polystable).
 
     Each component is scanned on its own; the work is the sum of 2^|C|
-    over components C, and it is what the budget bounds.  The closed
+    over components C, and it is what the budget bounds.  One walk of the
+    entries gives the successor and predecessor masks that the components
+    and every component's arcs are read from.  Each scan keeps only two
+    running keys (-degree, size, indices), its least closed subset and its
+    least proper nonempty closed subset of degree zero; the one
+    ``InvariantSubobject`` built is the witness.  Every mask of a component
+    is still tested, so the cost per mask is that of the definition.  The
     subsets of largest degree are closed under union and intersection, so
     the smallest one is unique: it is the positive-degree witness, the
     union of each component's smallest closed subset of largest degree.
@@ -192,6 +210,11 @@ def check_polystability(
     part is positive and the parts sum to zero), so the least subset that
     cuts through a component lies inside a single one.  Both arguments
     need the total degree to vanish, which ``validate`` enforces.
+
+    The guards come in order: the shape, the budget on the sum of 2^|C|,
+    the total degree, then ``validate`` (at once for a marked object), so
+    an object that fails the structural checks, a genus below 2 included,
+    is refused rather than answered.
 
     Higher-rank block summands are treated as atomic indices; they enter
     with their recorded degree and are taken internally stable, which is
@@ -204,30 +227,34 @@ def check_polystability(
             "subobjects anyway"
         )
     n = len(h.summands)
-    comps = components(h)
-    _check_budget(n, sum(1 << len(part) for part in comps))
-    arrows, degrees = _arrows(h), h.degrees()
+    succ, pred = _masks(h)
+    comps = _components(succ, pred)
+    size, budget = sum(1 << len(part) for part in comps), subset_budget()
+    if size > budget:
+        raise BudgetError(
+            f"subset scan over {n} summands exceeds the budget {budget}",
+            n=n, budget=budget, size=size,
+        )
+    degrees = h.degrees()
     if sum(degrees) != 0:
         raise ModelInvariantError("total degree must vanish")
-    tops: list[InvariantSubobject] = []
-    zero: list[InvariantSubobject] = []
-    for part in comps:
-        subs = _closed_subsets(part, arrows, degrees)
-        tops.append(_best_witness(subs))
-        zero.extend(s for s in subs if s.degree == 0 and 0 < s.size < len(part))
-    if any(top.degree > 0 for top in tops):
+    validate(h)
+    scans = [_closed_subsets(part, succ, degrees) for part in comps]
+    tops = [top for top, _ in scans]
+    zeros = [zero for _, zero in scans if zero is not None]
+    if any(top[0] < 0 for top in tops):
         return StabilityVerdict(
             STATUS_UNSTABLE,
             witness=InvariantSubobject(
-                tuple(sorted(i for top in tops for i in top.indices)),
-                sum(top.degree for top in tops),
+                tuple(sorted(i for top in tops for i in top[2])),
+                -sum(top[0] for top in tops),
             ),
             note="destabilizing subobject of positive degree",
         )
-    if zero:
+    if zeros:
         return StabilityVerdict(
             STATUS_UNSTABLE,
-            witness=_best_witness(zero),
+            witness=InvariantSubobject(min(zeros)[2], 0),
             note="degree-zero subobject that does not split off; "
             "semistable but not polystable",
         )

@@ -5,7 +5,10 @@ that share nothing with the package internals, so agreement is evidence
 rather than tautology.  The stability oracle enumerates raw index subsets
 with itertools and uses the complement formulation of splitting; the
 verdict oracle is the single scan over all 2^n masks that the package ran
-before it scanned one connected component at a time; the
+before it scanned one connected component at a time, and the
+component-scan oracle is that per-component scan as it listed every closed
+subset before it kept two running keys, asked also of a hand-made corpus
+of valid objects of several components; the
 characteristic-class oracle folds a truncated product pair by pair, and
 the Stiefel-Whitney search oracle scans every tuple of classes with the
 coordinate formula for the cup product, and the reachability oracle grows
@@ -198,6 +201,100 @@ def _undirected_components(n: int, arrows: Sequence[tuple[int, int]]) -> list[tu
             for i in merged:
                 comp[i] = merged
     return sorted({tuple(sorted(c)) for c in comp.values()})
+
+
+def component_closed_subsets(
+    h: GradedHiggsBundle, members: Sequence[int]
+) -> list[tuple[tuple[int, ...], int]]:
+    """Every arrow-closed subset of one component, as (indices, degree), in
+    the order of its masks over local positions."""
+    local = {g: i for i, g in enumerate(members)}
+    arcs = [(local[s], local[t]) for t, s in _arrows(h) if s in local]
+    out = []
+    for mask in range(1 << len(members)):
+        if all(not mask >> s & 1 or mask >> t & 1 for s, t in arcs):
+            indices = tuple(g for i, g in enumerate(members) if mask >> i & 1)
+            out.append((indices, sum(h.degree_of(g) for g in indices)))
+    return out
+
+
+def witness_order(sub: tuple[tuple[int, ...], int]) -> tuple:
+    """The order a witness is chosen in: largest degree, then fewest
+    summands, then least indices."""
+    indices, degree = sub
+    return -degree, len(indices), indices
+
+
+def component_scan_verdict(h: GradedHiggsBundle) -> dict:
+    """The verdict document of the component scan ``check_polystability``
+    ran before it kept two running keys per component: components by
+    merging the index sets each arrow joins, every closed subset of each
+    component listed, the positive witness the union of each component's
+    least closed subset, the degree-zero witness the least proper nonempty
+    degree-zero closed subset of any component.  Spelled as
+    ``StabilityVerdict.to_dict`` spells it."""
+    n = len(h.summands)
+    comps = _undirected_components(n, _arrows(h))
+    tops, zero = [], []
+    for part in comps:
+        subs = component_closed_subsets(h, part)
+        tops.append(min(subs, key=witness_order))
+        zero += [sub for sub in subs if sub[1] == 0 and 0 < len(sub[0]) < len(part)]
+    if any(degree > 0 for _, degree in tops):
+        indices = sorted(i for top, _ in tops for i in top)
+        return {"status": "unstable",
+                "witness": {"indices": indices, "degree": sum(d for _, d in tops)},
+                "note": "destabilizing subobject of positive degree"}
+    if zero:
+        indices, degree = min(zero, key=witness_order)
+        return {"status": "unstable", "witness": {"indices": list(indices), "degree": degree},
+                "note": "degree-zero subobject that does not split off; "
+                        "semistable but not polystable"}
+    if len(comps) <= 1:
+        return {"status": "stable", "decomposition": [list(range(n))]}
+    return {"status": "polystable", "decomposition": [list(c) for c in comps],
+            "note": f"direct sum of {len(comps)} stable factors of degree zero"}
+
+
+def hand_made_corpus(seed: int, count: int) -> list[GradedHiggsBundle]:
+    """Valid sl objects of several components, built by hand with no
+    ``family`` meta: pairs of dual line bundles M_k, M_k^-1 of declared
+    degree -2..2, some trivial summands paired with themselves, and arrows
+    laid as 2-cycles, stars into one summand and single arrows, each with
+    its transpose partner (which mirrors a star into a star out of the dual
+    summand).  Summands without arrows are singletons of positive, zero or
+    negative degree.  Genus 4 leaves room for every arrow's section."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        pairs, trivials = rng.randint(1, 4), rng.randint(0, 2)
+        declared = {f"M{k}": rng.randint(-2, 2) for k in range(pairs)}
+        summands = [Summand(SIDE_V, variable(f"M{k}", e)) for k in range(pairs) for e in (1, -1)]
+        summands += [Summand(SIDE_V, trivial())] * trivials
+        n = len(summands)
+        sigma = [i ^ 1 for i in range(2 * pairs)] + list(range(2 * pairs, n))
+        arrows: dict[tuple[int, int], str] = {}
+
+        def arrow(t: int, s: int) -> None:
+            if t != s and (t, s) not in arrows:
+                name = f"a{len(arrows)}"
+                arrows[(t, s)] = arrows[(sigma[s], sigma[t])] = name
+
+        for _ in range(rng.randint(0, 3)):
+            shape = rng.randrange(3)
+            ends = rng.sample(range(n), min(n, rng.randint(2, 4)))
+            if shape == 0:
+                arrow(ends[0], ends[1])
+                arrow(ends[1], ends[0])
+            elif shape == 1:
+                for leaf in ends[1:]:
+                    arrow(ends[0], leaf)
+            else:
+                arrow(ends[0], ends[1])
+        entries = [(t, s, named_section(name)) for (t, s), name in arrows.items()]
+        out.append(make_bundle(GroupTag("sl", (n,)), Curve(4), summands, sigma,
+                               FORM_ORTHOGONAL, entries, declared=declared))
+    return out
 
 
 def sw_fold(classes: Iterable[F2Class]) -> tuple[F2Class, int]:

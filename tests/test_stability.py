@@ -12,6 +12,7 @@ from higgs_atlas import (
     BudgetError,
     Curve,
     GroupTag,
+    InvariantSubobject,
     K_power,
     ModelInvariantError,
     Summand,
@@ -38,9 +39,13 @@ from higgs_atlas import (
 from helpers import (
     brute_force_polystability,
     builder_corpus,
+    component_closed_subsets,
+    component_scan_verdict,
     every_builder_output,
+    hand_made_corpus,
     sub_diagrams,
     subset_scan_verdict,
+    witness_order,
 )
 
 C2 = Curve(2)
@@ -127,7 +132,8 @@ def test_component_scan_matches_the_subset_scan():
         rng.shuffle(order)
         for p in (h, permute_summands(h, order)):
             want = json.dumps(subset_scan_verdict(p))
-            assert _verdict_bytes(p) == want, (str(p.group), dict(p.meta))
+            assert _verdict_bytes(p) == want == json.dumps(component_scan_verdict(p)), (
+                str(p.group), dict(p.meta))
             statuses.add(json.loads(want)["status"])
     assert statuses == {"stable", "polystable", "unstable"}
 
@@ -140,7 +146,8 @@ def test_component_scan_matches_the_subset_scan_on_sub_diagrams():
     for h in every_builder_output(C2) + every_builder_output(C3):
         for m in sub_diagrams(h, rng, 4):
             want = subset_scan_verdict(m)
-            assert _verdict_bytes(m, assume_summand_generated=True) == json.dumps(want), (
+            got = _verdict_bytes(m, assume_summand_generated=True)
+            assert got == json.dumps(want) == json.dumps(component_scan_verdict(m)), (
                 str(m.group), dict(m.meta), [(e.target, e.source) for e in m.higgs])
             seen.add((len(components(m)) > 1, want["status"], want.get("note", "")[:11]))
     # every verdict and both kinds of witness, on one component and on several
@@ -152,6 +159,68 @@ def test_component_scan_matches_the_subset_scan_on_sub_diagrams():
         (True, "unstable", "destabilizi"),
         (True, "unstable", "degree-zero"),
     }, seen
+
+
+def _tie_breaks(h):
+    """Which parts of the order (-degree, size, indices) the component scan
+    needs to pick its witness: degree and size within a component's closed
+    subsets; indices among equally small degree-zero candidates, within one
+    component or across two."""
+    seen, zero = set(), []
+    for part in components(h):
+        subs = component_closed_subsets(h, part)
+        best = max(degree for _, degree in subs)
+        if len({degree for _, degree in subs}) > 1:
+            seen.add("degree")
+        if len({len(idx) for idx, degree in subs if degree == best}) > 1:
+            seen.add("size" if best == 0 else "size, positive")
+        zero += [(sub, part) for sub in subs if sub[1] == 0 and 0 < len(sub[0]) < len(part)]
+    if zero:
+        least = min(len(sub[0]) for sub, _ in zero)
+        tied = [part for sub, part in zero if len(sub[0]) == least]
+        if len(tied) > 1:
+            seen.add("indices, one component" if len(set(tied)) < len(tied) else "indices, across")
+    return seen
+
+
+def test_verdicts_match_the_component_scan_on_hand_made_objects():
+    # valid objects of several components that no builder makes: singletons
+    # of every sign, 2-cycles and stars, so every step of the witness order
+    # decides somewhere
+    seen, shapes = set(), set()
+    for h in hand_made_corpus(3121, 400):
+        want = component_scan_verdict(h)
+        assert _verdict_bytes(h, assume_summand_generated=True) == json.dumps(want), (
+            [(e.target, e.source) for e in h.higgs], h.declared)
+        seen |= _tie_breaks(h)
+        singles = [h.degree_of(p[0]) for p in components(h) if len(p) == 1]
+        shapes |= {(d > 0) - (d < 0) for d in singles}
+        shapes.add((len(components(h)) > 1, want["status"], want.get("note", "")[:11]))
+    assert seen == {"degree", "size", "size, positive", "indices, one component",
+                    "indices, across"}, seen
+    assert shapes == {1, 0, -1, (False, "stable", ""), (False, "unstable", "destabilizi"),
+                      (False, "unstable", "degree-zero"), (True, "polystable", "direct sum "),
+                      (True, "unstable", "destabilizi"), (True, "unstable", "degree-zero")}, shapes
+
+
+def test_a_verdict_builds_one_invariant_subobject_at_most(monkeypatch):
+    # the witness alone: no object for any other closed subset
+    from higgs_atlas import stability
+
+    built = []
+
+    class Counted(InvariantSubobject):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(stability, "InvariantSubobject", Counted)
+    objects = [build_maximal_so2n(C2, 14, TrivialW0(), beta0=False),
+               build_hitchin_sl(C2, 12, spin_name="s")] + every_builder_output(C2)
+    for h in objects:
+        built.clear()
+        v = check_polystability(h)
+        assert len(built) == (v.witness is not None), (str(h.group), dict(h.meta), len(built))
 
 
 def test_unrecognized_shape_guard():

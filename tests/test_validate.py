@@ -26,6 +26,10 @@ from higgs_atlas import (
     bundle_from_dict,
     bundle_to_dict,
     canonical_key,
+    check_polystability,
+    embed_so23_to_so2n,
+    embed_so23_to_so33,
+    gauge_equivalent,
     make_bundle,
     permute_summands,
     switchable,
@@ -121,6 +125,26 @@ def test_a_repeated_higgs_entry_is_refused():
     doc["higgs"].append(dict(doc["higgs"][0]))
     with pytest.raises(ParseError, match=r"^higgs entry \(0, 2\) is listed twice$"):
         bundle_from_dict(doc)
+
+
+@pytest.mark.parametrize("genus", [1, 0, -3, 2.0, True])
+def test_a_genus_curve_refuses_is_refused_on_every_path(genus):
+    # the first check on an unmarked object, with the rule Curve applies;
+    # each path gets its own unmarked copy
+    h = build_maximal_so23(Curve(2), 0)
+    with pytest.raises(ValueError) as curve:
+        Curve(genus)
+    paths = (validate, check_polystability, lambda b: gauge_equivalent(b, b),
+             lambda b: embed_so23_to_so2n(b, 5), embed_so23_to_so33)
+    for ask in paths:
+        bad = replace(h, genus=genus)
+        with pytest.raises(ModelInvariantError) as exc:
+            ask(bad)
+        assert str(exc.value) == str(curve.value)
+        assert bad._degrees is None
+    # a partner of another genus is still answered before either is checked
+    if genus != 2:
+        assert gauge_equivalent(replace(h, genus=genus), h) is False
 
 
 def test_unresolved_degrees_are_named_v_side_first():
