@@ -603,7 +603,12 @@ def _integer_label(h: GradedHiggsBundle) -> int:
 
 def embed_so23_to_so2n(h: GradedHiggsBundle, n: int) -> GradedHiggsBundle:
     """Stabilize a maximal (2,3) object to signature (2,n) by appending
-    trivial W summands with zero field rows."""
+    trivial W summands with zero field rows.
+
+    An unmarked ``h`` is checked in full twice: at its own ``validate(h)``,
+    which refuses an invalid input before its label is read, and again at
+    ``_stabilized``'s check of the copy.  A marked ``h`` costs nothing at the
+    first; the copy is checked once either way."""
     if h.group != GroupTag("so0", (2, 3)):
         raise WrongGroupError(f"expected a so0:2,3 object, got {h.group}")
     if n < 4:

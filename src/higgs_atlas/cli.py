@@ -23,7 +23,9 @@ It passes the builder only the flags given, so an omitted flag takes the
 builder's own default and `--spin-name ''` is refused at every rank.
 
 Each handler imports the modules its verb runs, so a process loads only
-those; a usage error loads nothing beyond ``errors``.
+those; a usage error loads nothing beyond ``errors``.  Each returns its
+document, which ``main`` prints (through the verb's table under
+`--table`); a document whose ``ok`` is false exits 1.
 
 ``run`` is the process entry of ``python -m higgs_atlas.cli`` and of the
 ``higgs-atlas`` script.  A process answers one question and exits, so a
@@ -378,27 +380,27 @@ def _cmd_dim(args) -> dict:
     return out
 
 
-def _verify_table(results) -> str:
-    lines = []
-    for r in results:
-        lines.append(f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}")
-    passed = sum(1 for r in results if r.passed)
-    lines.append(f"{passed}/{len(results)} checks passed")
+def _verify_table(doc: dict) -> str:
+    lines = [f"{'PASS' if c['passed'] else 'FAIL'} {c['name']}: {c['detail']}"
+             for c in doc["checks"]]
+    lines.append(f"{doc['passed']}/{len(doc['checks'])} checks passed")
     return "\n".join(lines) + "\n"
 
 
-def _cmd_verify(args):
-    from .verification import run_checks
+def _cmd_verify(args) -> dict:
+    from .verification import all_check_names, run_checks
 
-    names = args.only.split(",") if args.only else None
-    results = run_checks(names)
-    doc = {
+    if args.list:
+        args.table = None  # the list is JSON under --table too
+        return {"checks": all_check_names()}
+    results = run_checks(args.only.split(",") if args.only else None)
+    passed = sum(r.passed for r in results)
+    return {
         "checks": [r.to_dict() for r in results],
-        "passed": sum(1 for r in results if r.passed),
-        "failed": sum(1 for r in results if not r.passed),
-        "ok": all(r.passed for r in results),
+        "passed": passed,
+        "failed": len(results) - passed,
+        "ok": passed == len(results),
     }
-    return doc, results
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -458,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("census", help="component catalog")
     add_group_genus(p)
     p.add_argument("--sector", choices=SECTOR_CHOICES, default=SECTOR_CHOICES[0])
-    p.add_argument("--table", action="store_true")
+    p.add_argument("--table", action="store_const", const=_census_table)
     p.set_defaults(fn=_cmd_census)
 
     p = sub.add_parser("param", help="parameterization of a labelled component")
@@ -475,37 +477,23 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run internal consistency checks")
     p.add_argument("--only", default="", help="comma list of check names")
     p.add_argument("--list", action="store_true", help="list check names and exit")
-    p.add_argument("--table", action="store_true")
+    p.add_argument("--table", action="store_const", const=_verify_table)
     p.set_defaults(fn=_cmd_verify)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.verb == "verify":
-            if args.list:
-                from .verification import all_check_names
-
-                _emit({"checks": all_check_names()})
-                return 0
-            doc, results = _cmd_verify(args)
-            if args.table:
-                sys.stdout.write(_verify_table(results))
-            else:
-                _emit(doc)
-            return 0 if doc["ok"] else 1
         doc = args.fn(args)
-        if args.verb == "census" and args.table:
-            sys.stdout.write(_census_table(doc))
+        if getattr(args, "table", None):
+            sys.stdout.write(args.table(doc))
         else:
             _emit(doc)
-        return 0
+        return 0 if doc.get("ok", True) else 1
     except HiggsAtlasError as exc:
-        payload = {k: v for k, v in exc.payload.items()}
-        _emit({"status": "error", "code": exc.code, "message": str(exc), **payload})
+        _emit({"status": "error", "code": exc.code, "message": str(exc), **exc.payload})
         return 1
     except ValueError as exc:
         _emit({"status": "error", "code": "value", "message": str(exc)})

@@ -70,7 +70,7 @@ def run_json(capsys, *argv):
     return code, json.loads(out)
 
 
-def test_build_emits_a_loadable_document(capsys):
+def test_build_emits_a_loadable_document(tmp_path, capsys):
     code, doc = run_json(capsys, "build", "--group", "so0:2,3", "--genus", "2",
                          "--d", "2", "--maximal")
     assert code == 0
@@ -78,6 +78,12 @@ def test_build_emits_a_loadable_document(capsys):
     h = bundle_from_dict(doc)
     assert h.genus == 2
     assert check_polystability(h).status == "stable"
+    path = tmp_path / "object.json"
+    path.write_text(json.dumps(doc))
+    code, res = run_json(capsys, "limit", "--input", str(path), "--search", "1")
+    assert (code, res["count"]) == (0, 5)
+    code, res = run_json(capsys, "limit", "--input", str(path), "--weights", "1,-1,0,0,0")
+    assert (code, res["exists"]) == (0, True)
 
 
 def test_build_output_is_byte_deterministic(capsys):
@@ -249,6 +255,9 @@ def test_stability_round_trip(tmp_path, capsys):
     assert code == 0
     assert verdict["status"] == "unstable"
     assert verdict["bound"] == 2
+    path = _object_file(tmp_path, capsys, *SO25, "--w0", "trivial")
+    code, verdict = run_json(capsys, "stability", "--input", str(path))
+    assert (code, verdict["status"], verdict["bound"]) == (0, "stable", 2)
 
 
 def test_limit_search_lists_three_branches(tmp_path, capsys):
@@ -281,15 +290,15 @@ def test_limit_incompatible_weights_is_a_precondition_error(tmp_path, capsys):
 
 
 def test_limit_destabilized_branch_parity(tmp_path, capsys):
-    _, doc = run_json(capsys, "build", "--group", "so0:3,5", "--genus", "2",
-                      "--d", "2", "--deformed")
-    path = tmp_path / "object.json"
-    path.write_text(json.dumps(doc))
-    code, res = run_json(capsys, "limit", "--input", str(path), "--line-degree", "2")
-    assert code == 0 and res["exists"] is True
-    code, res = run_json(capsys, "limit", "--input", str(path), "--line-degree", "3")
-    assert code == 1
-    assert res["code"] == "parity-violation"
+    # a line degree of the label's parity has a branch; the other is refused
+    for d, same, other in (("2", "2", "3"), ("3", "1", "2")):
+        path = _object_file(tmp_path, capsys, "--group", "so0:3,5", "--genus", "2",
+                            "--d", d, "--deformed")
+        code, res = run_json(capsys, "limit", "--input", str(path), "--line-degree", same)
+        assert code == 0 and res["exists"] is True
+        code, res = run_json(capsys, "limit", "--input", str(path), "--line-degree", other)
+        assert code == 1
+        assert res["code"] == "parity-violation"
 
 
 @pytest.mark.parametrize("label", ["1_0", "1_1", "³"])
@@ -410,6 +419,13 @@ def test_census_verb(capsys):
                     "--sector", "maximal", "--table")
     assert code == 0
     assert "d=4" in out and "35" in out
+    # each family rule reads the tag's kind: an exotic family, a maximal
+    # sector, and the so0:1,2 = PSL(2,R) coincidence (4g - 3 components)
+    for argv, total, listed in ((("--group", "so0:3,4"), None, 7),
+                                (("--group", "so0:2,4", "--sector", "maximal"), 32, 32),
+                                (("--group", "so0:1,2"), 5, 5)):
+        code, doc = run_json(capsys, "census", "--genus", "2", *argv)
+        assert (code, doc["total"], doc["listed"]) == (0, total, listed), argv
 
 
 def test_census_determinism(capsys):
@@ -428,6 +444,10 @@ def test_param_verb_includes_reading(capsys):
     assert doc["parameterization"]["base"] == "Sym^0"
     assert doc["parameterization"]["total"] == 10
     assert doc["extra_reading"]["readings_agree"] is True
+    for group, fiber_rank, total in (("so0:3,4", 6, 21), ("so0:4,5", 8, 36)):
+        code, doc = run_json(capsys, "param", "--group", group, "--genus", "2", "--d", "1")
+        assert (code, doc["parameterization"]["fiber_rank"],
+                doc["parameterization"]["total"]) == (0, fiber_rank, total), group
 
 
 def test_param_degree_zero_reports_retraction(capsys):
@@ -484,6 +504,54 @@ def test_verify_unknown_check(capsys):
     code, doc = run_json(capsys, "verify", "--only", "no-such-check")
     assert code == 1
     assert doc["status"] == "error"
+
+
+# sha256 of `verify --table`'s stdout, every check passing
+VERIFY_TABLE_DIGEST = "a5bb11408d3427b44e0edb7ad90cbeddb3f90c4c8f95bee23b6a77b145be1965"
+
+
+def _table(checks) -> str:
+    lines = [f"{'PASS' if c['passed'] else 'FAIL'} {c['name']}: {c['detail']}" for c in checks]
+    passed = sum(c["passed"] for c in checks)
+    return "\n".join([*lines, f"{passed}/{len(checks)} checks passed"]) + "\n"
+
+
+def test_verify_table_prints_one_line_per_check_and_the_count(capsys):
+    code, out = run(capsys, "verify", "--table")
+    _, doc = run_json(capsys, "verify")
+    assert (code, out) == (0, _table(doc["checks"]))
+    assert out.endswith("\n26/26 checks passed\n")
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_TABLE_DIGEST
+
+
+def test_a_failing_check_fails_verify_in_both_renderings(capsys, monkeypatch):
+    from higgs_atlas import verification
+
+    def broken():
+        raise AssertionError("broken on purpose")
+
+    name, _ = verification._CHECKS[0]
+    monkeypatch.setattr(verification, "_CHECKS", [(name, broken), *verification._CHECKS[1:]])
+    only = ("--only", "riemann-roch-chi,census-frozen-totals")
+    code, out = run(capsys, "verify", "--table", *only)
+    assert (code, out) == (1, "FAIL riemann-roch-chi: broken on purpose\n"
+                              "PASS census-frozen-totals: 7 frozen census totals reproduced\n"
+                              "1/2 checks passed\n")
+    code, doc = run_json(capsys, "verify", *only)
+    assert (code, doc["passed"], doc["failed"], doc["ok"]) == (1, 1, 1, False)
+    code, out = run(capsys, "verify", "--table")
+    _, doc = run_json(capsys, "verify")
+    assert (code, out) == (1, _table(doc["checks"]))
+    assert out.startswith("FAIL riemann-roch-chi: broken on purpose\n")
+    assert out.endswith("\n25/26 checks passed\n")
+
+
+def test_verify_list_names_every_check_with_or_without_table(capsys):
+    _, doc = run_json(capsys, "verify")
+    listed = json.dumps({"checks": [c["name"] for c in doc["checks"]]}, sort_keys=True, indent=2)
+    # the list is JSON under --table too, and --only is not read
+    for flags in ((), ("--table",), ("--only", "no-such-check")):
+        assert run(capsys, "verify", "--list", *flags) == (0, listed + "\n"), flags
 
 
 def test_budget_env_is_respected(tmp_path, capsys, monkeypatch):
@@ -1045,6 +1113,7 @@ MISTAKES = {
     "label-degree": (PreconditionError, r"the component label d = -?\d+ is not deg M = -?\d+"),
     "empty": (ParseError, r"no [\w -]+ given"),
     "chain-rank": (BoundError, r"need n >= 2"),
+    "missing-flag": (PreconditionError, r"the \S+ builder needs --[\w-]+"),
 }
 _ERRORS = {cls.code: cls for cls in HiggsAtlasError.__subclasses__()}
 
@@ -1107,6 +1176,8 @@ REFUSAL_CELLS = [
      "symbol I: the class 1010 has genus 2, the curve genus 3"),
     ("genus", "cli-sw-classes", _cli("sw", "--genus", "3", "--classes", "101000,1010"),
      "summand 1: the class 1010 has genus 2, the curve genus 3"),
+    ("genus", "cli-sw-one-class", _cli("sw", "--genus", "3", "--classes", "1010"),
+     "summand 0: the class 1010 has genus 2, the curve genus 3"),
     ("genus", "document-symbol-class",
      _cli("stability", "--input", "-",
           stdin=lambda: _edited(_GENUS3_TWISTED_FUCHSIAN, _edit_symbol_class)),
@@ -1192,6 +1263,9 @@ REFUSAL_CELLS = [
      _cli("build", "--group", "so0:1,2", "--genus", "2", "--d", "0"), "need n >= 2"),
     ("chain-rank", "library-exotic", _lib(lambda: build_exotic_so(Curve(2), 1, 5)),
      "need n >= 2"),
+    # a builder's label flag left out
+    ("missing-flag", "cli-build-so12", _cli("build", "--group", "so:1,2", "--genus", "2"),
+     "the so:1,2 builder needs --d"),
 ]
 
 

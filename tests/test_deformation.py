@@ -220,7 +220,7 @@ def _limit_weights(h):
     return vectors
 
 
-def test_a_limit_of_a_marked_object_is_marked_with_its_degrees():
+def test_a_limit_of_a_marked_object_is_marked_with_its_degrees(monkeypatch):
     objects = every_builder_output(Curve(2)) + every_builder_output(Curve(3))
     seen = {"limits": 0, "with_terms": 0}
     for h in objects:
@@ -248,6 +248,18 @@ def test_a_limit_of_a_marked_object_is_marked_with_its_degrees():
             seen["limits"] += 1
             seen["with_terms"] += bool(limit.dolbeault)
     assert seen["limits"] >= 1000 and seen["with_terms"] >= 20, seen
+    # so a limit's verdict and document read the mark, not the degrees again
+    from higgs_atlas import linebundle
+
+    h = build_maximal_so23(Curve(2), 2)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a limit's degrees were resolved again")
+
+    monkeypatch.setattr(linebundle.LineBundleExpr, "resolved_degree", refuse)
+    res = graded_limit(h, WeightAssignment((1, -1, 0, 0, 0)), with_stability=True)
+    assert res.exists and res.limit_stability is not None
+    bundle_to_dict(res.limit)
 
 
 def branch_documents(genus):

@@ -638,6 +638,9 @@ def test_a_partner_without_the_switched_meta_reads_no_switched_row(monkeypatch):
     monkeypatch.setattr(canonical, "_flip", refuse)
     for a, b in pairs:
         assert gauge_equivalent(a, b) is False
+    # nor does a reordering, whose meta is a's own
+    a = build_maximal_so23(C2, 2)
+    assert gauge_equivalent(a, permute_summands(a, [4, 3, 2, 1, 0])) is True
 
 
 def test_a_pair_whose_metas_differ_reads_no_row(monkeypatch):
@@ -685,6 +688,7 @@ def test_a_reordered_positive_pair_builds_no_switch(monkeypatch):
         return switched(h)
 
     h = build_maximal_so23(C2, 2)
+    pairs.append((h, permute_summands(h, [4, 3, 2, 1, 0])))
     s = switched(permute_summands(h, [4, 3, 2, 1, 0]))
     monkeypatch.setattr(canonical, "switched", _refuse_switch)
     for a, b in pairs:
@@ -1058,15 +1062,21 @@ def test_a_marked_object_and_its_moves_are_not_checked_again(monkeypatch):
     def refuse(h):
         raise AssertionError("a marked object was checked again")
 
-    h = build_maximal_so2n(C2, 5, SplitW0(2))
-    p = permute_summands(h, list(reversed(range(len(h.summands)))))
+    # built before the check is refused; a builder's output is marked, so
+    # nothing below checks it again
+    objects = [build_maximal_so2n(C2, 5, SplitW0(2)), build_maximal_so23(C2, 2), build_fuchsian(C2)]
     monkeypatch.setattr(higgsmodel, "_check_group_shape", refuse)
-    validate(h)
-    s = switched(permute_summands(p, list(range(len(p.summands)))))
-    assert gauge_equivalent(h, s) and structurally_equal(h, p)
-    assert gauge_orbit_key(s) == gauge_orbit_key(h) and canonical_key(p) == canonical_key(h)
+    for h in objects:
+        p = permute_summands(h, list(reversed(range(len(h.summands)))))
+        validate(h)
+        assert structurally_equal(h, p) and gauge_equivalent(h, p) and gauge_equivalent(p, h)
+        assert canonical_key(p) == canonical_key(h)
+        if switchable(h):
+            s = switched(permute_summands(p, list(range(len(p.summands)))))
+            assert gauge_equivalent(h, s) and gauge_equivalent(s, h)
+            assert gauge_orbit_key(s) == gauge_orbit_key(h) and switched(switched(h)) == h
     with pytest.raises(AssertionError, match="checked again"):
-        validate(replace(h))
+        validate(replace(objects[0]))
 
 
 def test_an_invalid_copy_of_a_marked_object_is_refused():

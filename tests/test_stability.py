@@ -217,10 +217,13 @@ def test_a_verdict_builds_one_invariant_subobject_at_most(monkeypatch):
     monkeypatch.setattr(stability, "InvariantSubobject", Counted)
     objects = [build_maximal_so2n(C2, 14, TrivialW0(), beta0=False),
                build_hitchin_sl(C2, 12, spin_name="s")] + every_builder_output(C2)
+    verdicts = []
     for h in objects:
         built.clear()
         v = check_polystability(h)
         assert len(built) == (v.witness is not None), (str(h.group), dict(h.meta), len(built))
+        verdicts.append((v.status, len(v.decomposition)))
+    assert verdicts[:2] == [("polystable", 14), ("stable", 1)]
 
 
 def test_unrecognized_shape_guard():
