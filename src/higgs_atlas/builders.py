@@ -562,14 +562,19 @@ def _stabilized(
     """``h`` as a checked object of ``group``, with ``front_v`` trivial V
     summands before its own (so its indices move up by ``front_v``) and
     ``back_w`` trivial W summands after them, each self-paired with a zero
-    field row, and with ``meta`` when given."""
+    field row, and with ``meta`` when given.  The added summands have degree
+    0 and each caller's ``group`` fits the new ranks, so the copy is valid
+    whenever ``h`` is: a marked ``h`` passes its degrees on and is not
+    checked again, and an unmarked one is checked through its copy."""
     k = front_v
     summands, sigma = _with_trivial_w(
         (Summand(SIDE_V, trivial()),) * k + h.summands,
         (*range(k), *(j + k for j in h.sigma)),
         back_w,
     )
+    degrees = None if h._degrees is None else (0,) * k + h._degrees + (0,) * back_w
     out = h._with(
+        degrees,
         group=group,
         summands=summands,
         sigma=sigma,
@@ -605,10 +610,10 @@ def embed_so23_to_so2n(h: GradedHiggsBundle, n: int) -> GradedHiggsBundle:
     """Stabilize a maximal (2,3) object to signature (2,n) by appending
     trivial W summands with zero field rows.
 
-    An unmarked ``h`` is checked in full twice: at its own ``validate(h)``,
-    which refuses an invalid input before its label is read, and again at
-    ``_stabilized``'s check of the copy.  A marked ``h`` costs nothing at the
-    first; the copy is checked once either way."""
+    An unmarked ``h`` is checked in full once, by its own ``validate(h)``,
+    which refuses an invalid input before its label is read and marks a
+    valid one; the marked input's copy is then not checked again.  A marked
+    ``h`` is not checked at all."""
     if h.group != GroupTag("so0", (2, 3)):
         raise WrongGroupError(f"expected a so0:2,3 object, got {h.group}")
     if n < 4:

@@ -12,9 +12,10 @@ Verbs:
     verify     run the named internal consistency checks
 
 All output is deterministic JSON on stdout (sorted keys); `--table` on
-census and verify renders a plain-text table instead.  Object documents
-are read with `--input PATH` where PATH may be `-` for stdin.  Exit code
-0 on success, 1 on a reported domain error, 2 on usage errors.
+census and verify renders a plain-text table instead, and `verify --list`
+refuses both it and `--only`.  Object documents are read with
+`--input PATH` where PATH may be `-` for stdin.  Exit code 0 on success,
+1 on a reported domain error, 2 on usage errors.
 
 `build` decides a command in one order: the group tag (and the genus),
 the builder they and the switches choose, any given flag that builder
@@ -391,7 +392,10 @@ def _cmd_verify(args) -> dict:
     from .verification import all_check_names, run_checks
 
     if args.list:
-        args.table = None  # the list is JSON under --table too
+        unread = [flag for flag, value in (("--only", args.only), ("--table", args.table))
+                  if value is not None]
+        if unread:
+            raise PreconditionError(f"verify --list does not read {', '.join(unread)}")
         return {"checks": all_check_names()}
     results = run_checks(args.only.split(",") if args.only else None)
     passed = sum(r.passed for r in results)
@@ -475,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_dim)
 
     p = sub.add_parser("verify", help="run internal consistency checks")
-    p.add_argument("--only", default="", help="comma list of check names")
+    p.add_argument("--only", default=None, help="comma list of check names")
     p.add_argument("--list", action="store_true", help="list check names and exit")
     p.add_argument("--table", action="store_const", const=_verify_table)
     p.set_defaults(fn=_cmd_verify)

@@ -82,56 +82,41 @@ class ExponentRow(_Value):
     def __hash__(self):
         return hash((self.kind, self.target, self.source, self.name, self.exponent))
 
-
-class ExponentTable(_Value):
-    """The exponent of every field entry and extension term under one weight vector."""
-
-    __slots__ = ("rows",)
-
-    def __init__(self, rows: tuple[ExponentRow, ...]):
-        object.__setattr__(self, "rows", rows)
-
-    @property
-    def all_nonnegative(self) -> bool:
-        return all(r.exponent >= 0 for r in self.rows)
-
     def to_dict(self) -> dict:
         return {
-            "rows": [
-                {
-                    "kind": r.kind,
-                    "to": r.target,
-                    "from": r.source,
-                    "name": r.name,
-                    "exponent": r.exponent,
-                }
-                for r in self.rows
-            ]
+            "kind": self.kind,
+            "to": self.target,
+            "from": self.source,
+            "name": self.name,
+            "exponent": self.exponent,
         }
 
 
 class LimitResult(_Value):
-    """A graded limit: whether it exists, its exponents, and the limit object."""
+    """A graded limit: its exponents and the limit object, None when an
+    exponent is negative; ``exists`` is read off the limit."""
 
-    __slots__ = ("exists", "direction", "weights", "table", "limit", "source", "limit_stability")
+    __slots__ = ("direction", "weights", "exponents", "limit", "source", "limit_stability")
 
     def __init__(
         self,
-        exists: bool,
         direction: str,
         weights: WeightAssignment,
-        table: ExponentTable,
+        exponents: tuple[ExponentRow, ...],
         limit: GradedHiggsBundle | None,
         source: GradedHiggsBundle,
         limit_stability: StabilityVerdict | None = None,
     ):
-        object.__setattr__(self, "exists", exists)
         object.__setattr__(self, "direction", direction)
         object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "exponents", exponents)
         object.__setattr__(self, "limit", limit)
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "limit_stability", limit_stability)
+
+    @property
+    def exists(self) -> bool:
+        return self.limit is not None
 
     def to_dict(self) -> dict:
         out: dict = {
@@ -139,7 +124,7 @@ class LimitResult(_Value):
             "direction": self.direction,
             "weights": list(self.weights.weights),
             "scale": self.weights.higgs_scale,
-            "exponents": self.table.to_dict()["rows"],
+            "exponents": [r.to_dict() for r in self.exponents],
         }
         if self.limit is not None:
             out["limit"] = bundle_to_dict(self.limit)
@@ -150,7 +135,8 @@ class LimitResult(_Value):
 
 def exponent_table(
     h: GradedHiggsBundle, w: WeightAssignment, direction: str = DIRECTION_TO_ZERO
-) -> ExponentTable:
+) -> tuple[ExponentRow, ...]:
+    """The exponent of every field entry, then of every extension term, under ``w``."""
     w.validate_against(h)
     if direction not in (DIRECTION_TO_ZERO, DIRECTION_TO_INFINITY):
         raise PreconditionError(f"unknown direction {direction!r}")
@@ -162,7 +148,7 @@ def exponent_table(
     for t in h.dolbeault:
         exp = w.weights[t.target] - w.weights[t.source]
         rows.append(ExponentRow("dolbeault", t.target, t.source, t.name, flip * exp))
-    return ExponentTable(tuple(rows))
+    return tuple(rows)
 
 
 def graded_limit(
@@ -178,17 +164,17 @@ def graded_limit(
     a valid object of the same group, with the same summand degrees, exactly
     when ``h`` is: a marked ``h`` passes its mark on.
     """
-    table = exponent_table(h, w, direction)
-    if not table.all_nonnegative:
-        return LimitResult(False, direction, w, table, None, h)
-    rows = iter(table.rows)  # the Higgs entries' rows, then the extension terms'
+    exponents = exponent_table(h, w, direction)
+    if any(r.exponent < 0 for r in exponents):
+        return LimitResult(direction, w, exponents, None, h)
+    rows = iter(exponents)  # the Higgs entries' rows, then the extension terms'
     limit = h._with(
         h._degrees,
         higgs=tuple(e for e, r in zip(h.higgs, rows) if r.exponent == 0),
         dolbeault=tuple(t for t, r in zip(h.dolbeault, rows) if r.exponent == 0),
     )
     verdict = check_polystability(limit) if with_stability else None
-    return LimitResult(True, direction, w, table, limit, h, verdict)
+    return LimitResult(direction, w, exponents, limit, h, verdict)
 
 
 def zero_weights(h: GradedHiggsBundle, higgs_scale: int = 1) -> WeightAssignment:
@@ -321,7 +307,6 @@ __all__ = [
     "DIRECTION_TO_INFINITY",
     "WeightAssignment",
     "ExponentRow",
-    "ExponentTable",
     "LimitResult",
     "exponent_table",
     "graded_limit",

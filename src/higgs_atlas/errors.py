@@ -87,7 +87,10 @@ class _Value:
 
     A subclass lists its fields in ``__slots__``, in the order of its
     ``__init__`` parameters, and sets each once with ``object.__setattr__``
-    after its checks.  Equality, hashing and ``repr`` are those of a frozen
+    after its checks.  A type stores only what its other fields do not
+    decide: a value read off them (a verdict's status and note, whether a
+    limit exists, a group tag's kind) is a property, computed when it is
+    read.  Equality, hashing and ``repr`` are those of a frozen
     dataclass with the same fields: equal only to an instance of the same
     class, ``hash`` of the field tuple, ``Name(field=value, ...)``.  A type
     on a hot path writes its own ``__eq__`` and ``__hash__``, because the

@@ -21,20 +21,14 @@ _OWN_KIND = {
 }
 
 
-class _KindSlot:
-    """Keeps ``GroupTag.kind``, decided once when a tag is made, out of the
-    tag's ``__slots__``: its fields, which ``==``, ``hash``, ``repr`` and pickling read."""
-
-    __slots__ = ("kind",)
-
-
-class GroupTag(_Value, _KindSlot):
+class GroupTag(_Value):
     """A group family and its parameters: a rank, or a signature pair.
 
     ``kind`` names the rules the tag follows, so that the catalog and the CLI
     branch on it, never on the parameters: ``split`` (SO0(n,n+1), n >= 3),
     ``hermitian`` (SO0(2,n), n >= 4), ``so0:n,n``, a low-rank tag of
-    ``_OWN_KIND``, else the family.
+    ``_OWN_KIND``, else the family.  It is read off the two fields each time,
+    not stored, so a tag holds only its family and parameters.
     """
 
     __slots__ = ("family", "params")
@@ -51,18 +45,21 @@ class GroupTag(_Value, _KindSlot):
                 raise ValueError("symplectic rank parameter must be even")
         elif len(params) != 2:
             raise ValueError(f"{family} takes a signature pair")
-        kind = _OWN_KIND.get((family, params), family)
-        if kind == "so0":
-            p, q = params
-            if q == p + 1:
-                kind = "split"
-            elif p == 2 and q >= 4:
-                kind = "hermitian"
-            elif p == q:
-                kind = "so0:n,n"
         object.__setattr__(self, "family", family)
         object.__setattr__(self, "params", params)
-        object.__setattr__(self, "kind", kind)
+
+    @property
+    def kind(self) -> str:
+        kind = _OWN_KIND.get((self.family, self.params), self.family)
+        if kind == "so0":
+            p, q = self.params
+            if q == p + 1:
+                return "split"
+            if p == 2 and q >= 4:
+                return "hermitian"
+            if p == q:
+                return "so0:n,n"
+        return kind
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

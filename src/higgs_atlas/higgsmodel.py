@@ -55,7 +55,9 @@ FORM_SYMPLECTIC = "symplectic"
 
 
 class SectionSymbol(_Value):
-    """A section known only by name and vanishing behaviour."""
+    """A section known only by name and vanishing behaviour.  The unit is
+    exactly the section named ``"1"``, the one name a document reads as the
+    unit, so every symbol is written and read back as itself."""
 
     __slots__ = ("name", "kind", "vanishing")
 
@@ -66,6 +68,8 @@ class SectionSymbol(_Value):
             raise ValueError(f"bad vanishing tag {vanishing!r}")
         if kind == KIND_UNIT and vanishing != VANISH_NOWHERE:
             raise ValueError("a unit section vanishes nowhere")
+        if (kind == KIND_UNIT) != (name == "1"):
+            raise ValueError(f"the unit is exactly the section named '1', not a {kind} {name!r}")
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "vanishing", vanishing)
@@ -264,10 +268,10 @@ def validate(h: GradedHiggsBundle) -> None:
     A check that passes marks ``h`` with the degrees it resolved, and a
     marked object is not checked again: ``make_bundle`` (so every builder and
     ``bundle_from_dict``) leaves its output marked, and ``permute_summands``,
-    ``switched`` and ``graded_limit`` pass the mark on through
-    ``GradedHiggsBundle._with``.  A ``_with()`` copy without degrees, like a
-    constructor call or a ``dataclasses.replace`` copy, is unmarked, so it is
-    checked in full.
+    ``switched``, ``graded_limit`` and the stabilizations in ``builders`` pass
+    the mark on through ``GradedHiggsBundle._with``.  A ``_with()`` copy
+    without degrees, like a constructor call or a ``dataclasses.replace``
+    copy, is unmarked, so it is checked in full.
 
     In order: the genus is one ``Curve`` accepts (an integer >= 2); every
     mod-2 class (a torsion symbol's, a block's sw_1) is of the object's

@@ -73,31 +73,43 @@ class InvariantSubobject(_Value):
         object.__setattr__(self, "indices", indices)
         object.__setattr__(self, "degree", degree)
 
-    @property
-    def size(self) -> int:
-        return len(self.indices)
-
 
 class StabilityVerdict(_Value):
-    """A polystability status, with a destabilizing witness or a stable decomposition."""
+    """A destabilizing witness or a stable decomposition, exactly one of
+    them; the status and the note are read off it: unstable with a witness,
+    stable with a decomposition of one part, polystable with more."""
 
-    __slots__ = ("status", "witness", "decomposition", "note")
+    __slots__ = ("witness", "decomposition")
 
     def __init__(
         self,
-        status: str,
-        witness: InvariantSubobject | None = None,
-        decomposition: tuple[tuple[int, ...], ...] | None = None,
-        note: str = "",
+        witness: InvariantSubobject | None,
+        decomposition: tuple[tuple[int, ...], ...] | None,
     ):
-        object.__setattr__(self, "status", status)
+        if (witness is None) == (decomposition is None):
+            raise ValueError("a verdict has exactly one of a witness and a decomposition")
         object.__setattr__(self, "witness", witness)
         object.__setattr__(self, "decomposition", decomposition)
-        object.__setattr__(self, "note", note)
+
+    @property
+    def status(self) -> str:
+        if self.witness is not None:
+            return STATUS_UNSTABLE
+        return STATUS_STABLE if len(self.decomposition) == 1 else STATUS_POLYSTABLE
+
+    @property
+    def note(self) -> str:
+        if self.witness is not None:
+            if self.witness.degree:
+                return "destabilizing subobject of positive degree"
+            return "degree-zero subobject that does not split off; semistable but not polystable"
+        if len(self.decomposition) == 1:
+            return ""
+        return f"direct sum of {len(self.decomposition)} stable factors of degree zero"
 
     @property
     def is_polystable(self) -> bool:
-        return self.status in (STATUS_STABLE, STATUS_POLYSTABLE)
+        return self.witness is None
 
     @property
     def is_stable(self) -> bool:
@@ -110,10 +122,10 @@ class StabilityVerdict(_Value):
                 "indices": list(self.witness.indices),
                 "degree": self.witness.degree,
             }
-        if self.decomposition is not None:
+        else:
             out["decomposition"] = [list(part) for part in self.decomposition]
-        if self.note:
-            out["note"] = self.note
+        if note := self.note:
+            out["note"] = note
         return out
 
 
@@ -243,28 +255,11 @@ def check_polystability(
     tops = [top for top, _ in scans]
     zeros = [zero for _, zero in scans if zero is not None]
     if any(top[0] < 0 for top in tops):
-        return StabilityVerdict(
-            STATUS_UNSTABLE,
-            witness=InvariantSubobject(
-                tuple(sorted(i for top in tops for i in top[2])),
-                -sum(top[0] for top in tops),
-            ),
-            note="destabilizing subobject of positive degree",
-        )
+        indices = tuple(sorted(i for top in tops for i in top[2]))
+        return StabilityVerdict(InvariantSubobject(indices, -sum(top[0] for top in tops)), None)
     if zeros:
-        return StabilityVerdict(
-            STATUS_UNSTABLE,
-            witness=InvariantSubobject(min(zeros)[2], 0),
-            note="degree-zero subobject that does not split off; "
-            "semistable but not polystable",
-        )
-    if len(comps) <= 1:
-        return StabilityVerdict(STATUS_STABLE, decomposition=(tuple(range(n)),))
-    return StabilityVerdict(
-        STATUS_POLYSTABLE,
-        decomposition=comps,
-        note=f"direct sum of {len(comps)} stable factors of degree zero",
-    )
+        return StabilityVerdict(InvariantSubobject(min(zeros)[2], 0), None)
+    return StabilityVerdict(None, comps if len(comps) > 1 else (tuple(range(n)),))
 
 
 __all__ = [

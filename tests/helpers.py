@@ -45,7 +45,6 @@ from higgs_atlas import (
     ComponentDescriptor,
     Curve,
     ExponentRow,
-    ExponentTable,
     F2Class,
     GradedHiggsBundle,
     HiggsEntry,
@@ -673,7 +672,7 @@ def set_selected_limit(
     by the earlier rule: every exponent-zero row's (kind, target, source) in
     a set, and each entry kept when its triple is in the set."""
     kept = {(r.kind, r.target, r.source)
-            for r in exponent_table(h, w, direction).rows if r.exponent == 0}
+            for r in exponent_table(h, w, direction) if r.exponent == 0}
     return (
         tuple(e for e in h.higgs if ("higgs", e.target, e.source) in kept),
         tuple(t for t in h.dolbeault if ("dolbeault", t.target, t.source) in kept),
@@ -1013,6 +1012,10 @@ class OldSectionSymbol:
             raise ValueError(f"bad vanishing tag {self.vanishing!r}")
         if self.kind == KIND_UNIT and self.vanishing != VANISH_NOWHERE:
             raise ValueError("a unit section vanishes nowhere")
+        if (self.kind == KIND_UNIT) != (self.name == "1"):
+            raise ValueError(
+                f"the unit is exactly the section named '1', not a {self.kind} {self.name!r}"
+            )
 
 
 @_old
@@ -1073,10 +1076,12 @@ class OldInvariantSubobject:
 
 @_old
 class OldStabilityVerdict:
-    status: str
-    witness: InvariantSubobject | None = None
-    decomposition: tuple[tuple[int, ...], ...] | None = None
-    note: str = ""
+    witness: InvariantSubobject | None
+    decomposition: tuple[tuple[int, ...], ...] | None
+
+    def __post_init__(self):
+        if (self.witness is None) == (self.decomposition is None):
+            raise ValueError("a verdict has exactly one of a witness and a decomposition")
 
 
 @_old
@@ -1095,16 +1100,10 @@ class OldExponentRow:
 
 
 @_old
-class OldExponentTable:
-    rows: tuple[ExponentRow, ...]
-
-
-@_old
 class OldLimitResult:
-    exists: bool
     direction: str
     weights: WeightAssignment
-    table: ExponentTable
+    exponents: tuple[ExponentRow, ...]
     limit: GradedHiggsBundle | None
     source: GradedHiggsBundle
     limit_stability: StabilityVerdict | None = None

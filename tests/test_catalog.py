@@ -272,6 +272,25 @@ KIND_BOUNDARY_GROUPS = (
 )
 
 
+# GroupTag.kind of every tag above, read off its family and parameters
+FROZEN_KINDS = {
+    "sl:2": "sl:2", "sl:3": "sl", "sl:4": "sl", "psl:2": "psl:2", "psl:3": "psl",
+    "sp:2": "sp:2", "sp:4": "sp:4", "sp:6": "sp", "sp:8": "sp", "so:1,2": "so:1,2",
+    "so:2,3": "so", "so0:1,2": "so0:1,2", "so0:2,3": "so0:2,3", "so0:2,4": "hermitian",
+    "so0:2,5": "hermitian", "so0:3,3": "so0:n,n", "so0:3,4": "split", "so0:4,5": "split",
+    "sl:5": "sl", "slc:3": "slc", "sp:10": "sp", "so0:1,1": "so0:n,n", "so0:1,3": "so0",
+    "so0:2,1": "so0", "so0:2,2": "so0:n,n", "so0:2,9": "hermitian", "so0:3,5": "so0:3,5",
+    "so0:3,6": "so0", "so0:5,6": "split",
+}
+
+
+def test_each_tag_kind_is_frozen_and_not_stored():
+    assert list(FROZEN_KINDS) == [*FROZEN_GROUPS, *KIND_BOUNDARY_GROUPS]
+    assert {text: tag(text).kind for text in FROZEN_KINDS} == FROZEN_KINDS
+    assert GroupTag.__slots__ == ("family", "params")
+    assert all(not hasattr(cls, "kind") for cls in GroupTag.__mro__ if cls is not GroupTag)
+
+
 def _answer(ask) -> str:
     """The canonical JSON of ``ask()``, or the refusal's class and message."""
     try:

@@ -546,12 +546,20 @@ def test_a_failing_check_fails_verify_in_both_renderings(capsys, monkeypatch):
     assert out.endswith("\n25/26 checks passed\n")
 
 
-def test_verify_list_names_every_check_with_or_without_table(capsys):
+def test_verify_list_names_every_check_and_refuses_the_flags_it_does_not_read(capsys):
     _, doc = run_json(capsys, "verify")
     listed = json.dumps({"checks": [c["name"] for c in doc["checks"]]}, sort_keys=True, indent=2)
-    # the list is JSON under --table too, and --only is not read
-    for flags in ((), ("--table",), ("--only", "no-such-check")):
-        assert run(capsys, "verify", "--list", *flags) == (0, listed + "\n"), flags
+    assert run(capsys, "verify", "--list") == (0, listed + "\n")
+    # as `build` refuses a flag its builder does not read
+    for flags, unread in (
+        (("--table",), "--table"),
+        (("--only", "no-such-check"), "--only"),
+        (("--only", ""), "--only"),
+        (("--only", "riemann-roch-chi", "--table"), "--only, --table"),
+    ):
+        code, doc = run_json(capsys, "verify", "--list", *flags)
+        assert (code, doc["status"], doc["code"]) == (1, "error", "precondition"), flags
+        assert doc["message"] == f"verify --list does not read {unread}", flags
 
 
 def test_budget_env_is_respected(tmp_path, capsys, monkeypatch):

@@ -19,6 +19,7 @@ from higgs_atlas import (
     DIRECTION_TO_ZERO,
     DimensionMismatchError,
     HiggsAtlasError,
+    LimitResult,
     NDescriptor,
     ParityViolationError,
     PreconditionError,
@@ -60,15 +61,15 @@ def test_weights_must_match_length_and_pairing():
 def test_exponent_table_frozen_for_circle_family():
     h = build_so12(C2, 0)
     table = exponent_table(h, WeightAssignment((0, 1, -1)))
-    by_key = {(r.target, r.source, r.name): r.exponent for r in table.rows}
+    assert isinstance(table, tuple)
+    by_key = {(r.target, r.source, r.name): r.exponent for r in table}
     assert by_key == {
         (0, 1, "mu"): 0,
         (2, 0, "mu"): 0,
         (0, 2, "nu"): 2,
         (1, 0, "nu"): 2,
     }
-    assert table.all_nonnegative
-    assert min(r.exponent for r in table.rows) == 0
+    assert min(r.exponent for r in table) == 0
 
 
 def test_direction_flips_exponent_signs():
@@ -76,7 +77,7 @@ def test_direction_flips_exponent_signs():
     w = WeightAssignment((0, 1, -1))
     fwd = exponent_table(h, w, "to-zero")
     bwd = exponent_table(h, w, "to-infinity")
-    assert [r.exponent for r in bwd.rows] == [-r.exponent for r in fwd.rows]
+    assert [r.exponent for r in bwd] == [-r.exponent for r in fwd]
     with pytest.raises(PreconditionError):
         exponent_table(h, w, "sideways")
 
@@ -260,6 +261,24 @@ def test_a_limit_of_a_marked_object_is_marked_with_its_degrees(monkeypatch):
     res = graded_limit(h, WeightAssignment((1, -1, 0, 0, 0)), with_stability=True)
     assert res.exists and res.limit_stability is not None
     bundle_to_dict(res.limit)
+
+
+@pytest.mark.parametrize("genus", [2, 3])
+def test_a_limit_exists_exactly_when_it_has_a_limit_object(genus):
+    seen = set()
+    for h in every_builder_output(Curve(genus)):
+        for w in (zero_weights(h), DEFORMED_SO35_RETRACTION, DEFORMED_SO35_STABLE_BRANCH):
+            for direction in (DIRECTION_TO_ZERO, DIRECTION_TO_INFINITY):
+                try:
+                    res = graded_limit(h, w, direction)
+                except (DimensionMismatchError, PreconditionError):
+                    continue  # weights of another rank, or not pairing-compatible
+                assert res.exists == (res.limit is not None)
+                assert res.exists == all(r.exponent >= 0 for r in res.exponents)
+                seen.add((len(h.summands) == 8 and w != zero_weights(h), res.exists))
+    # the fixed weights reach the rank-8 objects, and both answers occur
+    assert seen == {(False, True), (False, False), (True, True), (True, False)}
+    assert len(LimitResult.__slots__) == 6
 
 
 def branch_documents(genus):

@@ -27,6 +27,7 @@ from higgs_atlas import (
     ParseError,
     PreconditionError,
     PrymW0,
+    SectionSymbol,
     SplitW0,
     Summand,
     TrivialW0,
@@ -1164,6 +1165,79 @@ def test_append_trivial_summand():
     e = append_trivial_w(h)
     assert e.group == GroupTag("so0", (2, 4))
     validate(replace(e))
+
+
+def _stabilizations(h):
+    """Each stabilization that takes ``h``, with a name for it."""
+    out = []
+    if h.group.family != "slc":
+        out.append(("associated_sl", associated_sl))
+    if h.group.family == "so0":
+        out.append(("append_trivial_w", append_trivial_w))
+    if h.group == GroupTag("so0", (2, 3)):
+        out += [("embed_so23_to_so33", embed_so23_to_so33),
+                ("embed_so23_to_so2n:4", lambda x: embed_so23_to_so2n(x, 4)),
+                ("embed_so23_to_so2n:6", lambda x: embed_so23_to_so2n(x, 6))]
+    return out
+
+
+@pytest.mark.parametrize("genus", [2, 3])
+def test_a_stabilization_of_a_marked_object_keeps_fresh_degrees(genus):
+    seen = Counter()
+    for h in every_builder_output(Curve(genus)):
+        for name, stabilize in _stabilizations(h):
+            s = stabilize(h)
+            assert _marked(s), name
+            assert s._degrees == _fresh_degrees(s) == s.degrees(), (name, s)
+            # its unmarked copy passes both full checks
+            validate(replace(s))
+            assert expression_validate(replace(s)) is None
+            seen[name.partition(":")[0]] += 1
+    assert set(seen) == {"associated_sl", "append_trivial_w", "embed_so23_to_so33",
+                         "embed_so23_to_so2n"}, seen
+
+
+def test_a_stabilization_checks_a_marked_input_never_and_an_unmarked_one_once(monkeypatch):
+    from higgs_atlas import higgsmodel
+
+    full = []
+    shape = higgsmodel._check_group_shape
+
+    def counted(h):
+        full.append(h)
+        return shape(h)
+
+    monkeypatch.setattr(higgsmodel, "_check_group_shape", counted)
+    objects = [build_maximal_so23(C2, 2), build_maximal_so23(C3, -3, q2=False),
+               build_hitchin_so(C2, 2), build_so12(C2, 1), build_hitchin_sp(C2, 4)]
+    counts = set()
+    for h in objects:
+        for name, stabilize in _stabilizations(h):
+            for given, want in ((h, 0), (h._with(), 1)):
+                full.clear()
+                s = stabilize(given)
+                assert (len(full), _marked(s)) == (want, True), (name, str(h.group))
+                counts.add((name, want))
+    assert len(counts) == 2 * 5
+
+
+def test_the_unit_is_exactly_the_section_named_1():
+    # A named section called "1" is written as the unit's name, and a unit of
+    # another name as a named section's, so either would make a valid object
+    # whose document loads back as another object or not at all.
+    for make in (lambda: named_section("1"),
+                 lambda: SectionSymbol("1", "named", "nowhere-vanishing"),
+                 lambda: SectionSymbol("one", "unit", "nowhere-vanishing")):
+        with pytest.raises(ValueError, match="the unit is exactly the section named '1'"):
+            make()
+    h = build_so12(C2, 1)
+    with pytest.raises(ValueError, match="exactly the section named '1'"):
+        h._with(higgs=tuple(HiggsEntry(e.target, e.source, named_section("1"))
+                            if e.symbol.name == "mu" else e for e in h.higgs))
+    for g in (2, 3):
+        for h in every_builder_output(Curve(g)):
+            assert all((e.symbol.kind == "unit") == (e.symbol.name == "1") for e in h.higgs)
+            assert bundle_from_dict(bundle_to_dict(h)) == h
 
 
 def test_sw_label_requires_even_signature_pair():

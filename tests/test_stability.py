@@ -15,6 +15,7 @@ from higgs_atlas import (
     InvariantSubobject,
     K_power,
     ModelInvariantError,
+    StabilityVerdict,
     Summand,
     UnrecognizedShapeError,
     UnsupportedGroupError,
@@ -310,3 +311,25 @@ def test_verdict_serialization():
     assert doc["status"] == "unstable"
     assert doc["witness"] == {"indices": [1], "degree": 2}
     assert "note" in doc
+
+
+def test_a_verdict_holds_a_witness_or_a_decomposition_never_both():
+    witness = InvariantSubobject((1,), 2)
+    for args in ((witness, ((0,), (1, 2))), (None, None)):
+        with pytest.raises(ValueError, match="exactly one of a witness and a decomposition"):
+            StabilityVerdict(*args)
+    assert len(StabilityVerdict.__slots__) == 2 and not hasattr(InvariantSubobject, "size")
+    # the status and the note are read off the one part given
+    read = [(v.status, v.note, v.is_stable, v.is_polystable) for v in (
+        StabilityVerdict(witness, None),
+        StabilityVerdict(InvariantSubobject((0, 2), 0), None),
+        StabilityVerdict(None, ((0, 1, 2),)),
+        StabilityVerdict(None, ((0, 2), (1,))),
+    )]
+    assert read == [
+        ("unstable", "destabilizing subobject of positive degree", False, False),
+        ("unstable", "degree-zero subobject that does not split off; "
+                     "semistable but not polystable", False, False),
+        ("stable", "", True, True),
+        ("polystable", "direct sum of 2 stable factors of degree zero", False, True),
+    ]

@@ -26,7 +26,6 @@ from higgs_atlas import (
     DolbeaultTerm,
     DoubleCover,
     ExponentRow,
-    ExponentTable,
     F2Class,
     GradedHiggsBundle,
     GroupTag,
@@ -65,7 +64,7 @@ from helpers import OLD_VALUE_TYPES, as_old, builder_corpus, every_builder_outpu
 _A1 = F2Class(2, 5)
 _EXPR = LineBundleExpr(1, ("s",), ("I",), (("M", -1),), (("D", 2),))
 _SYMBOL = SectionSymbol("q2", "named", "generically-nonzero")
-_TABLE = ExponentTable((ExponentRow("higgs", 1, 0, "q2", 0),))
+_ROWS = (ExponentRow("higgs", 1, 0, "q2", 0),)
 _H = every_builder_output(Curve(2))[0]
 _PARAM = Parameterization(1, 2, 3)
 _COMPONENT = ComponentDescriptor(GroupTag("sl", (3,)), "d=1", 16, _PARAM, "r", 2, True, True)
@@ -89,12 +88,11 @@ SAMPLES = {
     PrymW0: (_A1, 1),
     TrivialW0: (),
     InvariantSubobject: ((0, 2), 3),
-    StabilityVerdict: ("unstable", InvariantSubobject((0,), 2), ((0,), (1, 2)), "a note"),
+    StabilityVerdict: (InvariantSubobject((0,), 2), None),
     WeightAssignment: ((1, 0, -1), 2),
     ExponentRow: ("dolbeault", 3, 1, "beta", -2),
-    ExponentTable: (_TABLE.rows,),
-    LimitResult: (True, "to-zero", WeightAssignment((0,) * len(_H.summands)), _TABLE, _H, _H,
-                  StabilityVerdict("stable")),
+    LimitResult: ("to-zero", WeightAssignment((0,) * len(_H.summands)), _ROWS, _H, _H,
+                  StabilityVerdict(None, ((0, 1),))),
     NDescriptor: (2, False),
     Parameterization: (1, 2, 3),
     ComponentDescriptor: (GroupTag("sl", (3,)), "d=1", 16, _PARAM, "r", 2, True, True),
@@ -131,6 +129,10 @@ REFUSALS = [
     (Summand, ("U", _EXPR)),
     (Summand, ("V", _EXPR, 0)),
     (PrymW0, (F2Class(2, 0), 1)),
+    (SectionSymbol, ("1", "named", "generically-nonzero")),
+    (SectionSymbol, ("one", "unit", "nowhere-vanishing")),
+    (StabilityVerdict, (InvariantSubobject((0,), 2), ((0,), (1, 2)))),
+    (StabilityVerdict, (None, None)),
 ]
 
 
